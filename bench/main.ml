@@ -862,11 +862,9 @@ let table_explore () =
         ("scopes", Obs.Json.List entries) ]
   in
   (* Per-layer attribution on the headline scope (n=3, ct-strong+P, crash
-     1@2, depth 9): one row per reduction subset, factors against both the
-     naive tree and the seed-era canon+por baseline (no view clamp — the
-     encoding the explorer shipped with before the layered kernel).  A
-     final frontier row records the depth-13 n=4 scope that only the full
-     stack completes. *)
+     1@2, depth 9): one row per reduction subset, with its factor against
+     the naive tree.  A final row records the depth-13 n=4 scope that only
+     the full stack completes. *)
   let layer_entries =
     let pattern = Pattern.make ~n [ (pid 1, time 2) ] in
     let sym nn =
@@ -876,38 +874,52 @@ let table_explore () =
         d_rename = Symmetry.rename_set;
       }
     in
-    let headline ?view ?attribution ~canon ~por ~por_lambda ~symmetry () =
-      Explore.run ?attribution ~max_steps:9 ~max_nodes:2_000_000 ~canon ?view
-        ~por ~por_lambda
+    let headline ~canon ~por ~por_lambda ~symmetry ?timeline () =
+      Explore.run ?timeline ~max_steps:9 ~max_nodes:2_000_000 ~canon ~por
+        ~por_lambda
         ?symmetry:(if symmetry then Some (sym n) else None)
         ~d_equal ~pattern ~detector:Perfect.canonical ~check:safety
         (Ct_strong.automaton ~proposals)
     in
     let layers =
       [ ( "naive",
-          headline ~view:false ~canon:false ~por:false ~por_lambda:false
-            ~symmetry:false );
-        ( "canon-no-view",
-          headline ~view:false ~canon:true ~por:false ~por_lambda:false
-            ~symmetry:false );
+          headline ~canon:false ~por:false ~por_lambda:false ~symmetry:false );
         ( "canon",
-          headline ~view:true ~canon:true ~por:false ~por_lambda:false
-            ~symmetry:false );
-        ( "canon+por-no-view (seed baseline)",
-          headline ~view:false ~canon:true ~por:true ~por_lambda:false
-            ~symmetry:false );
+          headline ~canon:true ~por:false ~por_lambda:false ~symmetry:false );
         ( "canon+por",
-          headline ~view:true ~canon:true ~por:true ~por_lambda:false
-            ~symmetry:false );
+          headline ~canon:true ~por:true ~por_lambda:false ~symmetry:false );
         ( "canon+por+lambda",
-          headline ~view:true ~canon:true ~por:true ~por_lambda:true
-            ~symmetry:false );
+          headline ~canon:true ~por:true ~por_lambda:true ~symmetry:false );
         ( "canon+symmetry",
-          headline ~view:true ~canon:true ~por:false ~por_lambda:false
-            ~symmetry:true );
+          headline ~canon:true ~por:false ~por_lambda:false ~symmetry:true );
         ( "full stack",
-          headline ~view:true ~canon:true ~por:true ~por_lambda:true
-            ~symmetry:true ) ]
+          headline ~canon:true ~por:true ~por_lambda:true ~symmetry:true ) ]
+    in
+    (* The per-phase split of one more run under a live timeline: the
+       explorer's [dfs] recorder holds one aggregate span per phase (the
+       phase clocks cost a read per explored edge, so the throughput
+       numbers come from the untimed runs). *)
+    let phase_split f =
+      let timeline = Obs.Timeline.create ~label:"t10c" () in
+      ignore (f ?timeline:(Some timeline) ());
+      let spans =
+        List.concat_map
+          (fun (d : Obs.Timeline.domain_rec) -> d.Obs.Timeline.dom_spans)
+          (Obs.Timeline.merge timeline).Obs.Timeline.a_domains
+      in
+      List.map
+        (fun phase ->
+          ( phase ^ "_s",
+            List.fold_left
+              (fun acc (sp : Obs.Timeline.span_rec) ->
+                if sp.Obs.Timeline.sp_name = phase then
+                  acc +. sp.Obs.Timeline.sp_dur
+                else acc)
+              0. spans ))
+        [ "expand"; "hash"; "encode"; "confirm" ]
+    in
+    let attribution_json split =
+      Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Float v)) split)
     in
     let t2 =
       Table.create
@@ -915,40 +927,22 @@ let table_explore () =
           "T10b (EXP-14): per-layer reduction attribution, headline scope \
            (n=3, ct-strong+P, crash 1@2, depth 9)"
         ~columns:
-          [ "layers"; "nodes"; "distinct"; "vs naive"; "vs seed canon+por";
-            "deduped"; "por"; "lambda"; "orbit" ]
+          [ "layers"; "nodes"; "distinct"; "vs naive"; "deduped"; "por";
+            "lambda"; "orbit" ]
     in
     let results =
       List.map
         (fun (label, f) ->
           let repeats = if label = "naive" then 1 else 7 in
-          (label, timed_run ~repeats (fun () -> f ?attribution:None ())))
+          (label, timed_run ~repeats (fun () -> f ?timeline:None ())))
         layers
     in
-    (* Attribution pass: a second run per layer with the per-phase timers
-       on (the timers themselves cost a clock read per explored edge, so
-       the throughput numbers above come from the untimed runs). *)
-    let attributions =
-      List.map
-        (fun (label, f) ->
-          let attribution = ref [] in
-          ignore (f ?attribution:(Some attribution) ());
-          (label, !attribution))
-        layers
-    in
-    let attr_of label =
-      match List.assoc_opt label attributions with Some a -> a | None -> []
-    in
-    let attr_field a name =
-      match List.assoc_opt name a with Some s -> s | None -> 0.
-    in
-    let nodes label =
-      match List.assoc_opt label results with
+    let splits = List.map (fun (label, f) -> (label, phase_split f)) layers in
+    let naive_nodes =
+      match List.assoc_opt "naive" results with
       | Some ((r : _ Explore.report), _) -> r.Explore.nodes_explored
       | None -> 1
     in
-    let naive_nodes = nodes "naive" in
-    let baseline_nodes = nodes "canon+por-no-view (seed baseline)" in
     let entries =
       List.map
         (fun (label, ((r : _ Explore.report), secs)) ->
@@ -956,15 +950,10 @@ let table_explore () =
             float_of_int naive_nodes
             /. float_of_int (Stdlib.max 1 r.Explore.nodes_explored)
           in
-          let vs_baseline =
-            float_of_int baseline_nodes
-            /. float_of_int (Stdlib.max 1 r.Explore.nodes_explored)
-          in
           Table.add_row t2
             [ label; Table.cell_int r.Explore.nodes_explored;
               Table.cell_int r.Explore.distinct_states;
               Format.asprintf "%.1fx" vs_naive;
-              Format.asprintf "%.1fx" vs_baseline;
               Table.cell_int r.Explore.deduped;
               Table.cell_int r.Explore.por_pruned;
               Table.cell_int r.Explore.lambda_pruned;
@@ -978,13 +967,8 @@ let table_explore () =
               ("lambda_pruned", Obs.Json.Int r.Explore.lambda_pruned);
               ("orbit_collapsed", Obs.Json.Int r.Explore.orbit_collapsed);
               ("factor_vs_naive", Obs.Json.Float vs_naive);
-              ("factor_vs_seed_baseline", Obs.Json.Float vs_baseline);
               ("seconds", Obs.Json.Float secs);
-              ("attribution",
-               Obs.Json.Obj
-                 (List.map
-                    (fun (k, v) -> (k, Obs.Json.Float v))
-                    (attr_of label)));
+              ("attribution", attribution_json (List.assoc label splits));
               ("complete", Obs.Json.Bool r.Explore.complete) ])
         results
     in
@@ -1001,60 +985,53 @@ let table_explore () =
         ~columns:[ "layers"; "expand"; "hash"; "encode"; "confirm" ]
     in
     List.iter
-      (fun (label, a) ->
+      (fun (label, split) ->
         Table.add_row t2b
-          [ label;
-            Table.cell_float ~decimals:4 (attr_field a "expand_s");
-            Table.cell_float ~decimals:4 (attr_field a "hash_s");
-            Table.cell_float ~decimals:4 (attr_field a "encode_s");
-            Table.cell_float ~decimals:4 (attr_field a "confirm_s") ])
-      attributions;
+          (label
+          :: List.map (fun (_, v) -> Table.cell_float ~decimals:4 v) split))
+      splits;
     Table.print t2b;
     Format.printf
       "Reading the attribution: expand = automaton stepping and the step\n\
        memo; hash = interning and incremental lane updates; encode = orbit\n\
        choice, id-vector packing and sleep-set descriptors; confirm =\n\
-       visited-store probe and exact key comparison.  Under the seed\n\
+       visited-set probe and exact key comparison.  Under the seed\n\
        encoding the expand+encode columns were one fused Marshal-dominated\n\
        cost; the incremental kernel leaves no single dominant phase.@.@.";
-    (* The frontier scope: n=4, failure-free, depth 13.  The seed-era
-       encoding exhausts multi-million-node budgets (measured: 4M nodes,
-       truncated); the full stack completes it. *)
+    (* The n=4 scope: failure-free, depth 13.  The seed-era encoding
+       exhausts multi-million-node budgets (measured: 4M nodes, truncated);
+       the full stack completes it. *)
     let sym4 = sym 4 in
     let safety4 =
       Explore.both agreement
         (Explore.validity_check ~n:4 ~proposals ~equal:Int.equal)
     in
-    let frontier_run ?attribution () =
-      Explore.run ?attribution ~max_steps:13 ~max_nodes:4_000_000 ~canon:true
+    let n4_run ?timeline () =
+      Explore.run ?timeline ~max_steps:13 ~max_nodes:4_000_000 ~canon:true
         ~por:true ~por_lambda:true ~symmetry:sym4 ~d_equal
         ~pattern:(Pattern.make ~n:4 [])
         ~detector:Perfect.canonical ~check:safety4
         (Ct_strong.automaton ~proposals)
     in
-    let frontier, frontier_s = timed_run ~repeats:3 (fun () -> frontier_run ()) in
-    let frontier_attr = ref [] in
-    ignore (frontier_run ~attribution:frontier_attr ());
+    let n4, n4_s = timed_run ~repeats:3 (fun () -> n4_run ()) in
     Format.printf
-      "Frontier scope (n=4, failure-free, depth 13): %d nodes, %d distinct, \
+      "n=4 scope (failure-free, depth 13): %d nodes, %d distinct, \
        complete=%b, %.1fs — the seed explorer exhausts a 4,000,000-node \
        budget on this scope.@.@."
-      frontier.Explore.nodes_explored frontier.Explore.distinct_states
-      frontier.Explore.complete frontier_s;
+      n4.Explore.nodes_explored n4.Explore.distinct_states
+      n4.Explore.complete n4_s;
     entries
     @ [ Obs.Json.Obj
           [ ("layers", Obs.Json.String "full stack (frontier: n=4 depth 13)");
-            ("nodes", Obs.Json.Int frontier.Explore.nodes_explored);
-            ("distinct_states", Obs.Json.Int frontier.Explore.distinct_states);
-            ("deduped", Obs.Json.Int frontier.Explore.deduped);
-            ("por_pruned", Obs.Json.Int frontier.Explore.por_pruned);
-            ("lambda_pruned", Obs.Json.Int frontier.Explore.lambda_pruned);
-            ("orbit_collapsed", Obs.Json.Int frontier.Explore.orbit_collapsed);
-            ("seconds", Obs.Json.Float frontier_s);
-            ("attribution",
-             Obs.Json.Obj
-               (List.map (fun (k, v) -> (k, Obs.Json.Float v)) !frontier_attr));
-            ("complete", Obs.Json.Bool frontier.Explore.complete) ] ]
+            ("nodes", Obs.Json.Int n4.Explore.nodes_explored);
+            ("distinct_states", Obs.Json.Int n4.Explore.distinct_states);
+            ("deduped", Obs.Json.Int n4.Explore.deduped);
+            ("por_pruned", Obs.Json.Int n4.Explore.por_pruned);
+            ("lambda_pruned", Obs.Json.Int n4.Explore.lambda_pruned);
+            ("orbit_collapsed", Obs.Json.Int n4.Explore.orbit_collapsed);
+            ("seconds", Obs.Json.Float n4_s);
+            ("attribution", attribution_json (phase_split n4_run));
+            ("complete", Obs.Json.Bool n4.Explore.complete) ] ]
   in
   let json =
     match json with

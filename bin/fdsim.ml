@@ -95,8 +95,12 @@ let trace_sink ~trace ~trace_out =
   (Obs.Trace.tee mem jsonl, mem, close)
 
 let pattern_of ~n crashes =
-  Pattern.make ~n
-    (List.map (fun (p, t) -> (Pid.of_int p, Time.of_int t)) crashes)
+  try
+    Pattern.make ~n
+      (List.map (fun (p, t) -> (Pid.of_int p, Time.of_int t)) crashes)
+  with Invalid_argument msg ->
+    Format.eprintf "fdsim: %s@." msg;
+    exit 2
 
 let detector_names =
   [ ("P", `P); ("P-delayed", `P_delayed); ("ev-P", `Ev_p); ("S", `S);
@@ -172,7 +176,7 @@ let exit_ok ok = if ok then 0 else 1
 
 (* ---------- fdsim check ---------- *)
 
-(* --jobs / --workers accept a count or the literal "auto", which
+(* --jobs accepts a count or the literal "auto", which
    resolves to Domain.recommended_domain_count — the persistent pool
    never runs more domains than that anyway. *)
 let workers_conv =
@@ -1136,8 +1140,11 @@ let with_algo_sym ~n algo k =
 
 let explore_cmd =
   let run n seed crashes algo fd max_steps max_nodes uniform canon por
-      por_lambda symmetry spill spill_cache workers explain cross record
-      progress =
+      por_lambda symmetry explain cross record progress =
+    if max_steps < 0 then begin
+      Format.eprintf "fdsim: --max-steps must be >= 0, got %d@." max_steps;
+      exit 2
+    end;
     let pattern = pattern_of ~n crashes in
     let detector = make_detector ~seed fd in
     let check = consensus_explore_check ~n ~uniform pattern in
@@ -1180,7 +1187,6 @@ let explore_cmd =
               (scope_name algo algo_names);
             None
       in
-      let workers = if workers <= 0 then None else Some workers in
       Format.printf "pattern:  %a@.detector: %s@." Pattern.pp pattern
         (Detector.name detector);
       (* --cross-check with no reduction flags means "the full stack". *)
@@ -1195,14 +1201,13 @@ let explore_cmd =
         in
         List.iter print_endline
           (Explore.describe ~max_steps ~canon ~por ~por_lambda
-             ?symmetry:symmetry_spec ?spill ?workers ~d_equal ~pattern
-             ~detector ());
+             ?symmetry:symmetry_spec ~d_equal ~pattern ~detector ());
         exit_ok true
       end
       else if cross then begin
         let c =
           Explore.cross_check ~max_steps ~max_nodes ~canon:cc_canon ~por:cc_por
-            ~por_lambda:cc_por_lambda ?symmetry:symmetry_spec ?workers ~d_equal
+            ~por_lambda:cc_por_lambda ?symmetry:symmetry_spec ~d_equal
             ~pattern ~detector ~check automaton
         in
         Format.printf "unreduced: %a@." Explore.pp_report c.Explore.unreduced;
@@ -1217,9 +1222,8 @@ let explore_cmd =
       else begin
         let report =
           Explore.run ~max_steps ~max_nodes ~canon ~por ~por_lambda
-            ?symmetry:symmetry_spec ?spill ?spill_cache ?workers
-            ~capture:(record <> None) ~sink ~d_equal ~pattern ~detector ~check
-            automaton
+            ?symmetry:symmetry_spec ~capture:(record <> None) ~sink ~d_equal
+            ~pattern ~detector ~check automaton
         in
         print_report report;
         (match record with
@@ -1300,41 +1304,13 @@ let explore_cmd =
              detector-equivariant pid renamings (pid-symmetric algorithms \
              only; a no-op with a warning otherwise).")
   in
-  let spill =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spill" ] ~docv:"DIR"
-          ~doc:
-            "Spill visited-set key bytes to an append-only file under DIR, \
-             keeping only fingerprints and a bounded cache in RAM.")
-  in
-  let spill_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "spill-cache" ] ~docv:"BYTES"
-          ~doc:
-            "RAM budget for the spill tier's hot-key cache (default 8 MiB; \
-             only meaningful with $(b,--spill)).")
-  in
-  let workers =
-    Arg.(
-      value & opt workers_conv 0
-      & info [ "workers" ] ~docv:"N|auto"
-          ~doc:
-            "Explore with N pool workers over a deterministic breadth-first \
-             frontier ('auto' = the machine's recommended domain count); \
-             reports are byte-identical for every N (0 = plain DFS).")
-  in
   let explain =
     Arg.(
       value & flag
       & info [ "explain" ]
           ~doc:
-            "Print the active reduction/strategy/store stack resolved for \
-             this scope (group order, quiescence point) and exit without \
-             exploring.")
+            "Print the active reductions resolved for this scope (group \
+             order, quiescence point) and exit without exploring.")
   in
   let cross =
     Arg.(
@@ -1352,8 +1328,7 @@ let explore_cmd =
     Term.(
       const run $ Arg.(value & opt int 3 & info [ "n" ]) $ seed_arg $ crashes_arg
       $ algo_arg $ detector_arg $ max_steps $ max_nodes $ uniform $ canon $ por
-      $ por_lambda $ symmetry $ spill $ spill_cache $ workers $ explain $ cross
-      $ record_arg $ progress_arg)
+      $ por_lambda $ symmetry $ explain $ cross $ record_arg $ progress_arg)
 
 (* ---------- fdsim replay / shrink / render ---------- *)
 
@@ -1687,12 +1662,9 @@ let metrics_cmd =
         (Ct_strong.automaton ~proposals)
     in
     (* Phase 3: a small exhaustive exploration with the whole reduction
-       stack and a parallel frontier, so the explorer's counter families
-       (nodes, dedup, POR prunes, orbit collapses, spills, frontier depth)
-       all appear in the dump. *)
+       stack, so the explorer's counter families (nodes, dedup, POR prunes,
+       orbit collapses) all appear in the dump. *)
     let xp = pattern_of ~n:3 [ (1, 2) ] in
-    let spill_dir = Filename.temp_file "fdsim-metrics-spill" "" in
-    Sys.remove spill_dir;
     let (_ : int Explore.report) =
       Explore.run ~max_steps:7 ~canon:true ~por:true ~por_lambda:true
         ~symmetry:
@@ -1702,7 +1674,6 @@ let metrics_cmd =
               (fun pi -> Symmetry.value_map_of_proposals ~n:3 ~proposals pi);
             d_rename = Symmetry.rename_set;
           }
-        ~spill:spill_dir ~spill_cache:4096 ~workers:2 ~frontier:8
         ~d_equal:Pid.Set.equal ~metrics:registry ~pattern:xp
         ~detector:Perfect.canonical
         ~check:(Explore.agreement_check ~equal:Int.equal)
@@ -2006,7 +1977,7 @@ let profile_cmd =
       let xp = pattern_of ~n:3 [ (1, 2) ] in
       let (_ : int Explore.report) =
         Explore.run ~max_steps:7 ~canon:true ~por:true ~por_lambda:true
-          ~workers:jobs ~frontier:8 ~timeline ~d_equal:Pid.Set.equal
+          ~timeline ~d_equal:Pid.Set.equal
           ~pattern:xp ~detector:Perfect.canonical
           ~check:(Explore.agreement_check ~equal:Int.equal)
           (Ct_strong.automaton ~proposals)
@@ -2047,8 +2018,8 @@ let profile_cmd =
       value & opt workers_conv 2
       & info [ "jobs" ] ~docv:"N|auto"
           ~doc:
-            "Worker slots to profile ('auto' = the machine's recommended \
-             domain count).")
+            "Worker slots for the campaign scope ('auto' = the machine's \
+             recommended domain count).")
   in
   let scope =
     Arg.(
@@ -2056,8 +2027,8 @@ let profile_cmd =
       & info [ "scope" ] ~docv:"SCOPE"
           ~doc:
             "What to run under the observatory: $(b,campaign) (the T14 \
-             consensus campaign) or $(b,explore) (the parallel frontier \
-             explorer).")
+             consensus campaign) or $(b,explore) (the explorer's \
+             depth-first walk).")
   in
   let capacity =
     Arg.(

@@ -30,7 +30,7 @@ type stats = {
 
 val recommended_workers : unit -> int
 (** [Domain.recommended_domain_count ()], floored at 1 — what
-    [--workers auto] resolves to. *)
+    [--jobs auto] resolves to. *)
 
 val max_helpers : unit -> int
 (** The current helper cap: {!set_max_helpers} override if set, else

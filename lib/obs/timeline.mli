@@ -71,7 +71,7 @@ val event : recorder -> ?tag:int -> string -> unit
 
 val record_span : recorder -> ?tag:int -> string -> dur_s:float -> unit
 (** Record an externally-measured duration as a span ending now — used to
-    graft aggregate phase timings (e.g. the explorer's attribution
+    graft aggregate phase timings (e.g. the explorer's per-phase
     accumulators) onto the timeline.  GC counters are recorded as zero. *)
 
 (** {1 Merging} *)

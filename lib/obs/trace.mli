@@ -51,9 +51,9 @@ type event =
       total : int option;  (** budget if known, [None] for open-ended work *)
       rate : float;  (** units per second since the run began *)
       detail : (string * float) list;
-          (** emitter-specific gauges: distinct/deduped/por_pruned counters,
-              frontier depth, visited-table load factor and bytes, ETA
-              seconds, job-latency percentiles *)
+          (** emitter-specific gauges: depth, distinct/deduped/por_pruned
+              counters, visited-table bytes, ETA seconds, job-latency
+              percentiles *)
     }
       (** periodic liveness heartbeat from {!Rlfd_sim.Explore} and
           {!Rlfd_campaign.Engine}, so multi-minute runs are observable

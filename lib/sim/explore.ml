@@ -21,8 +21,6 @@ type 'o report = {
   por_pruned : int;
   lambda_pruned : int;
   orbit_collapsed : int;
-  spilled_states : int;
-  frontier_tasks : int;
   complete : bool;
   deepest : int;
   violations : 'o violation list;
@@ -38,11 +36,7 @@ let pp_report ppf r =
     Format.fprintf ppf " [%d distinct, %d deduped, %d por-pruned, %d lambda-pruned]"
       r.distinct_states r.deduped r.por_pruned r.lambda_pruned;
   if r.orbit_collapsed > 0 then
-    Format.fprintf ppf " [%d orbit-collapsed]" r.orbit_collapsed;
-  if r.spilled_states > 0 then
-    Format.fprintf ppf " [%d spilled]" r.spilled_states;
-  if r.frontier_tasks > 0 then
-    Format.fprintf ppf " [%d frontier task(s)]" r.frontier_tasks
+    Format.fprintf ppf " [%d orbit-collapsed]" r.orbit_collapsed
 
 (* An in-flight message.  [ment] is its interned identity — present
    whenever encodings are on (canon or capture) — through which the hot
@@ -149,11 +143,8 @@ module Memo = struct
     go (slot t a b c)
 end
 
-(* Per-domain intern tables: one set per sequential walk.  Entries and
-   ids are table-local; frontier tasks build their own and re-intern their
-   root (fingerprints transfer — they are pure functions of the values —
-   but ids do not).  [c_step] is keyed by table-local ids, so it is
-   per-domain for the same reason. *)
+(* The intern tables of one walk.  Entries and ids are table-local, and
+   [c_step] is keyed by those ids. *)
 type ('s, 'm, 'o) cache = {
   c_state : 's Intern.t;
   c_msg : (Pid.t * Pid.t * 'm) Intern.t;
@@ -232,8 +223,7 @@ type symmetry_mode = [ `Full | `Decisions_only ]
    layers are active and the precomputed data they need (the quiescence
    point of the scope's detector views, the symmetry group). *)
 type ('s, 'm, 'd, 'o) reduction = {
-  canon : bool;
-  view : bool; (* detector-view canonicalizer: dead-message gc + clock clamp *)
+  canon : bool; (* and the detector-view canonicalizer: dead-message gc, clock clamp *)
   por : bool; (* sleep sets over commuting delivery pairs *)
   por_lambda : bool; (* ... extended to pairs involving lambda steps *)
   quiesce_at : int; (* first tick from which views and aliveness are constant *)
@@ -269,13 +259,12 @@ let quiescence ~pattern ~detector ~d_equal ~horizon =
   done;
   !stable_from
 
-let resolve_reduction ?(canon = false) ?view ?(por = false) ?(por_lambda = false)
+let resolve_reduction ?(canon = false) ?(por = false) ?(por_lambda = false)
     ?symmetry ?(symmetry_mode = `Full) ~pattern ~detector ~d_equal ~max_steps ()
     =
   let horizon = max_steps + 1 in
-  let view = match view with Some v -> canon && v | None -> canon in
   let quiesce_at =
-    if view then quiescence ~pattern ~detector ~d_equal ~horizon else horizon
+    if canon then quiescence ~pattern ~detector ~d_equal ~horizon else horizon
   in
   let group, spec, orbit_merge =
     match symmetry with
@@ -288,28 +277,15 @@ let resolve_reduction ?(canon = false) ?view ?(por = false) ?(por_lambda = false
       in
       (g, Some spec, symmetry_mode = `Full)
   in
-  { canon; view; por; por_lambda; quiesce_at; group; spec; orbit_merge }
-
-(* ---------- strategy / store configuration ---------- *)
-
-type store_config = { spill : string option; spill_cache : int option }
-
-let make_store ?(suffix = "") cfg =
-  match cfg.spill with
-  | None -> Store.in_ram ~initial:4096 ()
-  | Some dir ->
-    (* frontier tasks race to create the parent; EEXIST is the common case *)
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    Store.spilling ?cache_bytes:cfg.spill_cache
-      ~dir:(Filename.concat dir ("tier" ^ suffix))
-      ()
+  { canon; por; por_lambda; quiesce_at; group; spec; orbit_merge }
 
 (* ---------- the exploration engine ---------- *)
 
-(* Mutable per-traversal accumulators: one per sequential walk (the DFS
-   strategy has exactly one; the frontier strategy has one for its BFS
-   prefix and one per frontier task).  The [t_*] fields are the per-phase
-   time attribution, populated only when the caller asked for it. *)
+(* Heartbeat period of the [sink]'s Progress events, in expanded nodes. *)
+let progress_every = 250_000
+
+(* The walk's mutable accumulators.  The [t_*] fields are the per-phase
+   wall times, sampled only under a live timeline. *)
 type 'o acc = {
   mutable nodes : int;
   mutable deepest : int;
@@ -326,54 +302,26 @@ type 'o acc = {
   mutable t_confirm : float;
 }
 
-let fresh_acc () =
-  {
-    nodes = 0;
-    deepest = 0;
-    truncated = false;
-    deduped = 0;
-    por_pruned = 0;
-    lambda_pruned = 0;
-    orbit_collapsed = 0;
-    violations = [];
-    decision_list = [];
-    t_expand = 0.;
-    t_hash = 0.;
-    t_encode = 0.;
-    t_confirm = 0.;
-  }
-
 let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
-    ?(canon = false) ?view ?(por = false) ?(por_lambda = false) ?symmetry
-    ?(symmetry_mode = `Full) ?spill ?spill_cache ?workers ?(frontier = 32)
-    ?(capture = false) ?(progress_every = 250_000) ?(d_equal = fun a b -> a = b)
-    ?(sink = Rlfd_obs.Trace.null) ?metrics ?attribution ?(paranoid = false)
+    ?(canon = false) ?(por = false) ?(por_lambda = false) ?symmetry
+    ?(symmetry_mode = `Full) ?(capture = false) ?(d_equal = fun a b -> a = b)
+    ?(sink = Rlfd_obs.Trace.null) ?metrics ?(paranoid = false)
     ?(timeline = Rlfd_obs.Timeline.null) ~pattern ~detector ~check
     (algo : _ Model.t) =
+  if max_steps < 0 then invalid_arg "Explore.run: max_steps < 0";
   let n = Pattern.n pattern in
   let red =
-    resolve_reduction ~canon ?view ~por ~por_lambda ?symmetry ~symmetry_mode
+    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~symmetry_mode
       ~pattern ~detector ~d_equal ~max_steps ()
   in
-  let store_cfg = { spill; spill_cache } in
   (* Message encodings are needed both for canonical dedup and for the
      flight-recorder schedule; process-state encodings only for dedup. *)
   let enc_on = red.canon || capture in
   let started_at = Rlfd_obs.Profile.now () in
-  (* the phase clock runs for attribution *or* a live timeline — both
-     consume the same per-phase accumulators *)
+  (* the phase clock runs only under a live timeline *)
   let clk =
-    if Option.is_none attribution && Rlfd_obs.Timeline.is_null timeline then
-      fun () -> 0.
+    if Rlfd_obs.Timeline.is_null timeline then fun () -> 0.
     else Rlfd_obs.Profile.now
-  in
-  (* graft one walk's phase accumulators onto a timeline recorder as four
-     aggregate spans, matching the attribution keys *)
-  let record_phases rec_ (acc : _ acc) =
-    Rlfd_obs.Timeline.record_span rec_ "expand" ~dur_s:acc.t_expand;
-    Rlfd_obs.Timeline.record_span rec_ "hash" ~dur_s:acc.t_hash;
-    Rlfd_obs.Timeline.record_span rec_ "encode" ~dur_s:acc.t_encode;
-    Rlfd_obs.Timeline.record_span rec_ "confirm" ~dur_s:acc.t_confirm
   in
   (* --- scope precomputation: views, aliveness, stability, deaths ---
      Detector views and crash events are pure functions of (process, tick);
@@ -458,7 +406,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
              let pi = g_arr.(k) in
              (Symmetry.apply pi, spec.value_map pi)))
   in
-  let make_cache () =
+  let cache =
     match (red.spec, renamings) with
     | Some spec, Some rens ->
       {
@@ -495,13 +443,13 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
       }
   in
   (* A message is part of the canonical state iff its destination can still
-     receive it: under the view canonicalizer, messages to crashed
-     processes are erased (crashes are permanent, only alive processes
-     schedule, so they are unreceivable path bookkeeping). *)
-  let counted t m = (not red.view) || alive.(t).(Pid.to_int m.mdst - 1) in
+     receive it: the view canonicalizer erases messages to crashed
+     processes (crashes are permanent, only alive processes schedule, so
+     they are unreceivable path bookkeeping). *)
+  let counted t m = alive.(t).(Pid.to_int m.mdst - 1) in
   let clamp_step step_no = Stdlib.min step_no red.quiesce_at in
-  (* --- from-scratch lane computation: root init, frontier re-intern, and
-     the [paranoid] oracle the incremental updates are checked against --- *)
+  (* --- from-scratch lane computation: the root's lanes, and the
+     [paranoid] oracle the incremental updates are checked against --- *)
   let scratch_s_lanes s_ents =
     Array.init sm_lanes (fun k ->
         let sum = ref 0 in
@@ -523,7 +471,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
     Array.init sm_lanes (fun k ->
         List.fold_left (fun sum e -> sum + Intern.h (Intern.ren e k)) 0 out_ents)
   in
-  let initial cache =
+  let root =
     let states = Array.init n (fun i -> algo.Model.initial ~n (Pid.of_int (i + 1))) in
     let s_ents =
       if red.canon then Array.map (Intern.intern cache.c_state) states else [||]
@@ -536,6 +484,23 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
       next_id = 0;
       ls = (if red.canon then scratch_s_lanes s_ents else [||]);
       lm = (if red.canon then Array.make sm_lanes 0 else [||]);
+    }
+  in
+  let acc =
+    {
+      nodes = 0;
+      deepest = 0;
+      truncated = false;
+      deduped = 0;
+      por_pruned = 0;
+      lambda_pruned = 0;
+      orbit_collapsed = 0;
+      violations = [];
+      decision_list = [];
+      t_expand = 0.;
+      t_hash = 0.;
+      t_encode = 0.;
+      t_confirm = 0.;
     }
   in
   (* All choices available in [config]: each alive process may take a lambda
@@ -557,7 +522,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
      stepped process's state term swaps, the consumed message's term
      leaves, newly dead destinations' terms leave, each send's term
      enters.  Nothing older than the step is re-encoded or re-hashed. *)
-  let apply cache (acc : _ acc) config ((p, receive) : choice) =
+  let apply config ((p, receive) : choice) =
     let ta = clk () in
     let i = Pid.to_int p - 1 in
     let t = config.step_no in
@@ -660,7 +625,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
         for k = 0 to sm_lanes - 1 do
           lm'.(k) <- lm'.(k) - Intern.h (Intern.ren ment k)
         done);
-      if red.view && any_death.(t') then
+      if any_death.(t') then
         List.iter
           (fun m ->
             if dies_at.(t').(Pid.to_int m.mdst - 1) then begin
@@ -673,7 +638,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
       let buffer, next_id =
         List.fold_left
           (fun (buffer, next_id) (dst, payload, ment) ->
-            if (not red.view) || alive.(t').(Pid.to_int dst - 1) then
+            if alive.(t').(Pid.to_int dst - 1) then
               for k = 0 to sm_lanes - 1 do
                 lm'.(k) <- lm'.(k) + Intern.h (Intern.ren ment k)
               done;
@@ -703,11 +668,11 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
      renamed by group element k, assembled from the incrementally
      maintained sums.  The orbit representative is the lane with the
      smallest fingerprint — a pure function of the component values, so
-     every walk (and every frontier task) picks the same one.  The stored
-     key packs the interned ids of the representative's components:
-     within one table's lifetime ids are in bijection with distinct
-     values, so key equality is exact state equality — the byte-exact
-     confirmation the visited store performs on every fingerprint hit. *)
+     every walk picks the same one.  The stored key packs the interned ids
+     of the representative's components: within one table's lifetime ids
+     are in bijection with distinct values, so key equality is exact state
+     equality — the byte-exact confirmation the visited set performs on
+     every fingerprint hit. *)
   let fp_of config lo k =
     Hashing.combine_int
       (Hashing.combine_int
@@ -716,7 +681,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
       lo.(k)
   in
   let grow a = Array.append a (Array.make (Array.length a) 0) in
-  let pack cache config out_ents k =
+  let pack config out_ents k =
     let t = config.step_no in
     let nm = ref 0 in
     List.iter
@@ -756,9 +721,9 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
     done;
     Bytes.unsafe_to_string b
   in
-  (* Index (in [red.group]) of the representative's permutation, the store
-     fingerprint, and the packed id-vector key. *)
-  let encode cache config lo out_ents =
+  (* Index (in [red.group]) of the representative's permutation, the
+     visited-set fingerprint, and the packed id-vector key. *)
+  let encode config lo out_ents =
     let k =
       if (not red.orbit_merge) || g_order = 1 then 0
       else begin
@@ -773,7 +738,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
         !bi
       end
     in
-    (k, Int64.of_int (fp_of config lo k), pack cache config out_ents k)
+    (k, Int64.of_int (fp_of config lo k), pack config out_ents k)
   in
   (* Decision states: the multiset of outputs emitted so far.  Under
      symmetry the recorded multiset is its orbit representative, so the
@@ -842,45 +807,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
             (Intern.h (Intern.ren e orbit))
         | _ -> concrete)
   in
-  (* Frontier tasks run in their own domain: fingerprints and canonical
-     bytes transfer (pure functions of the values), intern ids do not —
-     rebuild the root's interned identities and lanes in the task's own
-     tables. *)
-  let reintern cache config outputs =
-    let s_ents =
-      if red.canon then
-        (* the prefix walk's entries belong to another domain's table; only
-           their values cross — re-intern them here *)
-        Array.map
-          (fun e -> Intern.intern cache.c_state (Intern.value e))
-          config.s_ents
-      else [||]
-    in
-    let buffer =
-      List.map
-        (fun m ->
-          {
-            m with
-            ment =
-              (if enc_on then Some (Intern.intern cache.c_msg (m.msrc, m.mdst, m.payload))
-               else None);
-          })
-        config.buffer
-    in
-    let out_ents = List.rev_map (fun (p, o) -> Intern.intern cache.c_out (p, o)) outputs in
-    let config =
-      {
-        config with
-        s_ents;
-        buffer;
-        ls = (if red.canon then scratch_s_lanes s_ents else [||]);
-        lm = (if red.canon then scratch_m_lanes config.step_no buffer else [||]);
-      }
-    in
-    let lo = if red.canon then scratch_o_lanes out_ents else [||] in
-    (config, lo, out_ents)
-  in
-  (* --- one sequential traversal (shared by both strategies) ---
+  (* --- the walk ---
 
      Every call counts its expansion (the root included).  The budget is
      checked per {e child}: [acc.truncated] is set only when an unexplored,
@@ -890,7 +817,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
 
      [sleep] carries the sleep set (choices whose exploration here would
      only permute provably commuting steps of an already-explored sibling
-     branch); the visited store keeps, per canonical state, the step count
+     branch); the visited set keeps, per canonical state, the step count
      and the descriptor hashes of the sleep set it was expanded under, the
      latter renamed into the orbit representative's pid space so branches
      that merge only up to a permutation still compare sleep sets.  A
@@ -901,330 +828,141 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
      intersection, the standard sound combination of sleep sets with state
      caching, lifted along the orbit isomorphism (sound because decision
      multisets are orbit-quotiented). *)
-  let traverse ~cache ~(acc : 'o acc) ~visited ~node_budget ~root_config ~root_lo
-      ~root_out_ents ~root_outputs ~root_steps ~decisions =
-    let record_decision out_ents =
-      let enc = quotient_decision out_ents in
-      let key = Hashing.of_string enc in
-      match Hashing.Table.find decisions ~key enc with
-      | Some () -> ()
-      | None ->
-        Hashing.Table.set decisions ~key enc ();
-        acc.decision_list <- enc :: acc.decision_list
-    in
-    let add_violation v =
-      if List.length acc.violations < max_violations then begin
-        acc.violations <- v :: acc.violations;
-        if not (Rlfd_obs.Trace.is_null sink) then
-          Rlfd_obs.Trace.(
-            emit sink (Violation { time = v.at_step; reason = v.reason }))
-      end
-    in
-    let progress () =
-      if
-        progress_every > 0
-        && (not (Rlfd_obs.Trace.is_null sink))
-        && acc.nodes mod progress_every = 0
-      then begin
-        let elapsed = Rlfd_obs.Profile.now () -. started_at in
-        let rate =
-          if elapsed > 0. then float_of_int acc.nodes /. elapsed else 0.
-        in
-        let detail =
-          [ ("depth", float_of_int acc.deepest);
-            ("violations", float_of_int (List.length acc.violations)) ]
-          @ (if red.canon then
-               [ ("distinct", float_of_int (Store.length visited));
-                 ("deduped", float_of_int acc.deduped);
-                 ("spilled", float_of_int (Store.spilled visited));
-                 ("table_bytes", float_of_int (Store.ram_bytes visited)) ]
-             else [])
-          @
-          if sleeping then
-            [ ("por_pruned", float_of_int (acc.por_pruned + acc.lambda_pruned)) ]
-          else []
-        in
+  let visited = Hashing.Table.create ~initial:4096 () in
+  let decisions : unit Hashing.Table.t = Hashing.Table.create ~initial:64 () in
+  let record_decision out_ents =
+    let enc = quotient_decision out_ents in
+    let key = Hashing.of_string enc in
+    match Hashing.Table.find decisions ~key enc with
+    | Some () -> ()
+    | None ->
+      Hashing.Table.set decisions ~key enc ();
+      acc.decision_list <- enc :: acc.decision_list
+  in
+  let add_violation v =
+    if List.length acc.violations < max_violations then begin
+      acc.violations <- v :: acc.violations;
+      if not (Rlfd_obs.Trace.is_null sink) then
         Rlfd_obs.Trace.(
-          emit sink
-            (Progress
-               { time = int_of_float (elapsed *. 1000.); label = "explore";
-                 done_ = acc.nodes; total = Some node_budget; rate; detail }))
-      end
-    in
-    (* [steps] is kept newest-first and reversed when a violation is
-       recorded — appending per child would copy the whole path each
-       time. *)
-    let rec dfs config lo out_ents outputs steps sleep =
-      acc.nodes <- acc.nodes + 1;
-      progress ();
-      if config.step_no > acc.deepest then acc.deepest <- config.step_no;
-      if config.step_no < max_steps then begin
-        let cs = choices config in
-        let t = config.step_no in
-        let done_ = ref [] in
-        List.iter
-          (fun (a : choice) ->
+          emit sink (Violation { time = v.at_step; reason = v.reason }))
+    end
+  in
+  let progress () =
+    if (not (Rlfd_obs.Trace.is_null sink)) && acc.nodes mod progress_every = 0
+    then begin
+      let elapsed = Rlfd_obs.Profile.now () -. started_at in
+      let rate =
+        if elapsed > 0. then float_of_int acc.nodes /. elapsed else 0.
+      in
+      let detail =
+        [ ("depth", float_of_int acc.deepest);
+          ("violations", float_of_int (List.length acc.violations)) ]
+        @ (if red.canon then
+             [ ("distinct", float_of_int (Hashing.Table.length visited));
+               ("deduped", float_of_int acc.deduped);
+               (* key bytes plus an estimated 24 bytes per slot *)
+               ("table_bytes",
+                float_of_int
+                  (Hashing.Table.key_bytes visited
+                  + (Hashing.Table.capacity visited * 24))) ]
+           else [])
+        @
+        if sleeping then
+          [ ("por_pruned", float_of_int (acc.por_pruned + acc.lambda_pruned)) ]
+        else []
+      in
+      Rlfd_obs.Trace.(
+        emit sink
+          (Progress
+             { time = int_of_float (elapsed *. 1000.); label = "explore";
+               done_ = acc.nodes; total = Some max_nodes; rate; detail }))
+    end
+  in
+  (* [steps] is kept newest-first and reversed when a violation is
+     recorded — appending per child would copy the whole path each
+     time. *)
+  let rec dfs config lo out_ents outputs steps sleep =
+    acc.nodes <- acc.nodes + 1;
+    progress ();
+    if config.step_no > acc.deepest then acc.deepest <- config.step_no;
+    if config.step_no < max_steps then begin
+      let cs = choices config in
+      let t = config.step_no in
+      let done_ = ref [] in
+      List.iter
+        (fun (a : choice) ->
+          if
+            (not acc.truncated)
+            && List.length acc.violations < max_violations
+          then begin
             if
-              (not acc.truncated)
-              && List.length acc.violations < max_violations
+              sleeping && List.exists (fun (b, _) -> same_choice a b) sleep
             then begin
-              if
-                sleeping && List.exists (fun (b, _) -> same_choice a b) sleep
-              then begin
-                match a with
-                | _, None -> acc.lambda_pruned <- acc.lambda_pruned + 1
-                | _, Some _ -> acc.por_pruned <- acc.por_pruned + 1
-              end
-              else begin
-                let expand () =
-                  let config', outs, received = apply cache acc config a in
-                  let p, _ = a in
-                  if sleeping then
-                    done_ := (a, descriptor p received) :: !done_;
-                  let outputs' =
-                    if outs = [] then outputs
-                    else outputs @ List.map (fun o -> (p, o)) outs
-                  in
-                  let out_ents', lo' =
-                    if outs = [] then (out_ents, lo)
-                    else begin
-                      let lo' = if red.canon then Array.copy lo else lo in
-                      let ents =
-                        List.fold_left
-                          (fun ents o ->
-                            let e = Intern.intern cache.c_out (p, o) in
-                            if red.canon then
-                              for k = 0 to sm_lanes - 1 do
-                                lo'.(k) <- lo'.(k) + Intern.h (Intern.ren e k)
-                              done;
-                            e :: ents)
-                          out_ents outs
-                      in
-                      (ents, lo')
-                    end
-                  in
-                  let steps' =
-                    ( p,
-                      match received with
-                      | None -> None
-                      | Some m ->
-                        Some
-                          ( m.msrc,
-                            match m.ment with Some e -> Intern.enc e | None -> ""
-                          ) )
-                    :: steps
-                  in
-                  if paranoid && red.canon then begin
-                    if
-                      scratch_s_lanes config'.s_ents <> config'.ls
-                      || scratch_m_lanes config'.step_no config'.buffer
-                         <> config'.lm
-                      || scratch_o_lanes out_ents' <> lo'
-                    then
-                      failwith
-                        "Explore: incremental fingerprint diverged from \
-                         from-scratch recomputation"
-                  end;
-                  let sleep' =
-                    if sleeping then
-                      List.filter (fun (b, _) -> indep_at t a b) (!done_ @ sleep)
-                    else []
-                  in
-                  let visit sleep' =
-                    if outs <> [] then record_decision out_ents';
-                    (match (outs, check outputs') with
-                    | _ :: _, Some reason ->
-                      let chron = List.rev steps' in
-                      add_violation
-                        {
-                          at_step = config'.step_no;
-                          trail =
-                            List.map (fun (p, r) -> (p, Option.map fst r)) chron;
-                          schedule = chron;
-                          outputs = outputs';
-                          reason;
-                        }
-                    | _ -> ());
-                    dfs config' lo' out_ents' outputs' steps' sleep'
-                  in
-                  if not red.canon then visit sleep'
+              match a with
+              | _, None -> acc.lambda_pruned <- acc.lambda_pruned + 1
+              | _, Some _ -> acc.por_pruned <- acc.por_pruned + 1
+            end
+            else begin
+              let expand () =
+                let config', outs, received = apply config a in
+                let p, _ = a in
+                if sleeping then
+                  done_ := (a, descriptor p received) :: !done_;
+                let outputs' =
+                  if outs = [] then outputs
+                  else outputs @ List.map (fun o -> (p, o)) outs
+                in
+                let out_ents', lo' =
+                  if outs = [] then (out_ents, lo)
                   else begin
-                    let t2 = clk () in
-                    let orbit, key, bytes = encode cache config' lo' out_ents' in
-                    if orbit > 0 then
-                      acc.orbit_collapsed <- acc.orbit_collapsed + 1;
-                    (* the CONCRETE depth, not the clamped one: the clock
-                       clamp merges encodings across depths, and only an
-                       expansion at least as shallow (>= remaining budget)
-                       covers a revisit *)
-                    let step' = config'.step_no in
-                    let rdescs =
-                      List.map
-                        (fun ((b, d) as e) ->
-                          (e, rep_descriptor ~orbit config' b d))
-                        sleep'
+                    let lo' = if red.canon then Array.copy lo else lo in
+                    let ents =
+                      List.fold_left
+                        (fun ents o ->
+                          let e = Intern.intern cache.c_out (p, o) in
+                          if red.canon then
+                            for k = 0 to sm_lanes - 1 do
+                              lo'.(k) <- lo'.(k) + Intern.h (Intern.ren e k)
+                            done;
+                          e :: ents)
+                        out_ents outs
                     in
-                    let descs = sorted_descs (List.map snd rdescs) in
-                    let t3 = clk () in
-                    acc.t_encode <- acc.t_encode +. (t3 -. t2);
-                    (match Store.find visited ~key bytes with
-                    | Some (s_step, s_descs)
-                      when s_step <= step' && desc_subset s_descs descs ->
-                      acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
-                      acc.deduped <- acc.deduped + 1
-                    | prior ->
-                      let stored, sleep' =
-                        match prior with
-                        | None -> ((step', descs), sleep')
-                        | Some (s_step, s_descs) ->
-                          let inter = desc_inter s_descs descs in
-                          ( (Stdlib.min s_step step', inter),
-                            List.filter_map
-                              (fun (e, rd) ->
-                                if List.exists (Int.equal rd) inter then Some e
-                                else None)
-                              rdescs )
-                      in
-                      Store.set visited ~key bytes stored;
-                      acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
-                      if acc.nodes >= node_budget then acc.truncated <- true
-                      else visit sleep')
+                    (ents, lo')
                   end
                 in
-                if red.canon then expand ()
-                else if acc.nodes >= node_budget then acc.truncated <- true
-                else expand ()
-              end
-            end)
-          cs
-      end
-    in
-    dfs root_config root_lo root_out_ents root_outputs root_steps []
-  in
-  (* ---------- strategies ---------- *)
-  let dfs_strategy () =
-    let acc = fresh_acc () in
-    let cache = make_cache () in
-    let visited = make_store store_cfg in
-    let decisions : unit Hashing.Table.t =
-      Hashing.Table.create ~initial:64 ()
-    in
-    (* the empty decision multiset is reachable at the root *)
-    acc.decision_list <- [ Canon.multiset [] ];
-    Hashing.Table.set decisions
-      ~key:(Hashing.of_string (Canon.multiset []))
-      (Canon.multiset []) ();
-    traverse ~cache ~acc ~visited ~node_budget:max_nodes
-      ~root_config:(initial cache)
-      ~root_lo:(if red.canon then Array.make sm_lanes 0 else [||])
-      ~root_out_ents:[] ~root_outputs:[] ~root_steps:[] ~decisions;
-    if not (Rlfd_obs.Timeline.is_null timeline) then
-      record_phases (Rlfd_obs.Timeline.recorder timeline "dfs") acc;
-    let distinct = if red.canon then Store.length visited else acc.nodes in
-    let spilled = Store.spilled visited in
-    Store.close visited;
-    ( acc,
-      distinct,
-      spilled,
-      0,
-      List.sort String.compare acc.decision_list,
-      List.rev acc.violations )
-  in
-  let frontier_strategy workers =
-    (* Deterministic frontier split: a breadth-first prefix expands nodes in
-       FIFO order (no sleep sets — they are a depth-first notion) until at
-       least [frontier] unexpanded roots exist, then each root's subtree
-       becomes one job of a {!Rlfd_campaign.Engine} campaign whose outcomes
-       merge in job order.  Nothing here reads [workers] except the engine's
-       pool size, so the report is a pure function of the scope — byte-
-       identical at any worker count. *)
-    let acc = fresh_acc () in
-    let cache = make_cache () in
-    let visited = make_store ~suffix:"-prefix" store_cfg in
-    let decisions : unit Hashing.Table.t =
-      Hashing.Table.create ~initial:64 ()
-    in
-    acc.decision_list <- [ Canon.multiset [] ];
-    Hashing.Table.set decisions
-      ~key:(Hashing.of_string (Canon.multiset []))
-      (Canon.multiset []) ();
-    let record_decision out_ents =
-      let enc = quotient_decision out_ents in
-      let key = Hashing.of_string enc in
-      match Hashing.Table.find decisions ~key enc with
-      | Some () -> ()
-      | None ->
-        Hashing.Table.set decisions ~key enc ();
-        acc.decision_list <- enc :: acc.decision_list
-    in
-    let ex_rec =
-      if Rlfd_obs.Timeline.is_null timeline then Rlfd_obs.Timeline.null_recorder
-      else Rlfd_obs.Timeline.recorder timeline "explore"
-    in
-    let target = Stdlib.max 1 frontier in
-    let queue = Queue.create () in
-    Queue.push
-      (initial cache, (if red.canon then Array.make sm_lanes 0 else [||]), [], [], [])
-      queue;
-    Rlfd_obs.Timeline.enter ex_rec "bfs-prefix";
-    while
-      Queue.length queue > 0
-      && Queue.length queue < target
-      && (not acc.truncated)
-      && List.length acc.violations < max_violations
-    do
-      let config, lo, out_ents, outputs, steps = Queue.pop queue in
-      acc.nodes <- acc.nodes + 1;
-      if config.step_no > acc.deepest then acc.deepest <- config.step_no;
-      if config.step_no < max_steps then
-        List.iter
-          (fun (a : choice) ->
-            if
-              (not acc.truncated)
-              && List.length acc.violations < max_violations
-            then begin
-              let config', outs, received = apply cache acc config a in
-              let p, _ = a in
-              let outputs' =
-                if outs = [] then outputs
-                else outputs @ List.map (fun o -> (p, o)) outs
-              in
-              let out_ents', lo' =
-                if outs = [] then (out_ents, lo)
-                else begin
-                  let lo' = if red.canon then Array.copy lo else lo in
-                  let ents =
-                    List.fold_left
-                      (fun ents o ->
-                        let e = Intern.intern cache.c_out (p, o) in
-                        if red.canon then
-                          for k = 0 to sm_lanes - 1 do
-                            lo'.(k) <- lo'.(k) + Intern.h (Intern.ren e k)
-                          done;
-                        e :: ents)
-                      out_ents outs
-                  in
-                  (ents, lo')
-                end
-              in
-              let steps' =
-                ( p,
-                  match received with
-                  | None -> None
-                  | Some m ->
-                    Some
-                      ( m.msrc,
-                        match m.ment with Some e -> Intern.enc e | None -> "" )
-                )
-                :: steps
-              in
-              let admit () =
-                if outs <> [] then record_decision out_ents';
-                (match (outs, check outputs') with
-                | _ :: _, Some reason ->
-                  if List.length acc.violations < max_violations then
+                let steps' =
+                  ( p,
+                    match received with
+                    | None -> None
+                    | Some m ->
+                      Some
+                        ( m.msrc,
+                          match m.ment with Some e -> Intern.enc e | None -> ""
+                        ) )
+                  :: steps
+                in
+                if paranoid && red.canon then begin
+                  if
+                    scratch_s_lanes config'.s_ents <> config'.ls
+                    || scratch_m_lanes config'.step_no config'.buffer
+                       <> config'.lm
+                    || scratch_o_lanes out_ents' <> lo'
+                  then
+                    failwith
+                      "Explore: incremental fingerprint diverged from \
+                       from-scratch recomputation"
+                end;
+                let sleep' =
+                  if sleeping then
+                    List.filter (fun (b, _) -> indep_at t a b) (!done_ @ sleep)
+                  else []
+                in
+                let visit sleep' =
+                  if outs <> [] then record_decision out_ents';
+                  (match (outs, check outputs') with
+                  | _ :: _, Some reason ->
                     let chron = List.rev steps' in
-                    acc.violations <-
+                    add_violation
                       {
                         at_step = config'.step_no;
                         trail =
@@ -1233,153 +971,74 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
                         outputs = outputs';
                         reason;
                       }
-                      :: acc.violations
-                | _ -> ());
-                Queue.push (config', lo', out_ents', outputs', steps') queue
+                  | _ -> ());
+                  dfs config' lo' out_ents' outputs' steps' sleep'
+                in
+                if not red.canon then visit sleep'
+                else begin
+                  let t2 = clk () in
+                  let orbit, key, bytes = encode config' lo' out_ents' in
+                  if orbit > 0 then
+                    acc.orbit_collapsed <- acc.orbit_collapsed + 1;
+                  (* the CONCRETE depth, not the clamped one: the clock
+                     clamp merges encodings across depths, and only an
+                     expansion at least as shallow (>= remaining budget)
+                     covers a revisit *)
+                  let step' = config'.step_no in
+                  let rdescs =
+                    List.map
+                      (fun ((b, d) as e) ->
+                        (e, rep_descriptor ~orbit config' b d))
+                      sleep'
+                  in
+                  let descs = sorted_descs (List.map snd rdescs) in
+                  let t3 = clk () in
+                  acc.t_encode <- acc.t_encode +. (t3 -. t2);
+                  (match Hashing.Table.find visited ~key bytes with
+                  | Some (s_step, s_descs)
+                    when s_step <= step' && desc_subset s_descs descs ->
+                    acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                    acc.deduped <- acc.deduped + 1
+                  | prior ->
+                    let stored, sleep' =
+                      match prior with
+                      | None -> ((step', descs), sleep')
+                      | Some (s_step, s_descs) ->
+                        let inter = desc_inter s_descs descs in
+                        ( (Stdlib.min s_step step', inter),
+                          List.filter_map
+                            (fun (e, rd) ->
+                              if List.exists (Int.equal rd) inter then Some e
+                              else None)
+                            rdescs )
+                    in
+                    Hashing.Table.set visited ~key bytes stored;
+                    acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                    if acc.nodes >= max_nodes then acc.truncated <- true
+                    else visit sleep')
+                end
               in
-              if not red.canon then begin
-                if acc.nodes + Queue.length queue >= max_nodes then
-                  acc.truncated <- true
-                else admit ()
-              end
-              else begin
-                let orbit, key, bytes = encode cache config' lo' out_ents' in
-                if orbit > 0 then acc.orbit_collapsed <- acc.orbit_collapsed + 1;
-                let step' = config'.step_no in
-                match Store.find visited ~key bytes with
-                | Some (s_step, _) when s_step <= step' ->
-                  acc.deduped <- acc.deduped + 1
-                | _ ->
-                  Store.set visited ~key bytes (step', []);
-                  if acc.nodes + Queue.length queue >= max_nodes then
-                    acc.truncated <- true
-                  else admit ()
-              end
-            end)
-          (choices config)
-    done;
-    Rlfd_obs.Timeline.leave ex_rec;
-    (* the prefix's share of the phase accumulators, so timeline phase
-       sums equal the attribution totals exactly *)
-    record_phases ex_rec acc;
-    let roots =
-      (* the violations cap already fired in the prefix: the report would
-         drop every further violation anyway, matching the serial walk *)
-      if List.length acc.violations >= max_violations then []
-      else List.of_seq (Queue.to_seq queue)
-    in
-    let prefix_violations = List.rev acc.violations in
-    let n_roots = List.length roots in
-    (match metrics with
-    | None -> ()
-    | Some m ->
-      List.iter
-        (fun (c, _, _, _, _) ->
-          Rlfd_obs.Metrics.observe m "explore_frontier_depth"
-            (float_of_int c.step_no))
-        roots);
-    let budget = Stdlib.max 1 (max_nodes - acc.nodes) in
-    let root_arr = Array.of_list roots in
-    let outcomes =
-      if n_roots = 0 then []
-      else begin
-        let report =
-          Rlfd_campaign.Engine.run ~workers ~shard_size:1 ~timeline
-            ~name:"explore-frontier" ~seed:0 ~total:n_roots
-            ~label:(fun i -> Printf.sprintf "root-%d" i)
-            (fun ~rng:_ ~metrics:_ i ->
-              let config0, _, _, outputs, steps = root_arr.(i) in
-              let task_cache = make_cache () in
-              let config, lo, out_ents = reintern task_cache config0 outputs in
-              let task = fresh_acc () in
-              let task_store =
-                make_store ~suffix:(Printf.sprintf "-%d" i) store_cfg
-              in
-              let task_decisions : unit Hashing.Table.t =
-                Hashing.Table.create ~initial:64 ()
-              in
-              traverse ~cache:task_cache ~acc:task ~visited:task_store
-                ~node_budget:budget ~root_config:config ~root_lo:lo
-                ~root_out_ents:out_ents ~root_outputs:outputs ~root_steps:steps
-                ~decisions:task_decisions;
-              let distinct =
-                if red.canon then Store.length task_store else task.nodes
-              in
-              let spilled = Store.spilled task_store in
-              Store.close task_store;
-              if not (Rlfd_obs.Timeline.is_null timeline) then
-                record_phases
-                  (Rlfd_obs.Timeline.recorder timeline
-                     (Printf.sprintf "task-%d" i))
-                  task;
-              (task, distinct, spilled))
-        in
-        List.map
-          (fun o -> o.Rlfd_campaign.Engine.value)
-          report.Rlfd_campaign.Engine.outcomes
-      end
-    in
-    (* deterministic merge, job order *)
-    let distinct = ref (if red.canon then Store.length visited else acc.nodes) in
-    let spilled = ref (Store.spilled visited) in
-    Store.close visited;
-    let decisions_seen : unit Hashing.Table.t =
-      Hashing.Table.create ~initial:64 ()
-    in
-    let all_decisions = ref [] in
-    let add_decision enc =
-      let key = Hashing.of_string enc in
-      match Hashing.Table.find decisions_seen ~key enc with
-      | Some () -> ()
-      | None ->
-        Hashing.Table.set decisions_seen ~key enc ();
-        all_decisions := enc :: !all_decisions
-    in
-    List.iter add_decision acc.decision_list;
-    let violations = ref prefix_violations in
-    List.iter
-      (fun (task, task_distinct, task_spilled) ->
-        acc.nodes <- acc.nodes + task.nodes;
-        acc.deepest <- Stdlib.max acc.deepest task.deepest;
-        acc.truncated <- acc.truncated || task.truncated;
-        acc.deduped <- acc.deduped + task.deduped;
-        acc.por_pruned <- acc.por_pruned + task.por_pruned;
-        acc.lambda_pruned <- acc.lambda_pruned + task.lambda_pruned;
-        acc.orbit_collapsed <- acc.orbit_collapsed + task.orbit_collapsed;
-        acc.t_expand <- acc.t_expand +. task.t_expand;
-        acc.t_hash <- acc.t_hash +. task.t_hash;
-        acc.t_encode <- acc.t_encode +. task.t_encode;
-        acc.t_confirm <- acc.t_confirm +. task.t_confirm;
-        distinct := !distinct + task_distinct;
-        spilled := !spilled + task_spilled;
-        List.iter add_decision task.decision_list;
-        violations := !violations @ List.rev task.violations)
-      outcomes;
-    let violations =
-      List.filteri (fun i _ -> i < max_violations) !violations
-    in
-    ( acc,
-      !distinct,
-      !spilled,
-      n_roots,
-      List.sort String.compare !all_decisions,
-      violations )
+              if red.canon then expand ()
+              else if acc.nodes >= max_nodes then acc.truncated <- true
+              else expand ()
+            end
+          end)
+        cs
+    end
   in
-  let acc, distinct, spilled, tasks, decision_states, violations =
-    match workers with
-    | None -> dfs_strategy ()
-    | Some k ->
-      if k < 1 then invalid_arg "Explore.run: workers < 1";
-      frontier_strategy k
-  in
-  (match attribution with
-  | None -> ()
-  | Some r ->
-    r :=
-      [ ("expand_s", acc.t_expand);
-        ("hash_s", acc.t_hash);
-        ("encode_s", acc.t_encode);
-        ("confirm_s", acc.t_confirm) ]);
+  (* the empty decision multiset is reachable at the root *)
+  record_decision [];
+  dfs root (if red.canon then Array.make sm_lanes 0 else [||]) [] [] [] [];
+  if not (Rlfd_obs.Timeline.is_null timeline) then begin
+    (* the phase accumulators become four aggregate spans *)
+    let rec_ = Rlfd_obs.Timeline.recorder timeline "dfs" in
+    Rlfd_obs.Timeline.record_span rec_ "expand" ~dur_s:acc.t_expand;
+    Rlfd_obs.Timeline.record_span rec_ "hash" ~dur_s:acc.t_hash;
+    Rlfd_obs.Timeline.record_span rec_ "encode" ~dur_s:acc.t_encode;
+    Rlfd_obs.Timeline.record_span rec_ "confirm" ~dur_s:acc.t_confirm
+  end;
+  let distinct = if red.canon then Hashing.Table.length visited else acc.nodes in
+  let violations = List.rev acc.violations in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -1396,9 +1055,6 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
     end;
     if red.orbit_merge then
       Rlfd_obs.Metrics.incr ~by:acc.orbit_collapsed m "explore_orbit_collapsed";
-    if spilled > 0 || spill <> None then
-      Rlfd_obs.Metrics.incr ~by:spilled m "explore_spilled_states";
-    if tasks > 0 then Rlfd_obs.Metrics.incr ~by:tasks m "explore_steals";
     if elapsed > 0. then
       Rlfd_obs.Metrics.set_gauge m "explore_nodes_per_sec"
         (float_of_int acc.nodes /. elapsed));
@@ -1409,67 +1065,47 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
     por_pruned = acc.por_pruned;
     lambda_pruned = acc.lambda_pruned;
     orbit_collapsed = acc.orbit_collapsed;
-    spilled_states = spilled;
-    frontier_tasks = tasks;
     complete = not acc.truncated;
     deepest = acc.deepest;
     violations;
-    decision_states;
+    decision_states = List.sort String.compare acc.decision_list;
   }
 
 (* ---------- self-description (the --explain surface) ---------- *)
 
-let describe ?(max_steps = 12) ?(canon = false) ?view ?(por = false)
-    ?(por_lambda = false) ?symmetry ?spill ?workers ?(frontier = 32)
-    ?(d_equal = fun a b -> a = b) ~pattern ~detector () =
+let describe ?(max_steps = 12) ?(canon = false) ?(por = false)
+    ?(por_lambda = false) ?symmetry ?(d_equal = fun a b -> a = b) ~pattern
+    ~detector () =
   let red =
-    resolve_reduction ~canon ?view ~por ~por_lambda ?symmetry ~pattern
-      ~detector ~d_equal ~max_steps ()
+    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~pattern ~detector
+      ~d_equal ~max_steps ()
   in
-  let reduction_lines =
-    [ (if red.canon then
-         "reduction: canon (incremental-fingerprint dedup: per-step delta \
-          hashing, interned components, id-vector keys confirmed exactly)"
-       else "reduction: canon off (naive enumeration)") ]
-    @ (if red.view then
-         [ Printf.sprintf
-             "reduction: detector-view canonicalizer (dead-message gc, clock \
-              clamp at t=%d%s)"
-             red.quiesce_at
-             (if red.quiesce_at > max_steps then " — never quiesces in scope"
-              else "") ]
-       else [])
-    @ [ (if red.por then "reduction: por (sleep sets over delivery pairs)"
-         else "reduction: por off");
-        (if red.por_lambda then
-           "reduction: por-lambda (sleep sets extended to lambda steps)"
-         else "reduction: por-lambda off") ]
-    @
-    match symmetry with
-    | None -> [ "reduction: symmetry off" ]
-    | Some _ ->
-      [ Printf.sprintf
-          "reduction: symmetry (group order %d after crash-pattern and \
-           detector equivariance; orbit representative = min fingerprint \
-           lane, renamings hashconsed)"
-          (List.length red.group) ]
-  in
-  let strategy_line =
-    match workers with
-    | None -> "strategy: dfs (single domain)"
-    | Some k ->
-      Printf.sprintf
-        "strategy: frontier (workers=%d, %d roots/worker, deterministic merge)"
-        k frontier
-  in
-  let store_line =
-    match spill with
-    | None ->
-      "store: in-ram (fingerprint probe + exact key confirm, Hashing.Table \
-       behind Store)"
-    | Some dir -> Printf.sprintf "store: spill-to-disk under %s" dir
-  in
-  reduction_lines @ [ strategy_line; store_line ]
+  [ (if red.canon then
+       "reduction: canon (incremental-fingerprint dedup: per-step delta \
+        hashing, interned components, id-vector keys confirmed exactly)"
+     else "reduction: canon off (naive enumeration)") ]
+  @ (if red.canon then
+       [ Printf.sprintf
+           "reduction: detector-view canonicalizer (dead-message gc, clock \
+            clamp at t=%d%s)"
+           red.quiesce_at
+           (if red.quiesce_at > max_steps then " — never quiesces in scope"
+            else "") ]
+     else [])
+  @ [ (if red.por then "reduction: por (sleep sets over delivery pairs)"
+       else "reduction: por off");
+      (if red.por_lambda then
+         "reduction: por-lambda (sleep sets extended to lambda steps)"
+       else "reduction: por-lambda off") ]
+  @
+  match symmetry with
+  | None -> [ "reduction: symmetry off" ]
+  | Some _ ->
+    [ Printf.sprintf
+        "reduction: symmetry (group order %d after crash-pattern and \
+         detector equivariance; orbit representative = min fingerprint \
+         lane, renamings hashconsed)"
+        (List.length red.group) ]
 
 (* ---------- the cross-check oracle ---------- *)
 
@@ -1481,11 +1117,11 @@ type 'o comparison = {
 }
 
 let cross_check ?max_steps ?max_nodes ?max_violations ?(canon = true)
-    ?(por = true) ?(por_lambda = true) ?view ?symmetry ?workers ?d_equal ?sink
-    ?metrics ~pattern ~detector ~check algo =
+    ?(por = true) ?(por_lambda = true) ?symmetry ?d_equal ?sink ?metrics
+    ~pattern ~detector ~check algo =
   let reduced =
-    run ?max_steps ?max_nodes ?max_violations ~canon ?view ~por ~por_lambda
-      ?symmetry ?workers ?d_equal ?sink ?metrics ~pattern ~detector ~check algo
+    run ?max_steps ?max_nodes ?max_violations ~canon ~por ~por_lambda
+      ?symmetry ?d_equal ?sink ?metrics ~pattern ~detector ~check algo
   in
   (* The naive side explores the full tree, but — when the reduced side
      quotients by symmetry — records its decision multisets through the

@@ -7,66 +7,47 @@
     evaluates a safety predicate on every node of the execution tree.
 
     This is small-scope model checking: with [n = 3] and a dozen steps the
-    naive tree is millions of nodes.  The explorer is structured as three
-    orthogonal axes, each independently selectable:
+    naive tree is millions of nodes.  The explorer is one depth-first walk
+    over one visited set ({!Rlfd_kernel.Hashing.Table}), and {e
+    reductions}, each independently selectable, decide which states count
+    as "the same", i.e. how much of the tree is quotiented away:
 
     {ul
-    {- {b Reduction} — which states are considered "the same", i.e. how
-       much of the tree is quotiented away:
-       {ul
-       {- [canon]: duplicate-state pruning.  Every reached configuration
-          is canonicalized ({!Canon}) — message identifiers, buffer order
-          and output-emission order erased — and looked up in a visited
-          store that compares full encodings, never just fingerprints.
-          Enabling [canon] also enables the {e detector-view
-          canonicalizer} (switch it off alone with [~view:false] for
-          attribution benchmarks): messages addressed to already-crashed
-          processes are erased from the encoding (they can never be
-          received), and once the scope {e quiesces} — aliveness and every
-          detector view constant through the horizon — the global clock is
-          clamped out of the encoding, merging configurations that differ
-          only by how long they have idled.  The visited store keeps the
-          smallest step count a state was expanded at and re-expands
-          revisits that arrive shallower (they have more remaining
-          budget), which keeps the clamp sound.}
-       {- [por] / [por_lambda]: sleep sets over provably commuting
-          choices.  Two choices commute at a node when they belong to
-          distinct processes that both survive the next tick and whose
-          detector outputs are unchanged across it ([d_equal]); after
-          exploring one order the explorer does not re-explore the other.
-          [por] admits only pairs of message {e deliveries}; [por_lambda]
-          extends the relation to pairs involving internal lambda steps.
-          Combined with [canon], the visited store records the sleep set
-          each state was expanded under and only prunes a revisit whose
-          sleep set subsumes the stored one (re-expanding under the
-          intersection otherwise) — the standard sound combination of
-          sleep sets with state caching.}
-       {- [symmetry]: orbit quotienting under process renamings.  Given a
-          {!symmetry_spec} (the algorithm's {!Symmetry.renamer}, the value
-          renaming its proposals induce, and the detector-output renaming),
-          the group of crash-pattern-respecting, detector-equivariant
-          permutations is computed per scope ({!Symmetry.crash_respecting},
-          {!Symmetry.filter_equivariant}), each configuration is encoded
-          once per group element, and the lexicographically smallest
-          encoding is the orbit representative stored in the visited set.
-          Decision multisets are quotiented the same way so they stay
-          comparable across runs.  States with different crash patterns
-          are never merged — the group respects crash times by
-          construction.}}}
-    {- {b Strategy} — how the tree is walked: the default is a single-
-       domain DFS; [~workers:k] switches to the {e frontier} strategy,
-       which grows a deterministic breadth-first prefix until [frontier]
-       unexpanded roots exist and then explores each root's subtree as one
-       job of a {!Rlfd_campaign.Engine} campaign, merging outcomes in job
-       order.  Nothing in the split or the merge depends on the worker
-       count, so reports are byte-identical at any [k].}
-    {- {b Store} — where the visited set lives: in RAM by default
-       ({!Rlfd_kernel.Store.in_ram} over {!Rlfd_kernel.Hashing.Table}), or
-       spilled to disk with [~spill:dir]
-       ({!Rlfd_kernel.Store.spilling}): per-entry RAM drops to fingerprint
-       + offset + value, key bytes live in an append-only file under a
-       bounded write-back cache ([spill_cache] bytes), and lookups remain
-       exact.  The tier that lets a frontier outgrow RAM.}}
+    {- [canon]: duplicate-state pruning.  Every reached configuration is
+       canonicalized ({!Canon}) — message identifiers, buffer order and
+       output-emission order erased — and looked up in a visited set that
+       compares full encodings, never just fingerprints.  [canon] also
+       enables the {e detector-view canonicalizer}: messages addressed to
+       already-crashed processes are erased from the encoding (they can
+       never be received), and once the scope {e quiesces} — aliveness and
+       every detector view constant through the horizon — the global clock
+       is clamped out of the encoding, merging configurations that differ
+       only by how long they have idled.  The visited set keeps the
+       smallest step count a state was expanded at and re-expands revisits
+       that arrive shallower (they have more remaining budget), which keeps
+       the clamp sound.}
+    {- [por] / [por_lambda]: sleep sets over provably commuting choices.
+       Two choices commute at a node when they belong to distinct processes
+       that both survive the next tick and whose detector outputs are
+       unchanged across it ([d_equal]); after exploring one order the
+       explorer does not re-explore the other.  [por] admits only pairs of
+       message {e deliveries}; [por_lambda] extends the relation to pairs
+       involving internal lambda steps.  Combined with [canon], the visited
+       set records the sleep set each state was expanded under and only
+       prunes a revisit whose sleep set subsumes the stored one
+       (re-expanding under the intersection otherwise) — the standard
+       sound combination of sleep sets with state caching.}
+    {- [symmetry]: orbit quotienting under process renamings.  Given a
+       {!symmetry_spec} (the algorithm's {!Symmetry.renamer}, the value
+       renaming its proposals induce, and the detector-output renaming),
+       the group of crash-pattern-respecting, detector-equivariant
+       permutations is computed per scope ({!Symmetry.crash_respecting},
+       {!Symmetry.filter_equivariant}), each configuration is encoded once
+       per group element, and the lexicographically smallest encoding is
+       the orbit representative stored in the visited set.  Decision
+       multisets are quotiented the same way so they stay comparable across
+       runs.  States with different crash patterns are never merged — the
+       group respects crash times by construction.}}
 
     All reductions preserve the set of reachable {e decision states} (the
     multiset of outputs emitted so far, canonically encoded — quotiented
@@ -105,9 +86,8 @@ type 'o report = {
       (** every {e expanded} configuration, the root included; a child
           pruned as a duplicate or slept is not expanded *)
   distinct_states : int;
-      (** size of the visited store; equals [nodes_explored] when [canon]
-          is off.  Under the frontier strategy this is the sum over the
-          per-task stores (a state reached from two roots counts twice). *)
+      (** size of the visited set; equals [nodes_explored] when [canon] is
+          off *)
   deduped : int;
       (** children pruned because their canonical state was already
           expanded (0 unless [canon]) *)
@@ -121,11 +101,6 @@ type 'o report = {
       (** children whose orbit representative was a non-identity renaming
           (0 unless symmetry) — each marks a configuration folded onto a
           differently-named twin *)
-  spilled_states : int;
-      (** visited entries whose key bytes live only on disk (0 unless
-          [spill]) *)
-  frontier_tasks : int;
-      (** frontier roots handed to the campaign engine (0 under DFS) *)
   complete : bool;
       (** the whole tree fit within the budgets: [false] exactly when
           [max_nodes] left at least one reachable, non-duplicate child
@@ -144,7 +119,7 @@ type 'o report = {
 
 val pp_report : Format.formatter -> 'o report -> unit
 
-(** {1 The Reduction axis: symmetry} *)
+(** {1 The symmetry reduction} *)
 
 type ('s, 'm, 'd, 'o) symmetry_spec = {
   renamer : ('s, 'm, 'o) Symmetry.renamer;
@@ -173,21 +148,14 @@ val run :
   ?max_nodes:int ->
   ?max_violations:int ->
   ?canon:bool ->
-  ?view:bool ->
   ?por:bool ->
   ?por_lambda:bool ->
   ?symmetry:('s, 'm, 'd, 'o) symmetry_spec ->
   ?symmetry_mode:symmetry_mode ->
-  ?spill:string ->
-  ?spill_cache:int ->
-  ?workers:int ->
-  ?frontier:int ->
   ?capture:bool ->
-  ?progress_every:int ->
   ?d_equal:('d -> 'd -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
-  ?attribution:(string * float) list ref ->
   ?paranoid:bool ->
   ?timeline:Rlfd_obs.Timeline.t ->
   pattern:Pattern.t ->
@@ -200,14 +168,13 @@ val run :
     [check] is evaluated after every output-emitting step on the outputs
     emitted so far and must be prefix-closed (a violated safety property
     stays violated).  Time advances by one tick per step, exactly as in
-    {!Runner}.
+    {!Runner}.  Raises [Invalid_argument] on [max_steps < 0].
 
     {b Reduction}: [canon] (default [false]) enables duplicate-state
-    pruning, and with it the detector-view canonicalizer — pass
-    [~view:false] to disable the latter alone ([view] is meaningless
-    without [canon]).  [por] (default [false]) enables sleep sets over
-    delivery pairs, [por_lambda] (default [false]) over pairs involving
-    lambda steps; [d_equal] (default structural equality) compares
+    pruning, and with it the detector-view canonicalizer.  [por] (default
+    [false]) enables sleep sets over delivery pairs, [por_lambda] (default
+    [false]) over pairs involving lambda steps; [d_equal] (default
+    structural equality) compares
     detector outputs when deciding commutation and quiescence — pass e.g.
     [Pid.Set.equal] for set-valued detectors.  [symmetry] supplies the
     scope's {!symmetry_spec} and enables orbit quotienting (restricted to
@@ -219,18 +186,7 @@ val run :
     state is not re-checked; with [symmetry] on it must moreover be
     invariant under the spec's renamings (agreement and validity are).
 
-    {b Strategy}: [workers] switches from single-domain DFS to the
-    frontier strategy with that many domains, splitting the tree at
-    [frontier] (default 32) breadth-first roots.  Reports are
-    byte-identical for any [workers] value; [~workers:1] runs the same
-    split inline.  Raises [Invalid_argument] on [workers < 1].
-
-    {b Store}: [spill] puts every visited store of this run under the
-    given directory (created if missing; one subdirectory per frontier
-    task) with at most [spill_cache] bytes (default 8 MiB) of hot key
-    bytes in RAM per store.
-
-    States visited before a budget truncation stay in the visited store
+    States visited before a budget truncation stay in the visited set
     even though their subtrees were cut short, so duplicate pruning is
     only a completeness (not soundness) guarantee when [complete = false]:
     all exhaustiveness claims attach to [complete = true] runs.
@@ -241,35 +197,22 @@ val run :
     explored, only what a violation remembers.
 
     [sink] receives one {!Rlfd_obs.Trace.Violation} event per recorded
-    violation, plus a {!Rlfd_obs.Trace.Progress} heartbeat every
-    [progress_every] expanded nodes (default 250_000; [0] disables) with
-    the node count, rate, depth and — under [canon] — the visited-store
-    occupancy, spill count and byte estimate; [metrics] gets the
+    violation, plus a {!Rlfd_obs.Trace.Progress} heartbeat every 250_000
+    expanded nodes with the node count, rate, depth and — under [canon] —
+    the visited-set occupancy and byte estimate; [metrics] gets the
     [explore_nodes] and [explore_violations] counters, the
     [explore_distinct_states], [explore_deduped], [explore_por_pruned],
-    [explore_lambda_pruned], [explore_orbit_collapsed] and
-    [explore_spilled_states] counters when the corresponding layer is
-    enabled, the [explore_steals] counter (frontier tasks dispatched to
-    the worker pool) and [explore_frontier_depth] histogram under the
-    frontier strategy, and the [explore_nodes_per_sec] throughput
-    gauge.
+    [explore_lambda_pruned] and [explore_orbit_collapsed] counters when
+    the corresponding layer is enabled, and the [explore_nodes_per_sec]
+    throughput gauge.
 
-    [attribution], when supplied, receives the per-phase wall-time split of
-    the canonical pipeline after the run: [expand_s] (choice application
-    and automaton steps), [hash_s] (interning and incremental lane
-    updates), [encode_s] (orbit choice and key packing), [confirm_s]
-    (visited-store probe and insert).  Sampling clocks around every phase
-    costs a few percent, so leave it off for throughput measurements.
-
-    [timeline], when not {!Rlfd_obs.Timeline.null}, records the same
-    per-phase split as observatory spans — [expand]/[hash]/[encode]/
-    [confirm] aggregate spans on a [dfs] recorder (DFS strategy) or on
-    the [explore] recorder (BFS prefix share) plus one [task-<i>]
-    recorder per frontier task — and, under the frontier strategy, hands
-    the collector to the inner {!Rlfd_campaign.Engine} run so worker
-    queue-wait/publish spans land in the same artifact.  The timeline's
-    phase sums equal the [attribution] totals exactly.  Enabling it
-    implies the same phase-clock overhead as [attribution].
+    [timeline], when not {!Rlfd_obs.Timeline.null}, receives the
+    per-phase wall-time split of the walk as four aggregate spans on a
+    [dfs] recorder: [expand] (choice application and automaton steps),
+    [hash] (interning and incremental lane updates), [encode] (orbit
+    choice and key packing), [confirm] (visited-set probe and insert).
+    Sampling clocks around every phase costs a few percent, so leave it
+    off for throughput measurements; it never changes the report.
 
     [paranoid] (default [false]) recomputes every configuration's
     fingerprint lanes from scratch at every expanded edge and fails
@@ -280,22 +223,18 @@ val run :
 val describe :
   ?max_steps:int ->
   ?canon:bool ->
-  ?view:bool ->
   ?por:bool ->
   ?por_lambda:bool ->
   ?symmetry:('s, 'm, 'd, 'o) symmetry_spec ->
-  ?spill:string ->
-  ?workers:int ->
-  ?frontier:int ->
   ?d_equal:('d -> 'd -> bool) ->
   pattern:Pattern.t ->
   detector:'d Detector.t ->
   unit ->
   string list
-(** The active stack, resolved for this scope, one human-readable line per
-    layer: each reduction (with the computed quiescence point and symmetry
-    group order — both scope-dependent), the strategy, and the store tier.
-    What [fdsim explore --explain] prints.  Runs no exploration. *)
+(** The active reductions, resolved for this scope, one human-readable
+    line per layer (with the computed quiescence point and symmetry group
+    order — both scope-dependent).  What [fdsim explore --explain] prints.
+    Runs no exploration. *)
 
 type 'o comparison = {
   reduced : 'o report;  (** the reduced run *)
@@ -314,9 +253,7 @@ val cross_check :
   ?canon:bool ->
   ?por:bool ->
   ?por_lambda:bool ->
-  ?view:bool ->
   ?symmetry:('s, 'm, 'd, 'o) symmetry_spec ->
-  ?workers:int ->
   ?d_equal:('d -> 'd -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
@@ -327,12 +264,11 @@ val cross_check :
   'o comparison
 (** Run the same scope twice — reduced (by default [canon] + [por] +
     [por_lambda], each switchable to pin down a single layer, plus
-    [symmetry] when a spec is given and the frontier strategy when
-    [workers] is) and naive — and compare the reachable decision-state
-    sets byte-for-byte.  When the reduced side quotients by symmetry, the
-    naive side records its decisions through the same quotient
-    ([`Decisions_only]) so the comparison happens in one coordinate
-    system.  The soundness regression gate for every layer:
+    [symmetry] when a spec is given) and naive — and compare the reachable
+    decision-state sets byte-for-byte.  When the reduced side quotients by
+    symmetry, the naive side records its decisions through the same
+    quotient ([`Decisions_only]) so the comparison happens in one
+    coordinate system.  The soundness regression gate for every layer:
     [identical = true] certifies that within this scope the reductions
     lost no reachable decision state. *)
 

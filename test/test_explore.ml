@@ -113,6 +113,13 @@ let explorer_tests =
         in
         Alcotest.(check bool) "deepest <= 4" true (report.Explore.deepest <= 4);
         Alcotest.(check bool) "complete" true report.Explore.complete);
+    test "a negative depth bound is rejected before exploring" (fun () ->
+        Alcotest.check_raises "max_steps = -1"
+          (Invalid_argument "Explore.run: max_steps < 0") (fun () ->
+            ignore
+              (Explore.run ~max_steps:(-1) ~pattern:(Pattern.failure_free ~n)
+                 ~detector:Perfect.canonical ~check:safety
+                 (Ct_strong.automaton ~proposals))));
   ]
 
 (* ---------- reductions: canon dedup + sleep-set POR ---------- *)
@@ -254,6 +261,71 @@ let reduction_tests =
           (List.length report.Explore.violations);
         Alcotest.(check bool) "pruning engaged" true
           (report.Explore.deduped > 0 && report.Explore.por_pruned > 0));
+    test "pinned counts: the T10b layers and the n=4 full stack" (fun () ->
+        (* Each scope is built exactly as bench/main.ml builds it, and the
+           expected counts are those of bench/baselines/BENCH_explore.json:
+           (nodes, distinct, deduped, por-pruned, lambda-pruned,
+           orbit-collapsed). *)
+        let proposals p = 10 + Pid.to_int p in
+        let safety ~n =
+          Explore.both agreement
+            (Explore.validity_check ~n ~proposals ~equal:Int.equal)
+        in
+        let sym n =
+          {
+            Explore.renamer = Ct_strong.renamer;
+            value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
+            d_rename = Symmetry.rename_set;
+          }
+        in
+        let headline ~canon ~por ~por_lambda ~symmetry () =
+          Explore.run ~max_steps:9 ~max_nodes:2_000_000 ~canon ~por ~por_lambda
+            ?symmetry:(if symmetry then Some (sym 3) else None)
+            ~d_equal
+            ~pattern:(pattern ~n:3 [ (1, 2) ])
+            ~detector:Perfect.canonical ~check:(safety ~n:3)
+            (Ct_strong.automaton ~proposals)
+        in
+        let n4 () =
+          Explore.run ~max_steps:13 ~max_nodes:4_000_000 ~canon:true ~por:true
+            ~por_lambda:true ~symmetry:(sym 4) ~d_equal
+            ~pattern:(Pattern.make ~n:4 [])
+            ~detector:Perfect.canonical ~check:(safety ~n:4)
+            (Ct_strong.automaton ~proposals)
+        in
+        List.iter
+          (fun (label, explore, (nodes, distinct, deduped, por, lambda, orbit)) ->
+            let r = explore () in
+            let count what expected actual =
+              Alcotest.(check int) (label ^ ": " ^ what) expected actual
+            in
+            count "nodes_explored" nodes r.Explore.nodes_explored;
+            count "distinct_states" distinct r.Explore.distinct_states;
+            count "deduped" deduped r.Explore.deduped;
+            count "por_pruned" por r.Explore.por_pruned;
+            count "lambda_pruned" lambda r.Explore.lambda_pruned;
+            count "orbit_collapsed" orbit r.Explore.orbit_collapsed;
+            Alcotest.(check bool) (label ^ ": complete") true r.Explore.complete)
+          [ ( "naive",
+              headline ~canon:false ~por:false ~por_lambda:false ~symmetry:false,
+              (732279, 732279, 0, 0, 0, 0) );
+            ( "canon",
+              headline ~canon:true ~por:false ~por_lambda:false ~symmetry:false,
+              (489, 350, 1377, 0, 0, 0) );
+            ( "canon+por",
+              headline ~canon:true ~por:true ~por_lambda:false ~symmetry:false,
+              (682, 350, 1552, 159, 0, 0) );
+            ( "canon+por+lambda",
+              headline ~canon:true ~por:true ~por_lambda:true ~symmetry:false,
+              (576, 350, 1007, 222, 290, 0) );
+            ( "canon+symmetry",
+              headline ~canon:true ~por:false ~por_lambda:false ~symmetry:true,
+              (257, 189, 715, 0, 0, 451) );
+            ( "full stack",
+              headline ~canon:true ~por:true ~por_lambda:true ~symmetry:true,
+              (318, 189, 612, 89, 128, 440) );
+            ("full stack, n=4 failure-free, depth 13", n4,
+             (4572, 1315, 25211, 4872, 4546, 28336)) ]);
   ]
 
 (* ---------- the symmetry layer ---------- *)
@@ -429,113 +501,45 @@ let symmetry_tests =
         Alcotest.(check bool) "identical decision sets" true c.Explore.identical);
   ]
 
-(* ---------- strategies and stores ---------- *)
-
-let temp_dir prefix =
-  let f = Filename.temp_file prefix "" in
-  Sys.remove f;
-  f
+(* ---------- the walk's observable surface: timeline and --explain ---------- *)
 
 let strategy_tests =
   [
-    test "frontier strategy: workers 1 and 4 produce identical reports" (fun () ->
-        let explore workers =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~por:true
-            ~por_lambda:true ~symmetry:(sym_spec ~n) ~workers ~frontier:16
-            ~d_equal
-            ~pattern:(pattern ~n [ (1, 2) ])
-            ~detector:Perfect.canonical ~check:safety
-            (Ct_strong.automaton ~proposals)
-        in
-        let r1 = explore 1 and r4 = explore 4 in
-        Alcotest.(check (list string)) "same decision states"
-          r1.Explore.decision_states r4.Explore.decision_states;
-        Alcotest.(check int) "same node count" r1.Explore.nodes_explored
-          r4.Explore.nodes_explored;
-        Alcotest.(check int) "same distinct count" r1.Explore.distinct_states
-          r4.Explore.distinct_states;
-        Alcotest.(check int) "same frontier tasks" r1.Explore.frontier_tasks
-          r4.Explore.frontier_tasks;
-        Alcotest.(check bool) "complete, no violations" true
-          (r1.Explore.complete && r1.Explore.violations = []
-          && r4.Explore.violations = []));
-    test "frontier strategy agrees with DFS on decisions and verdict" (fun () ->
-        let dfs =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~d_equal
-            ~pattern:(pattern ~n [ (1, 2) ])
-            ~detector:Perfect.canonical ~check:safety
-            (Ct_strong.automaton ~proposals)
-        in
-        let frontier =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~workers:2
-            ~d_equal
-            ~pattern:(pattern ~n [ (1, 2) ])
-            ~detector:Perfect.canonical ~check:safety
-            (Ct_strong.automaton ~proposals)
-        in
-        Alcotest.(check (list string)) "same decision states"
-          dfs.Explore.decision_states frontier.Explore.decision_states;
-        Alcotest.(check bool) "both complete" true
-          (dfs.Explore.complete && frontier.Explore.complete);
-        Alcotest.(check bool) "frontier split happened" true
-          (frontier.Explore.frontier_tasks > 0));
-    test "timeline phase spans sum to the attribution totals" (fun () ->
+    test "timeline phase spans are one per phase on the dfs recorder" (fun () ->
         let module Timeline = Rlfd_obs.Timeline in
-        let attribution = ref [] in
-        let tl = Timeline.create ~label:"align" () in
-        let (_ : int Explore.report) =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~workers:2
-            ~frontier:8 ~d_equal ~attribution ~timeline:tl
+        let explore timeline =
+          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~d_equal
+            ~timeline
             ~pattern:(pattern ~n [ (1, 2) ])
             ~detector:Perfect.canonical ~check:safety
             (Ct_strong.automaton ~proposals)
         in
-        let a = Timeline.merge tl in
-        let phase_sum name =
-          List.fold_left
-            (fun acc (d : Timeline.domain_rec) ->
-              List.fold_left
-                (fun acc (s : Timeline.span_rec) ->
-                  if s.sp_name = name then acc +. s.sp_dur else acc)
-                acc d.dom_spans)
-            0. a.Timeline.a_domains
+        let tl = Timeline.create ~label:"align" () in
+        let live = explore tl in
+        let spans =
+          match
+            List.filter
+              (fun (d : Timeline.domain_rec) -> d.dom_label = "dfs")
+              (Timeline.merge tl).Timeline.a_domains
+          with
+          | [ d ] -> d.dom_spans
+          | ds -> Alcotest.failf "expected one dfs recorder, got %d" (List.length ds)
         in
         List.iter
-          (fun (key, span_name) ->
-            Alcotest.(check (float 1e-6))
-              (span_name ^ " spans = " ^ key)
-              (List.assoc key !attribution)
-              (phase_sum span_name))
-          [ ("expand_s", "expand"); ("hash_s", "hash");
-            ("encode_s", "encode"); ("confirm_s", "confirm") ]);
-    test "spill tier: tiny cache, same report as in-RAM" (fun () ->
-        let in_ram =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~por:true
-            ~d_equal
-            ~pattern:(pattern ~n [ (1, 2) ])
-            ~detector:Perfect.canonical ~check:safety
-            (Ct_strong.automaton ~proposals)
-        in
-        let dir = temp_dir "explore-spill-test" in
-        let spilled =
-          Explore.run ~max_steps:8 ~max_nodes:400_000 ~canon:true ~por:true
-            ~spill:dir ~spill_cache:512 ~d_equal
-            ~pattern:(pattern ~n [ (1, 2) ])
-            ~detector:Perfect.canonical ~check:safety
-            (Ct_strong.automaton ~proposals)
-        in
-        Alcotest.(check (list string)) "same decision states"
-          in_ram.Explore.decision_states spilled.Explore.decision_states;
-        Alcotest.(check int) "same nodes" in_ram.Explore.nodes_explored
-          spilled.Explore.nodes_explored;
-        Alcotest.(check int) "same distinct" in_ram.Explore.distinct_states
-          spilled.Explore.distinct_states;
-        Alcotest.(check bool) "states actually spilled" true
-          (spilled.Explore.spilled_states > 0));
+          (fun phase ->
+            match
+              List.filter (fun (s : Timeline.span_rec) -> s.sp_name = phase) spans
+            with
+            | [ s ] ->
+              Alcotest.(check bool) (phase ^ " duration >= 0") true (s.sp_dur >= 0.)
+            | l -> Alcotest.failf "expected one %s span, got %d" phase (List.length l))
+          [ "expand"; "hash"; "encode"; "confirm" ];
+        Alcotest.(check bool) "the timeline leaves the report unchanged" true
+          (live = explore Timeline.null));
     test "describe names every active layer" (fun () ->
         let lines =
           Explore.describe ~max_steps:9 ~canon:true ~por:true ~por_lambda:true
-            ~symmetry:(sym_spec ~n) ~workers:4 ~d_equal
+            ~symmetry:(sym_spec ~n) ~d_equal
             ~pattern:(pattern ~n [ (1, 2) ])
             ~detector:Perfect.canonical ()
         in
@@ -552,7 +556,7 @@ let strategy_tests =
         List.iter
           (fun needle ->
             Alcotest.(check bool) (needle ^ " mentioned") true (mentions needle))
-          [ "canon"; "clamp"; "sleep"; "lambda"; "symmetry"; "frontier" ]);
+          [ "canon"; "clamp"; "sleep"; "lambda"; "symmetry" ]);
   ]
 
 (* ---------- the incremental-fingerprint kernel under paranoid audit ---------- *)

@@ -495,101 +495,6 @@ let intern_tests =
             ignore (Intern.create ~nlanes:0 ~encode:string_of_int ())));
   ]
 
-(* ---------- Store: the explorer's visited-set tiers ---------- *)
-
-let spill_dir () =
-  let f = Filename.temp_file "rlfd-store-test" "" in
-  Sys.remove f;
-  f
-
-let store_tests =
-  [
-    test "in_ram: set, find, overwrite, length" (fun () ->
-        let t = Store.in_ram () in
-        let key s = Hashing.of_string s in
-        Store.set t ~key:(key "a") "a" 1;
-        Store.set t ~key:(key "b") "b" 2;
-        Alcotest.(check (option int)) "a" (Some 1) (Store.find t ~key:(key "a") "a");
-        Alcotest.(check (option int)) "missing" None (Store.find t ~key:(key "c") "c");
-        Store.set t ~key:(key "a") "a" 3;
-        Alcotest.(check (option int)) "overwritten" (Some 3)
-          (Store.find t ~key:(key "a") "a");
-        Alcotest.(check int) "two entries" 2 (Store.length t);
-        Alcotest.(check int) "RAM tier never spills" 0 (Store.spilled t);
-        Alcotest.(check bool) "not spilling" false (Store.is_spilling t);
-        Store.close t);
-    test "spilling: every key retrievable after the cache is evicted" (fun () ->
-        let dir = spill_dir () in
-        (* 64-byte keys, 512-byte cache: only the last handful stay hot. *)
-        let t = Store.spilling ~cache_bytes:512 ~dir () in
-        let mk i = Printf.sprintf "%064d" i in
-        for i = 0 to 199 do
-          let s = mk i in
-          Store.set t ~key:(Hashing.of_string s) s i
-        done;
-        Alcotest.(check int) "200 entries" 200 (Store.length t);
-        Alcotest.(check bool) "is spilling" true (Store.is_spilling t);
-        Alcotest.(check bool) "most keys evicted to disk" true
-          (Store.spilled t > 150);
-        for i = 0 to 199 do
-          let s = mk i in
-          match Store.find t ~key:(Hashing.of_string s) s with
-          | Some v when v = i -> ()
-          | _ -> Alcotest.fail (Printf.sprintf "lost spilled key %d" i)
-        done;
-        Alcotest.(check (option int)) "absent key stays absent" None
-          (Store.find t ~key:(Hashing.of_string "nope") "nope");
-        Store.close t);
-    test "spilling: a fingerprint hit with different bytes is not a match" (fun () ->
-        let dir = spill_dir () in
-        let t = Store.spilling ~cache_bytes:16 ~dir () in
-        let key = 0xDEADBEEFL in
-        Store.set t ~key "first-bytes-here" 1;
-        (* push "first-bytes-here" out of the 16-byte cache *)
-        Store.set t ~key:(Hashing.of_string "filler") "filler-filler-filler" 2;
-        Alcotest.(check (option int))
-          "same fingerprint, other bytes: disk confirmation rejects" None
-          (Store.find t ~key "other-bytes-here");
-        Alcotest.(check (option int)) "original still found via disk" (Some 1)
-          (Store.find t ~key "first-bytes-here");
-        Store.close t);
-    test "spilling: overwriting a value never rewrites the bytes" (fun () ->
-        let dir = spill_dir () in
-        let t = Store.spilling ~cache_bytes:4096 ~dir () in
-        let s = String.make 100 'x' in
-        let key = Hashing.of_string s in
-        Store.set t ~key s 1;
-        let bytes_once = Store.ram_bytes t in
-        Store.set t ~key s 2;
-        Store.set t ~key s 3;
-        Alcotest.(check (option int)) "latest value" (Some 3) (Store.find t ~key s);
-        Alcotest.(check int) "still one entry" 1 (Store.length t);
-        Alcotest.(check int) "no byte growth on value updates" bytes_once
-          (Store.ram_bytes t);
-        Store.close t);
-    test "spilling and in_ram agree on a mixed workload" (fun () ->
-        let dir = spill_dir () in
-        let ram = Store.in_ram () in
-        let disk = Store.spilling ~cache_bytes:256 ~dir () in
-        let mk i = Printf.sprintf "key-%d-%s" i (String.make (i mod 37) 'p') in
-        for i = 0 to 299 do
-          let s = mk i in
-          let key = Hashing.of_string s in
-          Store.set ram ~key s (i * 2);
-          Store.set disk ~key s (i * 2)
-        done;
-        for i = 0 to 349 do
-          let s = mk i in
-          let key = Hashing.of_string s in
-          Alcotest.(check (option int))
-            (Printf.sprintf "key %d agrees" i)
-            (Store.find ram ~key s) (Store.find disk ~key s)
-        done;
-        Alcotest.(check int) "same length" (Store.length ram) (Store.length disk);
-        Store.close ram;
-        Store.close disk);
-  ]
-
 let () =
   Alcotest.run "kernel"
     [
@@ -602,5 +507,4 @@ let () =
       suite "table" table_tests;
       suite "hashing" hashing_tests;
       suite "intern" intern_tests;
-      suite "store" store_tests;
     ]
