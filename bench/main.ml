@@ -4,9 +4,10 @@
    EXPERIMENTS.md defines the tables this reproduction reports instead, one
    per claim (EXP-1 .. EXP-14).  This binary regenerates every one of them:
 
-     dune exec bench/main.exe            -- tables + micro-benchmarks
-     dune exec bench/main.exe -- tables  -- only the experiment tables
-     dune exec bench/main.exe -- bench   -- only the Bechamel timings
+     dune exec bench/main.exe              -- every experiment table
+     dune exec bench/main.exe -- explore   -- only T10 and its sub-tables
+     dune exec bench/main.exe -- campaign  -- only T14/T14b/T14c
+     dune exec bench/main.exe -- qos       -- only T7c/T7d
 
    Rows are deterministic (seeded); timings are machine-dependent. *)
 
@@ -20,10 +21,15 @@ open Rlfd_membership
 module Theorems = Rlfd_core.Theorems
 module Obs = Rlfd_obs
 
-(* One profiler and one metrics registry span the whole harness run; both
+(* One timeline and one metrics registry span the whole harness run; both
    are dumped to BENCH_obs.json at the end so perf trajectories are
-   machine-readable across commits. *)
-let profiler = Obs.Profile.create ()
+   machine-readable across commits.  Every table runs inside a [timed]
+   span on the one [tables] recorder, used only from the main domain. *)
+let timeline = Obs.Timeline.create ~label:"bench" ()
+
+let recorder = Obs.Timeline.recorder timeline "tables"
+
+let timed name f = Obs.Timeline.span recorder name f
 
 let registry = Obs.Metrics.create ()
 
@@ -615,8 +621,8 @@ let write_qos_json ~t7c ~t7d =
 (* T7c + T7d share BENCH_qos.json, so they run as one unit (the [qos]
    mode CI regenerates the file from). *)
 let table_qos_observatory () =
-  let t7c = Obs.Profile.time profiler "T7c.qos-streaming" table_qos_streaming in
-  let t7d = Obs.Profile.time profiler "T7d.qos-scaling" table_qos_scaling in
+  let t7c = timed "T7c.qos-streaming" table_qos_streaming in
+  let t7d = timed "T7d.qos-scaling" table_qos_scaling in
   write_qos_json ~t7c ~t7d
 
 (* ---------------------------------------------------------------- *)
@@ -1644,119 +1650,9 @@ let table_campaign () =
   close_out oc;
   Format.printf "wrote BENCH_campaign.json@.@."
 
-(* ---------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks                                          *)
-(* ---------------------------------------------------------------- *)
-
-let bench_tests () =
-  let open Bechamel in
-  let n = 5 in
-  let consensus_pattern = Pattern.make ~n [ (pid 2, time 10) ] in
-  let stage f = Staged.stage f in
-  [
-    Test.make ~name:"exp1.consensus-ct-strong-with-P"
-      (stage (fun () ->
-           run_with ~n ~detector:Perfect.canonical ~pattern:consensus_pattern
-             (Ct_strong.automaton ~proposals)));
-    Test.make ~name:"exp2.reduction-T(D->P)-1k-ticks"
-      (stage (fun () ->
-           Runner.run ~pattern:consensus_pattern ~detector:Perfect.canonical
-             ~scheduler:(Scheduler.fair ()) ~horizon:(time 1000) ~record_events:false
-             (Consensus_to_p.automaton ~impl:Consensus_to_p.ct_strong_impl)));
-    Test.make ~name:"exp4.trb-with-P"
-      (stage (fun () ->
-           run_with ~n ~detector:Perfect.canonical ~pattern:consensus_pattern
-             (Trb.automaton ~sender:(pid 1) ~value:9)));
-    Test.make ~name:"exp5.realism-check-60-pairs"
-      (stage (fun () ->
-           let rng = Rng.derive ~seed ~salts:[ 0xBE ] in
-           let pairs = Realism.prefix_sharing_pairs ~n ~horizon:(time 60) ~count:60 rng in
-           Realism.check_suspicions Perfect.canonical ~pairs));
-    Test.make ~name:"exp8.rank-consensus-with-P<"
-      (stage (fun () ->
-           run_with ~n ~detector:Partial_perfect.canonical ~pattern:consensus_pattern
-             (Rank_consensus.automaton ~proposals)));
-    Test.make ~name:"exp10.abcast-10-items"
-      (stage (fun () ->
-           Runner.run ~pattern:consensus_pattern ~detector:Perfect.canonical
-             ~scheduler:(Scheduler.fair ()) ~horizon:(time 4000) ~record_events:false
-             (Abcast.automaton ~to_broadcast:(fun p -> [ Pid.to_int p; Pid.to_int p * 2 ]))));
-    Test.make ~name:"exp11.gms-sync-4k-ticks"
-      (stage (fun () ->
-           Netsim.run ~n ~pattern:consensus_pattern
-             ~model:(Link.Synchronous { delta = 8 })
-             ~seed:11 ~horizon:4000 (Gms.node Gms.default_config)));
-    Test.make ~name:"exp12.heartbeat-qos-4k-ticks"
-      (stage (fun () ->
-           Netsim.run ~n ~pattern:consensus_pattern
-             ~model:(Link.Synchronous { delta = 10 })
-             ~seed ~horizon:4000
-             (Heartbeat.node (Heartbeat.Fixed { period = 20; timeout = 31 }))));
-    Test.make ~name:"exp13.nbac-with-P"
-      (stage (fun () ->
-           run_with ~n ~detector:Perfect.canonical ~pattern:consensus_pattern
-             (Nbac.automaton ~votes:(fun _ -> Nbac.Yes))));
-    Test.make ~name:"exp14.explore-depth7-n3"
-      (stage (fun () ->
-           let n = 3 in
-           let proposals p = 10 + Pid.to_int p in
-           Explore.run ~max_steps:7 ~max_nodes:2_000_000
-             ~pattern:(Pattern.make ~n [ (pid 1, time 2) ])
-             ~detector:Perfect.canonical
-             ~check:(Explore.agreement_check ~equal:Int.equal)
-             (Ct_strong.automaton ~proposals)));
-    Test.make ~name:"kernel.rng-1k-draws"
-      (stage (fun () ->
-           let g = Rng.make seed in
-           for _ = 1 to 1000 do ignore (Rng.int g 1_000_000) done));
-    Test.make ~name:"kernel.pqueue-1k-ops"
-      (stage (fun () ->
-           let q = Pqueue.create () in
-           for i = 1 to 1000 do Pqueue.add q ~prio:(i * 7919 mod 1000) i done;
-           while not (Pqueue.is_empty q) do ignore (Pqueue.pop q) done));
-  ]
-
-let run_benchmarks () =
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Bechamel.Time.second 0.5) ~kde:None ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let t =
-    Table.create ~title:"Bechamel micro-benchmarks (one per experiment)"
-      ~columns:[ "benchmark"; "time/run"; "r^2" ]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          let nanos =
-            match Analyze.OLS.estimates est with Some [ e ] -> e | _ -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square est) in
-          let pretty =
-            if nanos > 1e9 then Format.asprintf "%.2f s" (nanos /. 1e9)
-            else if nanos > 1e6 then Format.asprintf "%.2f ms" (nanos /. 1e6)
-            else if nanos > 1e3 then Format.asprintf "%.2f us" (nanos /. 1e3)
-            else Format.asprintf "%.0f ns" nanos
-          in
-          Table.add_row t
-            [ Test.Elt.name elt; pretty; Table.cell_float ~decimals:4 r2 ])
-        (Test.elements test))
-    (bench_tests ());
-  Table.print t
-
-(* ---------------------------------------------------------------- *)
-
-(* Every table runs under a named profiling span; the spans (plus the
+(* Every table runs under a named timeline span; the spans (plus the
    registry populated by run_with / table_qos) become BENCH_obs.json. *)
 let tables () =
-  let timed name f = Obs.Profile.time profiler name f in
   timed "T1.claims" table_claims;
   timed "T2.hierarchy" table_hierarchy;
   timed "T3.solvability" table_solvability;
@@ -1780,36 +1676,32 @@ let tables () =
   timed "T14.campaign" table_campaign
 
 let write_obs_json () =
+  let artifact = Obs.Timeline.merge timeline in
   let json =
     Obs.Json.Obj
       [ ("schema_version", Obs.Json.Int Obs.Trace.schema_version);
-        ("profile", Obs.Profile.to_json profiler);
+        ("timeline", Obs.Timeline.to_json artifact);
         ("metrics", Obs.Metrics.to_json registry) ]
   in
   let oc = open_out "BENCH_obs.json" in
   output_string oc (Obs.Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  Format.printf "@.wall-clock profile:@.%a@.wrote BENCH_obs.json@." Obs.Profile.pp
-    profiler
+  Format.printf "@.wall-clock profile:@.%a@.wrote BENCH_obs.json@."
+    Obs.Timeline.pp_utilization artifact
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   Format.printf
     "A Realistic Look At Failure Detectors (DSN 2002) - experiment harness@.@.";
   (match mode with
-  | "tables" -> tables ()
-  | "bench" -> Obs.Profile.time profiler "bechamel" run_benchmarks
+  | "tables" | "all" -> tables ()
   | "qos" -> table_qos_observatory ()
-  | "explore" -> Obs.Profile.time profiler "T10.explore" table_explore
-  | "campaign" -> Obs.Profile.time profiler "T14.campaign" table_campaign
-  | "all" ->
-    tables ();
-    Obs.Profile.time profiler "bechamel" run_benchmarks
+  | "explore" -> timed "T10.explore" table_explore
+  | "campaign" -> timed "T14.campaign" table_campaign
   | other ->
     Format.printf
-      "unknown mode %S (expected: tables | bench | qos | explore | campaign | \
-       all)@."
+      "unknown mode %S (expected: tables | qos | explore | campaign | all)@."
       other;
     exit 1);
   write_obs_json ()

@@ -102,6 +102,9 @@ let pattern_of ~n crashes =
     Format.eprintf "fdsim: %s@." msg;
     exit 2
 
+(* Rejects a bad -n before any work starts, with pattern_of's exit 2. *)
+let check_n n = ignore (pattern_of ~n [])
+
 let detector_names =
   [ ("P", `P); ("P-delayed", `P_delayed); ("ev-P", `Ev_p); ("S", `S);
     ("S-clairvoyant", `S_clairvoyant); ("ev-S", `Ev_s); ("ev-S-paranoid", `Ev_s_paranoid);
@@ -176,6 +179,16 @@ let exit_ok ok = if ok then 0 else 1
 
 (* ---------- fdsim check ---------- *)
 
+(* Counts (--jobs, --seeds, --trials, --capacity) must be >= 1: cmdliner
+   rejects anything else with its usage error, before any work starts. *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= 1, got %S" s))
+  in
+  Arg.conv ~docv:"K" (parse, Format.pp_print_int)
+
 (* --jobs accepts a count or the literal "auto", which
    resolves to Domain.recommended_domain_count — the persistent pool
    never runs more domains than that anyway. *)
@@ -184,11 +197,13 @@ let workers_conv =
     match String.lowercase_ascii (String.trim s) with
     | "auto" -> Ok (Campaign.Pool.recommended_workers ())
     | s -> (
-      match int_of_string_opt s with
-      | Some n -> Ok n
-      | None ->
+      match Arg.conv_parser count_conv s with
+      | Ok n -> Ok n
+      | Error _ ->
         Error
-          (`Msg (Printf.sprintf "expected a worker count or 'auto', got %S" s)))
+          (`Msg
+             (Printf.sprintf "expected a worker count >= 1 or 'auto', got %S"
+                s)))
   in
   Arg.conv ~docv:"N|auto" (parse, Format.pp_print_int)
 
@@ -202,6 +217,7 @@ let jobs_arg = Arg.(value & opt workers_conv 1 & info [ "jobs" ] ~docv:"N|auto" 
 
 let check_cmd =
   let run n seed trials jobs =
+    check_n n;
     let cfg =
       { Theorems.default_config with n; seed; trials; workers = jobs }
     in
@@ -213,7 +229,9 @@ let check_cmd =
     exit_ok (failed = [])
   in
   let trials =
-    Arg.(value & opt int 12 & info [ "trials" ] ~docv:"K" ~doc:"Trials per claim.")
+    Arg.(
+      value & opt count_conv 12
+      & info [ "trials" ] ~docv:"K" ~doc:"Trials per claim.")
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Execute every claim of the paper and report pass/fail.")
@@ -223,6 +241,7 @@ let check_cmd =
 
 let survey_cmd =
   let run n seed samples =
+    check_n n;
     let rows =
       Hierarchy.survey ~n ~horizon:(Time.of_int 150) ~seed ~samples
         (Hierarchy.zoo ~seed)
@@ -704,6 +723,18 @@ let qos_single ~n ~seed ~horizon ~pattern ~model ~spec ~partitions ~json
       false
   end
 
+(* Campaign progress on stderr, one line per finished batch and one at
+   start, all rendered from the engine's Progress events: the full
+   telemetry line under --progress, else a plain "PREFIX: D/T jobs"
+   counter. *)
+let campaign_progress ~progress_f prefix =
+  if progress_f then Obs.Trace.formatter Format.err_formatter
+  else
+    Obs.Trace.callback (function
+      | Obs.Trace.Progress { done_; total = Some total; _ } ->
+        Printf.eprintf "%s: %d/%d jobs\n%!" prefix done_ total
+      | _ -> ())
+
 let qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
     ~base_model ~ns ~losses ~churns ~seeds ~jobs ~out ~progress_f =
   let spec =
@@ -739,15 +770,10 @@ let qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
     Qos_stream.observe metrics s;
     (dspec, partitions, s)
   in
-  let sink =
-    if progress_f then Obs.Trace.formatter Format.err_formatter
-    else Obs.Trace.null
-  in
-  let progress ~done_ ~total =
-    if not progress_f then Printf.eprintf "qos campaign: %d/%d jobs\n%!" done_ total
-  in
   let report =
-    Campaign.Engine.run_spec ~workers:jobs ~progress ~sink ~seed spec job
+    Campaign.Engine.run_spec ~workers:jobs
+      ~sink:(campaign_progress ~progress_f "qos campaign")
+      ~seed spec job
   in
   Format.printf "%-44s %4s %4s %6s %8s %8s %8s %6s %10s@." "scope" "det"
     "miss" "false" "p50" "p95" "p99" "P_A" "msgs";
@@ -961,7 +987,7 @@ let qos_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 2
+      value & opt count_conv 2
       & info [ "seeds" ] ~docv:"K"
           ~doc:"Replicate seeds per grid point: seed, seed+1, ..., seed+K-1.")
   in
@@ -1682,8 +1708,8 @@ let metrics_cmd =
     (* Phase 4: a micro-campaign through the persistent domain pool, with
        more worker slots than the pool will ever spawn domains on small
        machines — the orphan ranges are drained by stealing, so the pool
-       counter family (campaign_steals, pool_domains, shard_target_ms)
-       lands in the dump with the steal path exercised. *)
+       counter family (campaign_steals, pool_domains) lands in the dump
+       with the steal path exercised. *)
     let pool_report =
       Campaign.Engine.run ~workers:4 ~name:"metrics-pool-probe" ~seed
         ~total:32 ~label:string_of_int (fun ~rng:_ ~metrics:_ job -> job)
@@ -1788,8 +1814,9 @@ let campaign_job ~n ~horizon job =
   }
 
 let campaign_cmd =
-  let run n seed horizon seeds families fds scheds jobs shard_size
-      shard_target_ms checkpoint resume out progress_f =
+  let run n seed horizon seeds families fds scheds jobs checkpoint resume out
+      progress_f =
+    check_n n;
     let invalid what v known =
       Format.eprintf "fdsim: unknown %s %S (expected one of: %s)@." what v
         (String.concat ", " known);
@@ -1816,20 +1843,11 @@ let campaign_cmd =
         ~seeds:(List.init seeds (fun i -> seed + i))
         ()
     in
-    (* With --progress the rich telemetry line replaces the plain counter —
-       both to stderr, one per shard. *)
-    let sink =
-      if progress_f then Obs.Trace.formatter Format.err_formatter
-      else Obs.Trace.null
-    in
-    let progress ~done_ ~total =
-      if not progress_f then
-        Printf.eprintf "campaign: %d/%d jobs\n%!" done_ total
-    in
     let report =
-      Campaign.Engine.run_spec ~workers:jobs ?shard_size
-        ?shard_target_ms ?checkpoint ~resume ~codec:campaign_codec ~progress
-        ~sink ~seed spec
+      Campaign.Engine.run_spec ~workers:jobs ?checkpoint ~resume
+        ~codec:campaign_codec
+        ~sink:(campaign_progress ~progress_f "campaign")
+        ~seed spec
         (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
     in
     let lines = Campaign.Engine.report_lines campaign_codec report in
@@ -1848,21 +1866,17 @@ let campaign_cmd =
     in
     Format.printf
       "campaign %s: %d jobs (%d resumed, %d duplicate, %d skipped lines), \
-       %d/%d pass, workers=%d (%d pool domain(s), %d steal(s)), shard=%s, \
-       %.2fs@."
+       %d/%d pass, workers=%d (%d pool domain(s), %d steal(s)), %.2fs@."
       report.Campaign.Engine.campaign report.Campaign.Engine.total
       report.Campaign.Engine.resumed report.Campaign.Engine.duplicates
       report.Campaign.Engine.skipped passed report.Campaign.Engine.total
       report.Campaign.Engine.workers report.Campaign.Engine.pool_domains
-      report.Campaign.Engine.steals
-      (if report.Campaign.Engine.shard_size = 0 then "adaptive"
-       else string_of_int report.Campaign.Engine.shard_size)
-      report.Campaign.Engine.wall_s;
+      report.Campaign.Engine.steals report.Campaign.Engine.wall_s;
     exit_ok (passed = report.Campaign.Engine.total)
   in
   let seeds =
     Arg.(
-      value & opt int 3
+      value & opt count_conv 3
       & info [ "seeds" ] ~docv:"K"
           ~doc:"Replicate seeds per grid point: seed, seed+1, ..., seed+K-1.")
   in
@@ -1893,23 +1907,6 @@ let campaign_cmd =
              count).  The report is byte-identical at any value — every job \
              derives its own random stream from the campaign seed and its \
              index alone, and the persistent pool steals work across slots.")
-  in
-  let shard_size =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shard-size" ] ~docv:"K"
-          ~doc:
-            "Force fixed batches of K jobs per claim.  Default: adaptive \
-             batching sized online to --shard-target-ms of wall time per \
-             batch.")
-  in
-  let shard_target_ms =
-    Arg.(
-      value & opt (some float) None
-      & info [ "shard-target-ms" ] ~docv:"MS"
-          ~doc:
-            "Adaptive batching wall-time target per claimed batch (default \
-             5ms); ignored with --shard-size.")
   in
   let checkpoint =
     Arg.(
@@ -1943,14 +1940,14 @@ let campaign_cmd =
           checkpoint/resume and an aggregated report.")
     Term.(
       const run $ n_arg $ seed_arg $ horizon_arg $ seeds $ families $ fds
-      $ scheds $ jobs $ shard_size $ shard_target_ms $ checkpoint $ resume
-      $ out $ progress_arg)
+      $ scheds $ jobs $ checkpoint $ resume $ out $ progress_arg)
 
 (* ---------- profile: the runtime observatory ---------- *)
 
 let profile_cmd =
   let run n seed horizon seeds jobs scope capacity checkpoint out folded_out
       width =
+    check_n n;
     let timeline =
       Obs.Timeline.create ~capacity ~label:(Printf.sprintf "%s x%d" scope jobs)
         ()
@@ -2010,7 +2007,7 @@ let profile_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 2
+      value & opt count_conv 2
       & info [ "seeds" ] ~docv:"K" ~doc:"Replicate seeds per grid point.")
   in
   let jobs =
@@ -2032,7 +2029,7 @@ let profile_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 8192
+      value & opt count_conv 8192
       & info [ "capacity" ] ~docv:"K"
           ~doc:
             "Ring-buffer capacity per domain recorder; overflow overwrites \

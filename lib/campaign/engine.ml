@@ -23,7 +23,6 @@ type 'r report = {
   skipped : int;
   metrics : Metrics.t;
   workers : int;
-  shard_size : int;
   steals : int;
   pool_domains : int;
   wall_s : float;
@@ -78,22 +77,25 @@ let load_resume codec ~name ~seed ~total path =
       in
       (recovered, !duplicates, !skipped)
 
-(* Work distribution: the pending array is measured in quanta — one shard
-   in fixed mode ([~shard_size]), one job in adaptive mode — and split
-   into one contiguous range per requested worker slot.  A range is an
-   immutable upper bound plus an atomic claim cursor: claiming is a
-   single fetch-and-add from the front (monotone, so there is no ABA and
-   nothing ever runs twice), and a participant whose own range is dry
-   claims from someone else's — that is the whole work-stealing
-   protocol.  Slots beyond the physical pool still get a range; stealing
-   is also how those orphan ranges drain, which is why the report is
-   independent of how many domains actually showed up. *)
-let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
-    ?(resume = false) ?codec ?progress ?(sink = Trace.null)
-    ?(timeline = Timeline.null) ~name ~seed ~total ~label f =
+(* Every adaptive batch aims at this much wall time: long enough to
+   amortise a claim and a publish, short enough to keep the tail
+   balanced. *)
+let batch_target_s = 0.005
+
+(* Work distribution: the pending jobs are split into one contiguous
+   range per requested worker slot.  A range is an immutable upper bound
+   plus an atomic claim cursor: claiming is a single fetch-and-add from
+   the front (monotone, so there is no ABA and nothing ever runs twice),
+   and a participant whose own range is dry claims from someone else's —
+   that is the whole work-stealing protocol.  Slots beyond the physical
+   pool still get a range; stealing is also how those orphan ranges
+   drain, which is why the report is independent of how many domains
+   actually showed up. *)
+let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
+    ?(sink = Trace.null) ?(timeline = Timeline.null) ~name ~seed ~total ~label
+    f =
   if total < 0 then invalid_arg "Engine.run: total < 0";
   if workers < 1 then invalid_arg "Engine.run: workers < 1";
-  if shard_target_ms <= 0. then invalid_arg "Engine.run: shard_target_ms <= 0";
   if (checkpoint <> None || resume) && codec = None then
     invalid_arg "Engine.run: ~checkpoint and ~resume require ~codec";
   if resume && checkpoint = None then
@@ -113,21 +115,12 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
          (List.init total Fun.id))
   in
   let n_pending = Array.length pending in
-  let fixed = shard_size <> None in
-  let quantum =
-    match shard_size with
-    | Some k ->
-      if k < 1 then invalid_arg "Engine.run: shard_size < 1";
-      k
-    | None -> 1
-  in
-  let n_quanta = (n_pending + quantum - 1) / quantum in
-  let n_ranges = Stdlib.max 1 (Stdlib.min workers n_quanta) in
+  let n_ranges = Stdlib.max 1 (Stdlib.min workers n_pending) in
   let range_hi = Array.make n_ranges 0 in
   let cursor = Array.init n_ranges (fun _ -> Atomic.make 0) in
   for r = 0 to n_ranges - 1 do
-    Atomic.set cursor.(r) (r * n_quanta / n_ranges);
-    range_hi.(r) <- (r + 1) * n_quanta / n_ranges
+    Atomic.set cursor.(r) (r * n_pending / n_ranges);
+    range_hi.(r) <- (r + 1) * n_pending / n_ranges
   done;
   (* slot-local result publication: each participant appends finished
      batches to its own list, no shared structure on the result path.
@@ -170,9 +163,6 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
   let failure = ref None in
   let job_times = ref [] in
   let notify () =
-    (match progress with
-    | None -> ()
-    | Some p -> p ~done_:!completed ~total);
     if not (Trace.is_null sink) then begin
       let elapsed = Profile.now () -. t0 in
       let done_ = !completed in
@@ -219,12 +209,12 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
     in
     Timeline.event rec_ ~tag:me "unpark";
     (* adaptive batching: an EWMA of per-job wall time, calibrated by a
-       first one-job batch, sizes every later claim to [shard_target_ms] *)
+       first one-job batch, sizes every later claim to [batch_target_s] *)
     let est = ref 0. in
-    let batch_quanta () =
-      if fixed || !est <= 0. then 1
+    let batch_jobs () =
+      if !est <= 0. then 1
       else
-        let want = int_of_float (shard_target_ms /. 1000. /. !est) in
+        let want = int_of_float (batch_target_s /. !est) in
         Stdlib.max 1 (Stdlib.min 4096 want)
     in
     (* claim from range [r]: fetch-and-add from the front, capped at half
@@ -235,10 +225,10 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
       if lo >= hi then None
       else begin
         let take =
-          Stdlib.min (batch_quanta ()) (Stdlib.max 1 ((hi - lo + 1) / 2))
+          Stdlib.min (batch_jobs ()) (Stdlib.max 1 ((hi - lo + 1) / 2))
         in
-        let q0 = Atomic.fetch_and_add cursor.(r) take in
-        if q0 >= hi then None else Some (q0, Stdlib.min hi (q0 + take))
+        let first = Atomic.fetch_and_add cursor.(r) take in
+        if first >= hi then None else Some (first, Stdlib.min hi (first + take))
       end
     in
     let find_work () =
@@ -250,14 +240,14 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
         else
           let r = (me + k) mod n_ranges in
           match claim r with
-          | Some span_q ->
+          | Some batch ->
             if r <> me then begin
               steal_counts.(me) <- steal_counts.(me) + 1;
               if not (Timeline.is_null_recorder rec_) then
                 Timeline.record_span rec_ ~tag:r "steal"
                   ~dur_s:(Profile.now () -. t_scan)
             end;
-            Some span_q
+            Some batch
           | None -> scan (k + 1)
       in
       scan 0
@@ -268,25 +258,22 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
       else
         match find_work () with
         | None -> continue_ := false
-        | Some (q0, q1) -> (
-          let lo_j = q0 * quantum in
-          let hi_j = Stdlib.min n_pending (q1 * quantum) in
+        | Some (lo, hi) -> (
           match
-            Timeline.span rec_ ~tag:q0 "job-run" (fun () ->
+            Timeline.span rec_ ~tag:lo "job-run" (fun () ->
                 let metrics = Metrics.create () in
                 let t_batch = Profile.now () in
                 let outcomes = ref [] in
-                for k = lo_j to hi_j - 1 do
+                for k = lo to hi - 1 do
                   outcomes :=
                     Timeline.span rec_ ~tag:pending.(k) "job" (fun () ->
                         run_job pending.(k) metrics)
                     :: !outcomes
                 done;
-                let n = hi_j - lo_j in
-                if (not fixed) && n > 0 then begin
-                  let per = (Profile.now () -. t_batch) /. float_of_int n in
-                  est := if !est <= 0. then per else (0.7 *. !est) +. (0.3 *. per)
-                end;
+                let per =
+                  (Profile.now () -. t_batch) /. float_of_int (hi - lo)
+                in
+                est := if !est <= 0. then per else (0.7 *. !est) +. (0.3 *. per);
                 (List.rev !outcomes, metrics))
           with
           | outcomes, metrics ->
@@ -299,20 +286,20 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
             in
             Mutex.lock mutex;
             if not (Timeline.is_null_recorder rec_) then
-              Timeline.record_span rec_ ~tag:q0 "queue-wait"
+              Timeline.record_span rec_ ~tag:lo "queue-wait"
                 ~dur_s:(Profile.now () -. t_ready);
             Fun.protect
               ~finally:(fun () -> Mutex.unlock mutex)
               (fun () ->
-                Timeline.span rec_ ~tag:q0 "publish" (fun () ->
-                    results.(me) <- (q0, outcomes, metrics) :: results.(me);
+                Timeline.span rec_ ~tag:lo "publish" (fun () ->
+                    results.(me) <- (lo, outcomes, metrics) :: results.(me);
                     completed := !completed + List.length outcomes;
                     List.iter
                       (fun o -> job_times := o.elapsed_s :: !job_times)
                       outcomes;
                     (match (oc, codec) with
                     | Some oc, Some codec ->
-                      Timeline.span rec_ ~tag:q0 "checkpoint-append"
+                      Timeline.span rec_ ~tag:lo "checkpoint-append"
                         (fun () ->
                           List.iter
                             (fun o ->
@@ -342,7 +329,7 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
   Mutex.protect mutex notify;
   let stats =
     Pool.run
-      ~workers:(if n_quanta = 0 then 1 else n_ranges)
+      ~workers:(if n_pending = 0 then 1 else n_ranges)
       ~on_spawn:(fun slot -> Timeline.event driver ~tag:slot "pool-start")
       body
   in
@@ -371,8 +358,6 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
   Metrics.incr ~by:total_steals metrics "campaign_steals";
   Metrics.set_gauge metrics "pool_domains"
     (float_of_int stats.Pool.participants);
-  Metrics.set_gauge metrics "shard_target_ms"
-    (if fixed then 0. else shard_target_ms);
   let outcomes =
     List.sort
       (fun a b -> compare a.job b.job)
@@ -388,7 +373,6 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
     skipped;
     metrics;
     workers;
-    shard_size = (match shard_size with Some k -> k | None -> 0);
     steals = total_steals;
     pool_domains = stats.Pool.participants;
     wall_s = Profile.now () -. t0;
@@ -404,26 +388,10 @@ let report_lines codec report =
              ("result", codec.encode o.value) ]))
     report.outcomes
 
-let report_to_json report =
-  Json.Obj
-    [ ("campaign", Json.String report.campaign);
-      ("schema_version", Json.Int Checkpoint.schema_version);
-      ("seed", Json.Int report.seed);
-      ("jobs", Json.Int report.total);
-      ("resumed", Json.Int report.resumed);
-      ("duplicates", Json.Int report.duplicates);
-      ("skipped", Json.Int report.skipped);
-      ("workers", Json.Int report.workers);
-      ("shard_size", Json.Int report.shard_size);
-      ("steals", Json.Int report.steals);
-      ("pool_domains", Json.Int report.pool_domains);
-      ("wall_s", Json.Float report.wall_s);
-      ("metrics", Metrics.to_json report.metrics) ]
-
-let run_spec ?workers ?shard_size ?shard_target_ms ?checkpoint ?resume ?codec
-    ?progress ?sink ?timeline ~seed spec f =
-  run ?workers ?shard_size ?shard_target_ms ?checkpoint ?resume ?codec
-    ?progress ?sink ?timeline ~name:(Spec.name spec) ~seed
+let run_spec ?workers ?checkpoint ?resume ?codec ?sink ?timeline ~seed spec f
+    =
+  run ?workers ?checkpoint ?resume ?codec ?sink ?timeline
+    ~name:(Spec.name spec) ~seed
     ~total:(Spec.size spec)
     ~label:(fun i -> Spec.label (Spec.job spec i))
     (fun ~rng ~metrics i -> f ~rng ~metrics (Spec.job spec i))

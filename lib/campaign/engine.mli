@@ -51,7 +51,6 @@ type 'r report = {
   skipped : int;  (** malformed / torn / undecodable / out-of-range lines *)
   metrics : Rlfd_obs.Metrics.t;  (** per-batch registries, index order *)
   workers : int;  (** worker slots the campaign was asked for *)
-  shard_size : int;  (** fixed jobs per batch, or [0] in adaptive mode *)
   steals : int;  (** batches claimed from another slot's range *)
   pool_domains : int;  (** pool participants that entered this run *)
   wall_s : float;  (** end-to-end wall time *)
@@ -59,12 +58,9 @@ type 'r report = {
 
 val run :
   ?workers:int ->
-  ?shard_size:int ->
-  ?shard_target_ms:float ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?codec:'r codec ->
-  ?progress:(done_:int -> total:int -> unit) ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?timeline:Rlfd_obs.Timeline.t ->
   name:string ->
@@ -79,19 +75,16 @@ val run :
     registry of the batch it happens to run in; anything recorded there
     surfaces merged in the report's [metrics].
 
+    Batching adapts to the workload: a one-job calibration batch seeds
+    a per-worker EWMA of job cost, and every later claim is sized so one
+    batch costs about 5 ms of wall time.  Batch boundaries therefore
+    depend on timing, but the report lines never do.
+
     - [workers] (default 1): worker slots — one contiguous work range
       each.  [1] runs inline on the calling domain, no pool traffic.
       The {!Pool} caps actual domains at the machine's recommended
       count; requesting more slots than that is fine (their ranges are
       drained by stealing) and yields the same report.
-    - [shard_size]: forces fixed batching — exactly this many jobs per
-      claim, like the pre-pool engine.  When absent (the default) the
-      engine {e adapts}: a one-job calibration batch seeds a per-worker
-      EWMA of job cost, and every later claim is sized so one batch
-      costs about [shard_target_ms] of wall time.  Any setting yields
-      the same report lines.
-    - [shard_target_ms] (default [5.]): the adaptive batcher's per-batch
-      wall-time target.  Ignored under [~shard_size].
     - [checkpoint]: keep a completion log here (requires [codec]): the
       header is written once, then one flushed entry per finished job.
     - [resume] (default false): load [checkpoint] first and only run what
@@ -102,34 +95,34 @@ val run :
       fresh start, but a file whose header disagrees with
       [name]/[seed]/[total] raises [Failure] — it belongs to a different
       campaign.
-    - [progress]: called (serialised) after each batch and once at start.
-    - [sink]: receives one {!Rlfd_obs.Trace.Progress} event at each of
-      those moments — jobs done/total, throughput over the jobs this run
-      executed (recovered ones excluded), an [eta_s] extrapolation and the
-      p50/p95 of per-job wall times.  The live-telemetry face of the
-      campaign; free when left at the default null sink.
+    - [sink]: receives one {!Rlfd_obs.Trace.Progress} event once at
+      start and then (serialised) after each batch — [label = name],
+      jobs done/total (the first event's [done_] counts the recovered
+      jobs), throughput over the jobs this run executed (recovered ones
+      excluded), an [eta_s] extrapolation and the p50/p95 of per-job
+      wall times.  The live-telemetry face of the campaign; free when
+      left at the default null sink.
     - [timeline]: a {!Rlfd_obs.Timeline} collector for the runtime
       observatory.  Each participant registers a [worker-<slot>]
       recorder and records, per batch, a [job-run] span with one [job]
       child span per job (tagged by job index), a [queue-wait] span
       (batch ready → checkpoint/telemetry lock held), and a [publish]
       span whose [checkpoint-append] child covers the fsynced entry
-      writes; batch spans are tagged by the batch's starting quantum, so
-      under [~shard_size] they carry exactly the old per-shard tags.
-      Pool lifecycle shows up as [unpark]/[park] events per participant,
-      a [steal] span per cross-range claim (tagged by the victim slot),
-      [pool-start] driver events per freshly spawned domain, and a
-      [pool-wait] driver span for the end-of-run quiescence wait; those
-      records are scheduling-dependent, so
+      writes; batch spans are tagged by the batch's first position in
+      the pending-job order.  Pool lifecycle shows up as [unpark]/[park]
+      events per participant, a [steal] span per cross-range claim
+      (tagged by the victim slot), [pool-start] driver events per
+      freshly spawned domain, and a [pool-wait] driver span for the
+      end-of-run quiescence wait; those records are
+      scheduling-dependent, so
       {!Rlfd_obs.Timeline.normalized_json} always excludes them.  The
       driver also records the [metrics-merge] span.  Free when left at
       the default {!Rlfd_obs.Timeline.null}.
 
     If [f] raises, remaining batches are abandoned and the first
     exception is re-raised after the pool participants quiesce.  Raises
-    [Invalid_argument] on [total < 0], [workers < 1],
-    [shard_target_ms <= 0], or checkpoint/resume without the options
-    they require. *)
+    [Invalid_argument] on [total < 0], [workers < 1], or
+    checkpoint/resume without the options they require. *)
 
 val report_lines : 'r codec -> 'r report -> string list
 (** One compact JSON object per job, sorted by index:
@@ -138,21 +131,11 @@ val report_lines : 'r codec -> 'r report -> string list
     different worker counts — or one interrupted and resumed — produce
     byte-identical lines. *)
 
-val report_to_json : 'r report -> Rlfd_obs.Json.t
-(** The run summary: campaign identity, job counts, resume statistics,
-    worker configuration, steal count, pool participation, wall time and
-    merged metrics ({!Rlfd_obs.Metrics.to_json} sketch summaries).
-    Timing fields included — this is the human-facing side, not the
-    determinism-checked one. *)
-
 val run_spec :
   ?workers:int ->
-  ?shard_size:int ->
-  ?shard_target_ms:float ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?codec:'r codec ->
-  ?progress:(done_:int -> total:int -> unit) ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?timeline:Rlfd_obs.Timeline.t ->
   seed:int ->

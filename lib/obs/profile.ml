@@ -1,80 +1,5 @@
-open Rlfd_kernel
-
-type t = {
-  mutable order : string list;  (* reversed first-use order *)
-  table : (string, float list ref) Hashtbl.t;
-}
-
-let create () = { order = []; table = Hashtbl.create 16 }
-
 external monotonic_ns : unit -> int64 = "rlfd_obs_monotonic_ns"
 
 let now () = Int64.to_float (monotonic_ns ()) /. 1e9
 
 let wall () = Unix.gettimeofday ()
-
-let record p name seconds =
-  match Hashtbl.find_opt p.table name with
-  | Some samples -> samples := seconds :: !samples
-  | None ->
-    Hashtbl.add p.table name (ref [ seconds ]);
-    p.order <- name :: p.order
-
-let time p name f =
-  let start = now () in
-  match f () with
-  | result ->
-    record p name (now () -. start);
-    result
-  | exception exn ->
-    record p name (now () -. start);
-    raise exn
-
-let spans p =
-  List.rev_map
-    (fun name -> (name, List.rev !(Hashtbl.find p.table name)))
-    p.order
-
-let total p name =
-  match Hashtbl.find_opt p.table name with
-  | Some samples -> Stats.sum !samples
-  | None -> 0.
-
-let grand_total p =
-  Hashtbl.fold (fun _ samples acc -> acc +. Stats.sum !samples) p.table 0.
-
-let pp ppf p =
-  let rows = spans p in
-  if rows = [] then Format.pp_print_string ppf "(no spans recorded)"
-  else begin
-    let width =
-      List.fold_left (fun acc (name, _) -> Stdlib.max acc (String.length name))
-        0 rows
-    in
-    let all = grand_total p in
-    Format.pp_open_vbox ppf 0;
-    List.iteri
-      (fun i (name, samples) ->
-        if i > 0 then Format.pp_print_cut ppf ();
-        let t = Stats.sum samples in
-        Format.fprintf ppf "%-*s  %4d call(s)  %8.3f s  mean %8.3f s  %5.1f%%"
-          width name (List.length samples) t (Stats.mean samples)
-          (if all > 0. then 100. *. t /. all else 0.))
-      rows;
-    Format.pp_close_box ppf ()
-  end
-
-let to_json p =
-  let open Json in
-  Obj
-    [ ("spans",
-       List
-         (List.map
-            (fun (name, samples) ->
-              Obj
-                [ ("name", String name);
-                  ("calls", Int (List.length samples));
-                  ("total_s", Float (Stats.sum samples));
-                  ("mean_s", Float (Stats.mean samples)) ])
-            (spans p)));
-      ("total_s", Float (grand_total p)) ]

@@ -1,50 +1,25 @@
-(** Wall-clock span timers for profiling phases of a run.
+(** The monotonic clock every span in the repository is timed with.
 
-    A profile is an ordered collection of named spans; timing the same name
-    repeatedly accumulates samples, so per-phase totals and means are both
-    available.  Used by [bench/main.exe] to report wall-time per table and
-    to emit the machine-readable [BENCH_obs.json] perf trajectory.
+    {!now} reads [clock_gettime(CLOCK_MONOTONIC)]: wall clocks step
+    backwards under NTP, which would yield negative span durations.
+    {!Timeline} timestamps its spans with it, and so do the campaign
+    engine, the explorer and the benchmark harnesses.  {!wall} keeps the
+    calendar clock available for artifacts that need a date.
 
-    Spans use {!now}, a genuinely monotonic clock
-    ([clock_gettime(CLOCK_MONOTONIC)]): wall clocks step backwards under
-    NTP, which would yield negative span durations.  {!wall} keeps the
-    calendar clock available for artifacts that need a date. *)
-
-type t
-
-val create : unit -> t
+    Spans themselves live in {!Timeline}; this module is only the clock.
+    It keeps the [Profile] name because the [perfbench/] harness reads
+    [Rlfd_obs.Profile.now]; the clock moves into {!Timeline} once that
+    harness points there. *)
 
 val monotonic_ns : unit -> int64
 (** The raw monotonic clock, in nanoseconds since an arbitrary epoch
     (boot-ish).  Never decreases; only differences are meaningful. *)
 
 val now : unit -> float
-(** {!monotonic_ns} as seconds.  The timestamp source of every span in
-    this module and in {!Timeline}. *)
+(** {!monotonic_ns} as seconds.  The timestamp source of every
+    {!Timeline} span. *)
 
 val wall : unit -> float
 (** [Unix.gettimeofday]: seconds since the Unix epoch.  NOT monotonic —
     use only where an artifact needs a calendar date, never to subtract
     two readings. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** [time p name f] runs [f], records its duration under [name]
-    (exceptions still record the span, then re-raise), and returns [f ()]. *)
-
-val record : t -> string -> float -> unit
-(** Record an externally-measured duration (seconds). *)
-
-val spans : t -> (string * float list) list
-(** First-use order; samples of each span chronological. *)
-
-val total : t -> string -> float
-(** Sum of the span's samples (0. if absent). *)
-
-val grand_total : t -> float
-
-val pp : Format.formatter -> t -> unit
-(** One aligned row per span: calls, total, mean, share of grand total. *)
-
-val to_json : t -> Json.t
-(** [{"spans": [{"name", "calls", "total_s", "mean_s"}...],
-    "total_s": ...}]. *)

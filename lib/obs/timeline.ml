@@ -369,12 +369,8 @@ let to_json a =
 
 (* Scheduling-dependent lifecycle records: how many of these a run emits
    depends on pool warmth, core count and raw interleaving — never on
-   the workload — so the determinism view below always drops them.
-   Includes the pre-pool spawn/join vocabulary so old artifacts
-   normalize the same way. *)
-let lifecycle_names =
-  [ "spawn-request"; "domain-start"; "domain-exit"; "join"; "pool-start";
-    "pool-spawn"; "pool-wait"; "steal"; "park"; "unpark" ]
+   the workload — so the determinism view below always drops them. *)
+let lifecycle_names = [ "pool-start"; "pool-wait"; "steal"; "park"; "unpark" ]
 
 (* The determinism view: all timing and GC numbers erased, spans and
    events pooled across domains and sorted by structure alone.  Two runs
@@ -594,9 +590,14 @@ let pp_utilization ppf a =
         label u.u_window u.u_busy
         (100. *. u.u_busy /. Stdlib.max 1e-9 u.u_window)
         u.u_gc_est u.u_idle u.u_minor u.u_major;
+      let width =
+        List.fold_left
+          (fun acc (name, _) -> Stdlib.max acc (String.length name))
+          20 u.u_by_name
+      in
       List.iter
         (fun (name, (calls, tot)) ->
-          Format.fprintf ppf "@,  %-20s %5d call(s)  %.4fs" name calls tot)
+          Format.fprintf ppf "@,  %-*s %5d call(s)  %.4fs" width name calls tot)
         u.u_by_name)
     (utilization a);
   Format.pp_close_box ppf ()

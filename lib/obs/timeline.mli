@@ -120,12 +120,11 @@ val to_json : artifact -> Json.t
 (** The full versioned artifact, timestamps and GC deltas included. *)
 
 val lifecycle_names : string list
-(** Record names {!normalized_json} always excludes: the pool/domain
-    lifecycle vocabulary ([pool-start], [pool-wait], [steal], [park],
-    [unpark], plus the pre-pool [spawn-request]/[domain-start]/
-    [domain-exit]/[join]).  Their counts depend on pool warmth, core
-    count and raw scheduling, never on the workload, so they can never
-    appear in a determinism-checked view. *)
+(** Record names {!normalized_json} always excludes: the pool lifecycle
+    vocabulary ([pool-start], [pool-wait], [steal], [park], [unpark]).
+    Their counts depend on pool warmth, core count and raw scheduling,
+    never on the workload, so they can never appear in a
+    determinism-checked view. *)
 
 val normalized_json : ?exclude:string list -> artifact -> Json.t
 (** The determinism view: timing and GC numbers erased, spans pooled

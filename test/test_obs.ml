@@ -562,47 +562,20 @@ let sketch_tests =
           (List.length (Sketch.buckets s) < 600));
   ]
 
-(* ---------- profiling spans ---------- *)
-
-let profile_tests =
-  [
-    test "time records and returns; spans keep first-use order" (fun () ->
-        let p = Profile.create () in
-        Alcotest.(check int) "result" 7 (Profile.time p "b" (fun () -> 7));
-        Profile.time p "a" (fun () -> ());
-        Profile.time p "b" (fun () -> ());
-        Alcotest.(check (list string)) "order" [ "b"; "a" ]
-          (List.map fst (Profile.spans p));
-        Alcotest.(check int) "b has two samples" 2
-          (List.length (List.assoc "b" (Profile.spans p))));
-    test "record feeds totals; grand_total sums everything" (fun () ->
-        let p = Profile.create () in
-        Profile.record p "x" 1.0;
-        Profile.record p "x" 2.0;
-        Profile.record p "y" 0.5;
-        Alcotest.(check (float 1e-9)) "total x" 3.0 (Profile.total p "x");
-        Alcotest.(check (float 1e-9)) "grand" 3.5 (Profile.grand_total p));
-    test "a raising thunk still records its span" (fun () ->
-        let p = Profile.create () in
-        (try Profile.time p "boom" (fun () -> failwith "no") with Failure _ -> ());
-        Alcotest.(check int) "recorded" 1
-          (List.length (List.assoc "boom" (Profile.spans p))));
-    test "to_json lists spans with calls and totals" (fun () ->
-        let p = Profile.create () in
-        Profile.record p "x" 1.0;
-        let j = Profile.to_json p in
-        match Option.bind (Json.member "spans" j) Json.to_list_opt with
-        | Some [ span ] ->
-          Alcotest.(check (option string)) "name" (Some "x")
-            (Option.bind (Json.member "name" span) Json.to_string_opt);
-          Alcotest.(check (option int)) "calls" (Some 1)
-            (Option.bind (Json.member "calls" span) Json.to_int_opt)
-        | _ -> Alcotest.fail "expected one span");
-  ]
-
 (* ---------- timeline: the runtime observatory ---------- *)
 
 module Timeline = Rlfd_obs.Timeline
+
+(* One domain recording two [a] spans and one [b] span, then an event. *)
+let aba_artifact () =
+  let tl = Timeline.create ~label:"u" () in
+  let r = Timeline.recorder tl "d" in
+  let work () = ignore (Sys.opaque_identity (List.init 1000 Fun.id)) in
+  Timeline.span r "a" work;
+  Timeline.span r "b" work;
+  Timeline.span r "a" work;
+  Timeline.event r "late";
+  Timeline.merge tl
 
 let timeline_tests =
   [
@@ -732,11 +705,6 @@ let timeline_tests =
         Alcotest.(check bool) "no timestamps" false
           (contains_substring ~needle:"t0_s" rendered));
     test "utilization decomposition: busy + idle = window" (fun () ->
-        let tl = Timeline.create ~label:"u" () in
-        let r = Timeline.recorder tl "d" in
-        Timeline.span r "w" (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id)));
-        Timeline.event r "late";
-        let a = Timeline.merge tl in
         List.iter
           (fun (_, u) ->
             Alcotest.(check (float 1e-9))
@@ -744,7 +712,32 @@ let timeline_tests =
               (u.Timeline.u_busy +. u.Timeline.u_idle);
             Alcotest.(check bool) "gc estimate bounded" true
               (u.Timeline.u_gc_est >= 0. && u.Timeline.u_gc_est <= u.Timeline.u_busy +. 1e-12))
-          (Timeline.utilization a));
+          (Timeline.utilization (aba_artifact ())));
+    test "utilization counts calls per name in first-use order" (fun () ->
+        List.iter
+          (fun (_, u) ->
+            Alcotest.(check (list (pair string int)))
+              "calls per name, first-use order" [ ("a", 2); ("b", 1) ]
+              (List.map (fun (name, (calls, _)) -> (name, calls)) u.Timeline.u_by_name))
+          (Timeline.utilization (aba_artifact ())));
+    test "utilization totals per name sum the span durations" (fun () ->
+        let art = aba_artifact () in
+        let spans = List.concat_map (fun d -> d.Timeline.dom_spans) art.a_domains in
+        let sum name =
+          List.fold_left
+            (fun acc (s : Timeline.span_rec) ->
+              if s.sp_name = name then acc +. s.sp_dur else acc)
+            0. spans
+        in
+        List.iter
+          (fun (_, u) ->
+            Alcotest.(check int) "both names listed" 2 (List.length u.Timeline.u_by_name);
+            List.iter
+              (fun (name, (_, total)) ->
+                Alcotest.(check (float 1e-12)) ("total of " ^ name) (sum name)
+                  total)
+              u.Timeline.u_by_name)
+          (Timeline.utilization art));
     test "folded stacks carry domain-rooted paths and microseconds" (fun () ->
         let tl = Timeline.create ~label:"f" () in
         let r = Timeline.recorder tl "dom" in
@@ -805,6 +798,5 @@ let () =
       suite "metrics" metrics_tests;
       suite "metrics-merge" merge_tests;
       suite "sketch" sketch_tests;
-      suite "profile" profile_tests;
       suite "timeline" timeline_tests;
     ]
