@@ -364,20 +364,6 @@ let decode_scope scope =
     | _ -> Error "scope names an unknown algo or fd")
   | _ -> Error "scope is missing n, seed, algo or fd"
 
-let load_artifact file =
-  match Obs.Recorder.load file with
-  | Ok a -> a
-  | Error msg ->
-    Format.eprintf "fdsim: %s: %s@." file msg;
-    exit 2
-
-let scope_of_artifact (a : Obs.Recorder.t) =
-  match decode_scope a.Obs.Recorder.scope with
-  | Ok s -> s
-  | Error msg ->
-    Format.eprintf "fdsim: artifact %s@." msg;
-    exit 2
-
 let record_arg =
   Arg.(
     value
@@ -444,7 +430,7 @@ let run_cmd =
             if trace then print_trace mem r.Runner.steps;
             if diagram then
               Format.printf "@.%s@."
-                (Spacetime.render ~pp_output:Format.pp_print_int r);
+                (Spacetime.render ~pp_output:string_of_int r);
             let ok =
               print_verdicts "consensus specification"
                 (Properties.check_consensus ~uniform:true ~proposals
@@ -1060,7 +1046,7 @@ let paxos_cmd =
       (fun (t, p, v) -> Format.printf "  %a %a decided %d@." Time.pp t Pid.pp p v)
       r.Runner.outputs;
     if diagram then
-      Format.printf "@.%s@." (Spacetime.render ~pp_output:Format.pp_print_int r);
+      Format.printf "@.%s@." (Spacetime.render ~pp_output:string_of_int r);
     let ok =
       print_verdicts "consensus specification"
         (Properties.check_consensus ~uniform:true ~proposals ~equal:Int.equal r)
@@ -1364,49 +1350,91 @@ let artifact_file_arg =
     & pos 0 (some string) None
     & info [] ~docv:"FILE" ~doc:"Flight-recorder artifact (JSONL).")
 
+(* An explore artifact's schedule, or a run artifact's replay entries. *)
+type playback =
+  | Schedule of Replay.schedule
+  | Entries of (int * Pid.t * Buffer.id option) list
+
+(* The one loader of replay, shrink and render: a malformed file, scope or
+   choice exits 2, naming what is wrong. *)
+let load_playback file =
+  let fail fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "fdsim: %s: %s@." file msg;
+        exit 2)
+      fmt
+  in
+  let artifact =
+    match Obs.Recorder.load file with Ok a -> a | Error msg -> fail "%s" msg
+  in
+  let scope =
+    match decode_scope artifact.Obs.Recorder.scope with
+    | Ok s -> s
+    | Error msg -> fail "artifact %s" msg
+  in
+  List.iteri
+    (fun i (c : Obs.Recorder.choice) ->
+      List.iter
+        (fun p ->
+          if p < 1 || p > scope.sc_n then
+            fail "choice %d names process %d, outside 1..%d" i p scope.sc_n)
+        (c.pid :: Option.fold ~none:[] ~some:(fun r -> [ r.Obs.Recorder.src ]) c.recv))
+    artifact.Obs.Recorder.choices;
+  let playback =
+    match artifact.Obs.Recorder.kind with
+    | Obs.Recorder.Explore ->
+      Result.map (fun s -> Schedule s) (Replay.schedule_of_artifact artifact)
+    | Obs.Recorder.Run ->
+      Result.map (fun e -> Entries e) (Replay.replay_entries artifact)
+  in
+  match playback with
+  | Ok playback -> (artifact, scope, playback)
+  | Error msg -> fail "%s" msg
+
+let explore_check scope =
+  consensus_explore_check ~n:scope.sc_n ~uniform:scope.sc_uniform scope.sc_pattern
+
+let execute_schedule scope schedule automaton =
+  Replay.execute ~pp_output:string_of_int ~pp_seen:pp_seen_set
+    ~pattern:scope.sc_pattern ~detector:scope.sc_detector
+    ~check:(explore_check scope) ~schedule automaton
+
+let rerun_entries scope ~detector entries automaton =
+  Runner.run ~pattern:scope.sc_pattern ~detector
+    ~scheduler:(Scheduler.replay entries)
+    ~horizon:(Time.of_int scope.sc_horizon)
+    ~until:(Runner.stop_when_all_correct_output scope.sc_pattern)
+    automaton
+
 let replay_cmd =
   let run file =
-    let artifact = load_artifact file in
-    let scope = scope_of_artifact artifact in
-    match artifact.Obs.Recorder.kind with
-    | Obs.Recorder.Explore -> (
-      match Replay.schedule_of_artifact artifact with
-      | Error msg ->
-        Format.eprintf "fdsim: %s@." msg;
-        2
-      | Ok schedule ->
-        let check =
-          consensus_explore_check ~n:scope.sc_n ~uniform:scope.sc_uniform
-            scope.sc_pattern
-        in
-        scope.sc_algo
-          {
-            consume =
-              (fun automaton ->
-                let e =
-                  Replay.execute ~pp_output:string_of_int ~pp_seen:pp_seen_set
-                    ~pattern:scope.sc_pattern ~detector:scope.sc_detector
-                    ~check ~schedule automaton
-                in
-                Format.printf "replayed %d step(s), %d dropped%s@."
-                  (List.length e.Replay.steps)
-                  e.Replay.dropped
-                  (match e.Replay.violation with
-                  | Some (at, reason) ->
-                    Format.asprintf "; violation at step %d: %s" at reason
-                  | None -> "; no violation");
-                match Replay.check_against artifact e with
-                | [] ->
-                  Format.printf
-                    "replay: outcome byte-identical to the recording@.";
-                  0
-                | mismatches ->
-                  List.iter
-                    (fun m -> Format.eprintf "replay mismatch: %s@." m)
-                    mismatches;
-                  1);
-          })
-    | Obs.Recorder.Run ->
+    let artifact, scope, playback = load_playback file in
+    match playback with
+    | Schedule schedule ->
+      scope.sc_algo
+        {
+          consume =
+            (fun automaton ->
+              let e = execute_schedule scope schedule automaton in
+              Format.printf "replayed %d step(s), %d dropped%s@."
+                (List.length e.Replay.steps)
+                e.Replay.dropped
+                (match e.Replay.violation with
+                | Some (at, reason) ->
+                  Format.asprintf "; violation at step %d: %s" at reason
+                | None -> "; no violation");
+              match Replay.check_against artifact e with
+              | [] ->
+                Format.printf "replay: outcome byte-identical to the recording@.";
+                0
+              | mismatches ->
+                List.iter
+                  (fun m -> Format.eprintf "replay mismatch: %s@." m)
+                  mismatches;
+                1);
+        }
+    | Entries entries ->
       scope.sc_algo
         {
           consume =
@@ -1414,13 +1442,7 @@ let replay_cmd =
               let detector, queries =
                 Detector.taped ~pp:pp_seen_set scope.sc_detector
               in
-              let r =
-                Runner.run ~pattern:scope.sc_pattern ~detector
-                  ~scheduler:(Scheduler.replay (Replay.replay_entries artifact))
-                  ~horizon:(Time.of_int scope.sc_horizon)
-                  ~until:(Runner.stop_when_all_correct_output scope.sc_pattern)
-                  automaton
-              in
+              let r = rerun_entries scope ~detector entries automaton in
               let again =
                 Replay.runner_artifact ~scope:artifact.Obs.Recorder.scope
                   ~pp_output:string_of_int ~queries:(queries ()) r
@@ -1463,32 +1485,21 @@ let replay_cmd =
 
 let shrink_cmd =
   let run file out =
-    let artifact = load_artifact file in
-    (match artifact.Obs.Recorder.kind with
-    | Obs.Recorder.Run ->
+    match load_playback file with
+    | _, _, Entries _ ->
       Format.eprintf
         "fdsim: %s is a run recording; shrink minimizes explore violations@."
         file;
-      exit 2
-    | Obs.Recorder.Explore -> ());
-    let scope = scope_of_artifact artifact in
-    match Replay.schedule_of_artifact artifact with
-    | Error msg ->
-      Format.eprintf "fdsim: %s@." msg;
       2
-    | Ok schedule ->
-      let check =
-        consensus_explore_check ~n:scope.sc_n ~uniform:scope.sc_uniform
-          scope.sc_pattern
-      in
+    | artifact, scope, Schedule schedule ->
       scope.sc_algo
         {
           consume =
             (fun automaton ->
               match
                 Replay.shrink ~pp_output:string_of_int ~pp_seen:pp_seen_set
-                  ~pattern:scope.sc_pattern ~detector:scope.sc_detector ~check
-                  ~schedule automaton
+                  ~pattern:scope.sc_pattern ~detector:scope.sc_detector
+                  ~check:(explore_check scope) ~schedule automaton
               with
               | exception Invalid_argument msg ->
                 Format.eprintf "fdsim: %s@." msg;
@@ -1537,69 +1548,38 @@ let shrink_cmd =
 
 let render_cmd =
   let run file format_ =
-    let artifact = load_artifact file in
-    let scope = scope_of_artifact artifact in
-    let crashed_at p =
-      Option.map Time.to_int (Pattern.crash_time scope.sc_pattern (Pid.of_int p))
-    in
+    let _, scope, playback = load_playback file in
+    let pattern = scope.sc_pattern in
     let render title steps =
-      match format_ with
-      | `Ascii ->
-        print_string
-          (Spacetime.Timeline.render_ascii ~title ~n:scope.sc_n ~crashed_at
-             steps)
-      | `Dot ->
-        print_string
-          (Spacetime.Timeline.render_dot ~title ~n:scope.sc_n ~crashed_at steps)
+      print_string
+        (match format_ with
+        | `Ascii -> Spacetime.Timeline.render_ascii ~title ~pattern steps
+        | `Dot -> Spacetime.Timeline.render_dot ~title ~pattern steps);
+      0
     in
-    match artifact.Obs.Recorder.kind with
-    | Obs.Recorder.Explore -> (
-      match Replay.schedule_of_artifact artifact with
-      | Error msg ->
-        Format.eprintf "fdsim: %s@." msg;
-        2
-      | Ok schedule ->
-        let check =
-          consensus_explore_check ~n:scope.sc_n ~uniform:scope.sc_uniform
-            scope.sc_pattern
-        in
-        scope.sc_algo
-          {
-            consume =
-              (fun automaton ->
-                let e =
-                  Replay.execute ~pp_output:string_of_int ~pp_seen:pp_seen_set
-                    ~pattern:scope.sc_pattern ~detector:scope.sc_detector
-                    ~check ~schedule automaton
-                in
-                let title =
-                  Filename.basename file
-                  ^
-                  match e.Replay.violation with
-                  | Some (at, reason) ->
-                    Format.asprintf " (violation at step %d: %s)" at reason
-                  | None -> ""
-                in
-                render title (Spacetime.Timeline.of_execution e);
-                0);
-          })
-    | Obs.Recorder.Run ->
-      scope.sc_algo
-        {
-          consume =
-            (fun automaton ->
+    scope.sc_algo
+      {
+        consume =
+          (fun automaton ->
+            match playback with
+            | Schedule schedule ->
+              let e = execute_schedule scope schedule automaton in
+              let title =
+                Filename.basename file
+                ^
+                match e.Replay.violation with
+                | Some (at, reason) ->
+                  Format.asprintf " (violation at step %d: %s)" at reason
+                | None -> ""
+              in
+              render title (Spacetime.Timeline.of_execution e)
+            | Entries entries ->
               let r =
-                Runner.run ~pattern:scope.sc_pattern
-                  ~detector:scope.sc_detector
-                  ~scheduler:(Scheduler.replay (Replay.replay_entries artifact))
-                  ~horizon:(Time.of_int scope.sc_horizon)
-                  ~until:(Runner.stop_when_all_correct_output scope.sc_pattern)
-                  automaton
+                rerun_entries scope ~detector:scope.sc_detector entries automaton
               in
               render (Filename.basename file)
-                (Spacetime.Timeline.of_result ~pp_output:string_of_int r);
-              0);
-        }
+                (Spacetime.Timeline.of_result ~pp_output:string_of_int r));
+      }
   in
   let format_ =
     Arg.(

@@ -3,14 +3,15 @@ open Rlfd_kernel
 type id = int
 
 type 'a t = {
+  dst : 'a -> Pid.t;
   mutable next_id : id;
-  (* newest-first; pending_for reverses.  Messages are few per destination
-     at any instant in the algorithms under study, so the linear scans are
-     cheap and keep the structure obviously correct. *)
+  (* newest-first; pending reverses.  Every scan is linear in the whole
+     backlog, which messages to crashed processes grow past 10^5 in the
+     reductions. *)
   mutable items : (id * 'a) list;
 }
 
-let create () = { next_id = 0; items = [] }
+let create ~dst = { dst; next_id = 0; items = [] }
 
 let add t x =
   let id = t.next_id in
@@ -18,20 +19,16 @@ let add t x =
   t.items <- (id, x) :: t.items;
   id
 
-let find t id = List.assoc_opt id t.items
-
 let remove t id =
-  match find t id with
+  match List.assoc_opt id t.items with
   | None -> None
   | Some x ->
     t.items <- List.filter (fun (i, _) -> i <> id) t.items;
     Some x
 
-let pending_for t ~dst ~keep =
+let pending t p =
   List.fold_left
-    (fun acc (id, x) -> if Pid.equal (keep x) dst then (id, x) :: acc else acc)
+    (fun acc (id, x) -> if Pid.equal (t.dst x) p then (id, x) :: acc else acc)
     [] t.items
-
-let size t = List.length t.items
 
 let iter t f = List.iter (fun (id, x) -> f id x) (List.rev t.items)

@@ -3,7 +3,10 @@
     A multiset of messages in transit.  Each message gets a unique,
     monotonically increasing identifier when added; identifiers give the
     deterministic "oldest first" order that the fair scheduler uses to make
-    every message to a correct process eventually received. *)
+    every message to a correct process eventually received.  The one
+    buffer of the layer: {!Runner.step} takes its messages from it and puts
+    its sends into it, whether {!Runner.run} or {!Replay.execute} drives
+    the step. *)
 
 open Rlfd_kernel
 
@@ -14,8 +17,9 @@ type id = int
 (** Message identifiers: unique within a buffer, assigned in increasing
     order of {!add}. *)
 
-val create : unit -> 'a t
-(** An empty buffer; identifiers start at 0. *)
+val create : dst:('a -> Pid.t) -> 'a t
+(** An empty buffer whose messages go to [dst m]; identifiers start at
+    0. *)
 
 val add : 'a t -> 'a -> id
 (** Put a message in transit and return its fresh identifier. *)
@@ -24,15 +28,8 @@ val remove : 'a t -> id -> 'a option
 (** Removes and returns the message; [None] if the id is absent (already
     consumed). *)
 
-val find : 'a t -> id -> 'a option
-(** Like {!remove} but leaves the message in the buffer. *)
-
-val pending_for : 'a t -> dst:Pid.t -> keep:('a -> Pid.t) -> (id * 'a) list
-(** Messages currently destined to [dst] (per the [keep] projection), oldest
-    first. *)
-
-val size : 'a t -> int
-(** Number of messages currently in transit. *)
+val pending : 'a t -> Pid.t -> (id * 'a) list
+(** Messages currently destined to the process, oldest first. *)
 
 val iter : 'a t -> (id -> 'a -> unit) -> unit
-(** In increasing id order. *)
+(** Every message in transit, in increasing id order. *)

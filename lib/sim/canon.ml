@@ -2,8 +2,6 @@ type t = { bytes : string; key : int64 }
 
 let bytes c = c.bytes
 
-let key c = c.key
-
 let equal a b = Int64.equal a.key b.key && String.equal a.bytes b.bytes
 
 (* No_sharing makes the byte string a pure function of the value's

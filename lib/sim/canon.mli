@@ -30,8 +30,6 @@
 type t
 (** One canonical encoding: the bytes and their 64-bit fingerprint. *)
 
-val key : t -> int64
-
 val bytes : t -> string
 
 val equal : t -> t -> bool

@@ -2,9 +2,6 @@ open Rlfd_kernel
 
 type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
 
-let pp_envelope pp_payload ppf e =
-  Format.fprintf ppf "%a->%a:%a" Pid.pp e.src Pid.pp e.dst pp_payload e.payload
-
 type ('s, 'm, 'o) effects = {
   state : 's;
   sends : (Pid.t * 'm) list;

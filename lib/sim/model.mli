@@ -18,10 +18,6 @@ open Rlfd_kernel
 (** A message in transit. *)
 type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
 
-val pp_envelope :
-  (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm envelope -> unit
-(** Pretty-print an envelope given a payload printer. *)
-
 (** The result of one step. *)
 type ('s, 'm, 'o) effects = {
   state : 's;

@@ -22,29 +22,23 @@ type 'o execution = {
   executed : schedule;
 }
 
-(* The executor mirrors Explore's [apply] exactly — same configuration
-   shape, same clock (one tick per step), same detector-query moment, same
-   canonical encodings — so a schedule lifted out of a violation replays
-   to byte-identical outcomes.  Unlike the explorer it follows a single
-   path, and unlike the explorer it is total in the schedule: an entry it
-   cannot honour (dead process, unresolvable message) is dropped, counted,
-   and left out of [executed].  That totality is what lets the shrinker
-   throw arbitrary subsequences at it. *)
+(* The executor drives the Runner's step under the schedule instead of a
+   scheduler, with Explore's clock (one tick per step) and Explore's
+   canonical encodings, so a schedule lifted out of a violation replays to
+   byte-identical outcomes.  Unlike the explorer it follows a single path,
+   and unlike the Runner it is total in the schedule: an entry it cannot
+   honour (a process outside 1..n or dead, an unresolvable message) is
+   dropped, counted, and left out of [executed].  That totality is what
+   lets the shrinker throw arbitrary subsequences at it. *)
 let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
     ?(pp_seen = fun (_ : d) -> "_") ~pattern ~(detector : d Detector.t)
     ~(check : (Pid.t * o) list -> string option) ~(schedule : schedule)
     (algo : (s, m, d, o) Model.t) : o execution =
   let n = Pattern.n pattern in
-  let states =
-    ref
-      (List.fold_left
-         (fun acc p -> Pid.Map.add p (algo.Model.initial ~n p) acc)
-         Pid.Map.empty (Pid.all ~n))
+  let c = Runner.initial ~n algo in
+  let encode (e : m Runner.tagged Model.envelope) =
+    Canon.encode_value (e.Model.src, e.Model.dst, e.Model.payload.Runner.payload)
   in
-  let state_encs = ref (Pid.Map.map Canon.encode_value !states) in
-  (* id, src, dst, payload, canonical bytes; newest first, as in Explore *)
-  let buffer : (int * Pid.t * Pid.t * m * string) list ref = ref [] in
-  let next_id = ref 0 in
   let step_no = ref 0 in
   let steps = ref [] in
   let run_outputs = ref [] in
@@ -56,109 +50,66 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
   List.iter
     (fun ((p, recv) : Pid.t * (Pid.t * string) option) ->
       let now = Time.of_int !step_no in
-      if not (Pattern.is_alive pattern p now) then incr dropped
-      else begin
-        (* Resolve the prescribed reception to a concrete buffered message:
-           oldest (lowest id) pending message to [p] from [src] whose
-           canonical bytes match — by sender alone when the schedule
-           carries no payload (a capture-less trail). *)
-        let resolved =
+      (* Resolve the prescribed reception to the oldest pending message to
+         [p] from [src] whose canonical bytes match — by sender alone when
+         the schedule carries no payload (a capture-less trail). *)
+      let resolved =
+        if Pid.to_int p > n || not (Pattern.is_alive pattern p now) then None
+        else
           match recv with
           | None -> Some None
           | Some (src, payload) ->
-            let matching =
-              List.filter
-                (fun (_, src', dst, _, enc) ->
-                  Pid.equal dst p && Pid.equal src' src
-                  && (payload = "" || String.equal enc payload))
-                !buffer
-            in
-            (match
-               List.fold_left
-                 (fun acc ((id, _, _, _, _) as m) ->
-                   match acc with
-                   | Some (id', _, _, _, _) when id' <= id -> acc
-                   | _ -> Some m)
-                 None matching
-             with
-            | None -> None
-            | Some m -> Some (Some m))
+            Buffer.pending c.Runner.buffer p
+            |> List.find_opt (fun (_, e) ->
+                   Pid.equal e.Model.src src
+                   && (payload = "" || String.equal (encode e) payload))
+            |> Option.map Option.some
+      in
+      match resolved with
+      | None -> incr dropped
+      | Some msg ->
+        let s =
+          Runner.step ~pattern ~detector algo c ~time:now ~pid:p
+            ~receive:(Option.map fst msg)
         in
-        match resolved with
-        | None -> incr dropped
-        | Some envelope ->
-          let received, recv_executed =
-            match envelope with
-            | None -> (None, None)
-            | Some (id, src, _, _, enc) -> (Some (src, id), Some (src, enc))
-          in
-          (match envelope with
-          | None -> ()
-          | Some (id, _, _, _, _) ->
-            buffer :=
-              List.filter (fun (id', _, _, _, _) -> id' <> id) !buffer);
-          let plain =
-            Option.map
-              (fun (_, src, dst, payload, _) -> { Model.src; dst; payload })
-              envelope
-          in
-          let seen = Detector.query detector pattern p now in
-          let effects =
-            algo.Model.step ~n ~self:p (Pid.Map.find p !states) plain seen
-          in
-          let sent =
-            List.map
-              (fun (dst, payload) ->
-                let id = !next_id in
-                incr next_id;
-                buffer :=
-                  (id, p, dst, payload, Canon.encode_value (p, dst, payload))
-                  :: !buffer;
-                (dst, id))
-              effects.Model.sends
-          in
-          states := Pid.Map.add p effects.Model.state !states;
-          state_encs :=
-            Pid.Map.add p (Canon.encode_value effects.Model.state) !state_encs;
-          incr step_no;
-          List.iter
-            (fun o -> run_outputs := (!step_no - 1, p, o) :: !run_outputs)
-            effects.Model.outputs;
-          if effects.Model.outputs <> [] then begin
-            output_encs :=
-              List.fold_left
-                (fun acc o -> Canon.encode_value (p, o) :: acc)
-                !output_encs effects.Model.outputs;
-            let enc = Canon.multiset !output_encs in
-            if not (List.exists (String.equal enc) !decisions) then
-              decisions := enc :: !decisions;
-            if !violation = None then begin
-              let so_far =
-                List.rev_map (fun (_, p, o) -> (p, o)) !run_outputs
-              in
-              match check so_far with
-              | Some reason -> violation := Some (!step_no, reason)
-              | None -> ()
-            end
-          end;
-          steps :=
-            {
-              pid = p;
-              received;
-              sent;
-              outputs = List.map pp_output effects.Model.outputs;
-              seen = pp_seen seen;
-            }
-            :: !steps;
-          executed := (p, recv_executed) :: !executed
-      end)
+        let effects = s.Runner.effects in
+        incr step_no;
+        List.iter
+          (fun o -> run_outputs := (!step_no - 1, p, o) :: !run_outputs)
+          effects.Model.outputs;
+        if effects.Model.outputs <> [] then begin
+          output_encs :=
+            List.fold_left
+              (fun acc o -> Canon.encode_value (p, o) :: acc)
+              !output_encs effects.Model.outputs;
+          let enc = Canon.multiset !output_encs in
+          if not (List.exists (String.equal enc) !decisions) then
+            decisions := enc :: !decisions;
+          if !violation = None then begin
+            let so_far = List.rev_map (fun (_, p, o) -> (p, o)) !run_outputs in
+            match check so_far with
+            | Some reason -> violation := Some (!step_no, reason)
+            | None -> ()
+          end
+        end;
+        steps :=
+          {
+            pid = p;
+            received = Option.map (fun (id, e) -> (e.Model.src, id)) msg;
+            sent = List.combine (List.map fst effects.Model.sends) s.Runner.sent_ids;
+            outputs = List.map pp_output effects.Model.outputs;
+            seen = pp_seen s.Runner.seen;
+          }
+          :: !steps;
+        executed :=
+          (p, Option.map (fun (_, e) -> (e.Model.src, encode e)) msg) :: !executed)
     schedule;
+  let messages = ref [] in
+  Buffer.iter c.Runner.buffer (fun _ e -> messages := encode e :: !messages);
   let final =
     Canon.assemble ~step_no:!step_no
-      ~states:
-        (List.rev (Pid.Map.fold (fun _ e acc -> e :: acc) !state_encs []))
-      ~messages:(List.map (fun (_, _, _, _, e) -> e) !buffer)
-      ~outputs:!output_encs
+      ~states:(Array.to_list (Array.map Canon.encode_value c.Runner.states))
+      ~messages:!messages ~outputs:!output_encs
   in
   {
     steps = List.rev !steps;
@@ -258,14 +209,26 @@ let runner_artifact ~scope ?(pp_output = fun _ -> "_") ~queries
   in
   { Recorder.kind = Run; scope; choices; queries; outcome }
 
+(* Choices come from disk: one naming a process below 1 makes the artifact
+   an [Error], not [Pid.of_int]'s exception. *)
+let with_valid_pids (a : Recorder.t) decode =
+  let invalid (c : Recorder.choice) =
+    c.pid < 1 || match c.recv with Some r -> r.src < 1 | None -> false
+  in
+  match List.find_index invalid a.choices with
+  | Some i -> Error (Printf.sprintf "choice %d names a process below 1" i)
+  | None -> decode a.choices
+
 let replay_entries (a : Recorder.t) =
-  List.filter_map
-    (fun (c : Recorder.choice) ->
-      Option.map
-        (fun at ->
-          (at, Pid.of_int c.pid, Option.bind c.recv (fun r -> r.Recorder.msg)))
-        c.at)
-    a.choices
+  with_valid_pids a (fun choices ->
+      Ok
+        (List.filter_map
+           (fun (c : Recorder.choice) ->
+             Option.map
+               (fun at ->
+                 (at, Pid.of_int c.pid, Option.bind c.recv (fun r -> r.Recorder.msg)))
+               c.at)
+           choices))
 
 let schedule_of_artifact (a : Recorder.t) =
   let ( let* ) = Result.bind in
@@ -281,16 +244,17 @@ let schedule_of_artifact (a : Recorder.t) =
       in
       go ((Pid.of_int c.pid, recv) :: acc) rest
   in
-  go [] a.choices
+  with_valid_pids a (go [])
 
+(* Repackaging the replay as an artifact renders its outcome exactly as
+   the recording did, so the comparison is field by field. *)
 let check_against (a : Recorder.t) (e : _ execution) =
   let mismatches = ref [] in
   let fail fmt = Format.kasprintf (fun m -> mismatches := m :: !mismatches) fmt in
-  let recorded = a.outcome in
-  let decisions = Recorder.hex_encode (Canon.multiset e.decisions) in
-  if not (String.equal recorded.decisions decisions) then
+  let recorded = a.outcome and replayed = to_artifact ~scope:a.scope e in
+  if not (String.equal recorded.decisions replayed.outcome.decisions) then
     fail "decision set differs from the recorded one";
-  if not (String.equal recorded.final (Recorder.hex_encode e.final)) then
+  if not (String.equal recorded.final replayed.outcome.final) then
     fail "canonical final state differs from the recorded one";
   (match (recorded.violation, e.violation) with
   | None, None -> ()
@@ -302,26 +266,9 @@ let check_against (a : Recorder.t) (e : _ execution) =
         at
   | Some r, None -> fail "recorded violation %S did not reproduce" r
   | None, Some (_, r) -> fail "replay violated (%S) but the recording did not" r);
-  let replayed_queries =
-    List.mapi
-      (fun i (s : step_info) -> (i, Pid.to_int s.pid, s.seen))
-      e.steps
-  in
-  let recorded_queries =
-    List.map
-      (fun (q : Recorder.query) -> (q.step, q.pid, q.seen))
-      a.queries
-  in
-  if recorded_queries <> [] && recorded_queries <> replayed_queries then
+  if a.queries <> [] && a.queries <> replayed.queries then
     fail "detector query log differs from the recorded one";
-  let replayed_outputs =
-    List.concat
-      (List.mapi
-         (fun i (s : step_info) ->
-           List.map (fun o -> (i, Pid.to_int s.pid, o)) s.outputs)
-         e.steps)
-  in
-  if recorded.outputs <> replayed_outputs then
+  if recorded.outputs <> replayed.outcome.outputs then
     fail "output log differs from the recorded one";
   List.rev !mismatches
 

@@ -1,23 +1,23 @@
 (** Deterministic re-execution of recorded schedules, and their shrinking.
 
     A violation out of {!Explore} is a schedule — the exact sequence of
-    (process, received message) choices that led to it.  This module makes
-    that schedule a first-class executable object: {!execute} re-runs it
-    against the same scope with the same semantics as the explorer (one
-    clock tick per step, detector queried at the step's own time,
-    canonical encodings from {!Canon}), producing the decision set, the
-    canonical final state, the detector-query log and the violation
-    verdict; {!check_against} compares all of that byte-for-byte with what
-    a flight-recorder artifact ({!Rlfd_obs.Recorder}) says happened; and
-    {!shrink} is a delta-debugging minimizer that searches for the
-    shortest subsequence still violating.
+    (process, received message) choices that led to it.  {!execute} takes
+    the Runner's step ({!Runner.step}) along that schedule, with the
+    explorer's clock (one tick per step) and canonical encodings from
+    {!Canon}, producing the decision set, the canonical final state, the
+    detector-query log and the violation verdict; {!check_against}
+    compares all of that byte-for-byte with what a flight-recorder
+    artifact ({!Rlfd_obs.Recorder}) says happened; and {!shrink} is a
+    delta-debugging minimizer that searches for the shortest subsequence
+    still violating.
 
     The executor is {e total} in the schedule: entries it cannot honour —
-    a crashed process, a reception whose message is not in flight — are
-    dropped and counted rather than failing, and the surviving [executed]
-    subsequence is reported back.  Replaying a faithful artifact drops
-    nothing; the totality exists so the shrinker can probe arbitrary
-    subsequences, whose message dependencies are usually broken. *)
+    a process outside [1..n] or crashed, a reception whose message is not
+    in flight — are dropped and counted rather than failing, and the
+    surviving [executed] subsequence is reported back.  Replaying a
+    faithful artifact drops nothing; the totality exists so the shrinker
+    can probe arbitrary subsequences, whose message dependencies are
+    usually broken. *)
 
 open Rlfd_kernel
 open Rlfd_fd
@@ -29,7 +29,7 @@ type schedule = (Pid.t * (Pid.t * string) option) list
 
 type step_info = {
   pid : Pid.t;
-  received : (Pid.t * int) option;  (** sender and replay-local message id *)
+  received : (Pid.t * int) option;  (** sender and buffer id *)
   sent : (Pid.t * int) list;
   outputs : string list;  (** rendered by [pp_output] *)
   seen : string;  (** rendered detector answer at this step *)
@@ -79,7 +79,7 @@ val to_artifact : scope:Rlfd_obs.Json.t -> 'o execution -> Rlfd_obs.Recorder.t
 
 val schedule_of_artifact : Rlfd_obs.Recorder.t -> (schedule, string) result
 (** The choices of an artifact back as an executable schedule ([Error] on
-    malformed hex). *)
+    malformed hex, or on a process or sender index below 1). *)
 
 val runner_artifact :
   scope:Rlfd_obs.Json.t ->
@@ -96,9 +96,11 @@ val runner_artifact :
     faithful artifact reproduces it byte-for-byte, which is how [fdsim
     replay] verifies run recordings. *)
 
-val replay_entries : Rlfd_obs.Recorder.t -> (int * Pid.t * Buffer.id option) list
+val replay_entries :
+  Rlfd_obs.Recorder.t -> ((int * Pid.t * Buffer.id option) list, string) result
 (** The choices of a [Run]-kind artifact in {!Scheduler.replay} form
-    (choices without a tick — an [Explore] artifact's — are skipped). *)
+    (choices without a tick — an [Explore] artifact's — are skipped);
+    [Error] on a process or sender index below 1. *)
 
 val check_against : Rlfd_obs.Recorder.t -> 'o execution -> string list
 (** Byte-for-byte verification of a replay against the recording: decision

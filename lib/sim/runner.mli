@@ -1,13 +1,15 @@
 (** Run executor (paper, Sections 2.4–2.5).
 
-    Executes an algorithm against a failure pattern, a failure detector and
-    a scheduler, producing the finite prefix of a run:
-    [R = <F, H, C, S, T>] with one clock tick per scheduled step.  The
-    executor enforces the validity conditions of the model: only alive
-    processes step, a step receives at most one buffered message destined to
-    it, and the detector value seen is [H(p, t)] for the step's own time.
+    The one implementation of the model's step [(p, m, d, A)] ({!step}),
+    and the executor that drives it under a {!Scheduler} ({!run}),
+    producing the finite prefix of a run: [R = <F, H, C, S, T>] with one
+    clock tick per scheduled step.  {!Replay.execute} drives the same step
+    under a recorded schedule.  The step enforces the validity conditions
+    of the model: only alive processes step, a step receives at most one
+    buffered message destined to it, and the detector value seen is
+    [H(p, t)] for the step's own time.
 
-    The executor transparently tags every message with the sender's
+    The step transparently tags every message with the sender's
     heard-from set and vector clock, so the {e causal chain} of every event
     is available afterwards — this is what the totality checker (Lemma 4.1)
     and the alive-tagging reduction (Section 4.3) consume. *)
@@ -17,6 +19,48 @@ open Rlfd_fd
 
 (** Causal metadata carried by every in-flight message. *)
 type 'm tagged = { payload : 'm; hf : Pid.Set.t; vc : Vclock.t }
+
+(** {1 The step} *)
+
+(** A configuration: every process's state, causal metadata and the
+    messages in transit.  Arrays are indexed by [Pid.to_int p - 1]; the
+    step updates them in place. *)
+type ('s, 'm) config = {
+  states : 's array;
+  heard_from : Pid.Set.t array;  (** as in {!event}, after the last step *)
+  vclocks : Vclock.t array;
+  buffer : 'm tagged Model.envelope Buffer.t;
+}
+
+val initial : n:int -> ('s, 'm, 'd, 'o) Model.t -> ('s, 'm) config
+(** The initial configuration: initial states, each process heard only
+    from itself, empty clocks and an empty buffer. *)
+
+(** What one step did. *)
+type ('s, 'm, 'd, 'o) transition = {
+  received : 'm tagged Model.envelope option;  (** [None] = lambda *)
+  seen : 'd;  (** the detector value the step saw *)
+  effects : ('s, 'm, 'o) Model.effects;
+  sent_ids : Buffer.id list;  (** buffer ids of [effects.sends], same order *)
+}
+
+val step :
+  pattern:Pattern.t ->
+  detector:'d Detector.t ->
+  ('s, 'm, 'd, 'o) Model.t ->
+  ('s, 'm) config ->
+  time:Time.t ->
+  pid:Pid.t ->
+  receive:Buffer.id option ->
+  ('s, 'm, 'd, 'o) transition
+(** [step ~pattern ~detector algo c ~time ~pid ~receive] is process
+    [pid]'s step at [time]: it removes the message [receive] from the
+    buffer ([None] = the null message), queries the detector at [time],
+    applies the automaton and puts the sends in transit.  Raises
+    [Invalid_argument] if [pid] has crashed by [time], if the message was
+    already consumed, or if it is destined to another process. *)
+
+(** {1 Runs} *)
 
 (** One scheduled step. *)
 type 'o event = {
@@ -56,7 +100,6 @@ val run :
   ?record_events:bool ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
-  ?trace_idle:bool ->
   ?pp_output:('o -> string) ->
   ?pp_seen:('d -> string) ->
   pattern:Pattern.t ->
@@ -67,15 +110,14 @@ val run :
   ('s, 'o) result
 (** [until] sees the outputs emitted so far, {e most recent first}; the run
     stops as soon as it returns [true].  [record_events] (default [true])
-    can be switched off for long benchmark runs.  Raises [Invalid_argument]
-    if the scheduler steps a crashed process or delivers a message to a
-    process other than its destination.
+    can be switched off for long benchmark runs.  Each scheduled step is
+    one {!step}, so a scheduler that steps a crashed process or delivers a
+    consumed or misaddressed message raises [Invalid_argument].
 
     {b Observability} (all off by default and free when off):
     - [sink] receives exactly one {!Rlfd_obs.Trace.Step} event per
       scheduled step — so a JSONL export has as many lines as the run has
-      [steps] — plus {!Rlfd_obs.Trace.Idle} events when [trace_idle] is
-      set.  [pp_output] renders algorithm outputs into the event (default
+      [steps].  [pp_output] renders algorithm outputs into the event (default
       ["_"]); [pp_seen] (off by default) renders the failure-detector
       value the step saw.
     - [metrics] gets the counters [steps], [idle_ticks], [messages_sent],
@@ -86,9 +128,6 @@ val outputs_of : ('s, 'o) result -> Pid.t -> (Time.t * 'o) list
 
 val first_output : ('s, 'o) result -> Pid.t -> (Time.t * 'o) option
 (** Earliest output of one process, if any. *)
-
-val all_correct_output : ('s, 'o) result -> bool
-(** Every correct process of the pattern emitted at least one output. *)
 
 val stop_when_all_correct_output : Pattern.t -> (Time.t * Pid.t * 'o) list -> bool
 (** Ready-made [until]: stop once every correct process has output. *)

@@ -1,4 +1,5 @@
 open Rlfd_kernel
+open Rlfd_fd
 
 let legend =
   "legend: '.' lambda step, '<k' received from pk, '*' output emitted, 'X' crashed"
@@ -8,51 +9,6 @@ let cell_width = 6
 let pad s =
   if String.length s >= cell_width then String.sub s 0 cell_width
   else s ^ String.make (cell_width - String.length s) ' '
-
-let render ?(max_rows = 60) ?pp_output (r : _ Runner.result) =
-  let buffer = Stdlib.Buffer.create 1024 in
-  let add fmt = Format.kasprintf (Stdlib.Buffer.add_string buffer) fmt in
-  let n = r.Runner.n in
-  let pids = Pid.all ~n in
-  (* header *)
-  add "%s" (pad "t");
-  List.iter (fun p -> add "%s" (pad (Pid.to_string p))) pids;
-  Stdlib.Buffer.add_string buffer "\n";
-  let events = r.Runner.events in
-  let shown = List.filteri (fun i _ -> i < max_rows) events in
-  List.iter
-    (fun (e : _ Runner.event) ->
-      add "%s" (pad (string_of_int (Time.to_int e.Runner.time)));
-      List.iter
-        (fun p ->
-          let cell =
-            if Pid.equal p e.Runner.pid then begin
-              let action =
-                match e.Runner.received with
-                | Some src -> Format.asprintf "<%d" (Pid.to_int src)
-                | None -> "."
-              in
-              let mark = if e.Runner.outputs <> [] then "*" else "" in
-              action ^ mark
-            end
-            else if Rlfd_fd.Pattern.is_crashed r.Runner.pattern p e.Runner.time then "X"
-            else ""
-          in
-          add "%s" (pad cell))
-        pids;
-      (match (pp_output, e.Runner.outputs) with
-      | Some pp, o :: _ -> add " %a" pp o
-      | _ -> ());
-      Stdlib.Buffer.add_string buffer "\n")
-    shown;
-  let hidden = List.length events - List.length shown in
-  if hidden > 0 then add "... %d more steps elided ...\n" hidden;
-  Stdlib.Buffer.add_string buffer legend;
-  Stdlib.Buffer.add_string buffer "\n";
-  Stdlib.Buffer.contents buffer
-
-let print ?max_rows ?pp_output r =
-  print_string (render ?max_rows ?pp_output r)
 
 module Timeline = struct
   type step = {
@@ -100,7 +56,11 @@ module Timeline = struct
         })
       r.Runner.events
 
-  let render_ascii ?(max_rows = 60) ?title ~n ~crashed_at steps =
+  let crashed_at pattern p =
+    Option.map Time.to_int (Pattern.crash_time pattern (Pid.of_int p))
+
+  let render_ascii ?(max_rows = 60) ?title ~pattern steps =
+    let n = Pattern.n pattern and crashed_at = crashed_at pattern in
     let buffer = Stdlib.Buffer.create 1024 in
     let add fmt = Format.kasprintf (Stdlib.Buffer.add_string buffer) fmt in
     (match title with None -> () | Some t -> add "%s\n" t);
@@ -140,8 +100,7 @@ module Timeline = struct
       shown;
     let hidden = List.length steps - List.length shown in
     if hidden > 0 then add "... %d more steps elided ...\n" hidden;
-    Stdlib.Buffer.add_string buffer legend;
-    Stdlib.Buffer.add_string buffer "\n";
+    add "%s\n" legend;
     Stdlib.Buffer.contents buffer
 
   let dot_escape s =
@@ -151,7 +110,8 @@ module Timeline = struct
            | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n" | c -> String.make 1 c)
          (List.init (String.length s) (String.get s)))
 
-  let render_dot ?title ~n ~crashed_at steps =
+  let render_dot ?title ~pattern steps =
+    let n = Pattern.n pattern and crashed_at = crashed_at pattern in
     let buffer = Stdlib.Buffer.create 1024 in
     let add fmt = Format.kasprintf (Stdlib.Buffer.add_string buffer) fmt in
     add "digraph spacetime {\n";
@@ -216,3 +176,7 @@ module Timeline = struct
     add "}\n";
     Stdlib.Buffer.contents buffer
 end
+
+let render ?max_rows ?pp_output (r : _ Runner.result) =
+  Timeline.render_ascii ?max_rows ~pattern:r.Runner.pattern
+    (Timeline.of_result ?pp_output r)

@@ -11,8 +11,6 @@ let is_identity pi =
   Array.iteri (fun i img -> if img <> i + 1 then ok := false) pi;
   !ok
 
-let degree = Array.length
-
 let apply pi p = Pid.of_int pi.(Pid.to_int p - 1)
 
 let of_images images =
@@ -38,10 +36,6 @@ let inverse pi =
   let inv = Array.make (Array.length pi) 0 in
   Array.iteri (fun i img -> inv.(img - 1) <- i + 1) pi;
   inv
-
-let pp ppf pi =
-  Format.fprintf ppf "(%s)"
-    (String.concat " " (List.map string_of_int (images pi)))
 
 (* All permutations of [l], deterministically ordered (identity-compatible
    order first: inserting the head in every position, leftmost first). *)
@@ -132,19 +126,6 @@ type ('s, 'm, 'o) renamer = {
 }
 
 let rename_set f s = Pid.Set.map f s
-
-(* Rebuild in ascending order of the NEW keys: [Canon.encode_value]
-   marshals the map's internal tree, whose shape depends on insertion
-   order — a renamed map must byte-match the one its twin branch built, so
-   every map here is (re)constructed by the same deterministic ascending
-   insertion sequence. *)
-let of_sorted_bindings bs =
-  List.fold_left (fun acc (k, v) -> Pid.Map.add k v acc) Pid.Map.empty bs
-
-let rename_map_keys f m =
-  Pid.Map.fold (fun p v acc -> (f p, v) :: acc) m []
-  |> List.sort (fun (a, _) (b, _) -> Pid.compare a b)
-  |> of_sorted_bindings
 
 let value_map_of_proposals ~n ~proposals pi =
   let assoc =

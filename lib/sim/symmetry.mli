@@ -46,8 +46,6 @@ val identity : n:int -> perm
 
 val is_identity : perm -> bool
 
-val degree : perm -> int
-
 val apply : perm -> Pid.t -> Pid.t
 
 val of_images : int list -> perm
@@ -60,8 +58,6 @@ val compose : perm -> perm -> perm
 (** [compose f g] applies [g] first, then [f]. *)
 
 val inverse : perm -> perm
-
-val pp : Format.formatter -> perm -> unit
 
 (** {1 Groups from scopes} *)
 
@@ -101,9 +97,6 @@ type ('s, 'm, 'o) renamer = {
     where pids hide inside ['s] and ['m]. *)
 
 val rename_set : (Pid.t -> Pid.t) -> Pid.Set.t -> Pid.Set.t
-
-val rename_map_keys : (Pid.t -> Pid.t) -> 'a Pid.Map.t -> 'a Pid.Map.t
-(** Rename the keys, keeping each binding's value. *)
 
 val value_map_of_proposals :
   n:int -> proposals:(Pid.t -> 'o) -> perm -> 'o -> 'o

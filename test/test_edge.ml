@@ -22,6 +22,28 @@ let evil_scheduler pid_to_step =
        [ { Scheduler.blocks_step = (fun _ q -> not (Pid.equal q pid_to_step));
            blocks_delivery = (fun _ _ -> false) } ])
 
+(* The step's guards, reached directly: the built-in schedulers only
+   choose alive processes and pending messages, so they never trip them.
+   The scope has one message to p2, already delivered, and one to p3 in
+   flight; [step] takes a step in it at t=5. *)
+let guard_scope crashes =
+  let pattern = pattern ~n crashes in
+  let c = Runner.initial ~n null_automaton in
+  let send dst =
+    Buffer.add c.Runner.buffer
+      { Model.src = pid 1; dst = pid dst;
+        payload = { Runner.payload = 0; hf = Pid.Set.empty; vc = Vclock.empty } }
+  in
+  let consumed = send 2 in
+  let to_p3 = send 3 in
+  let step p receive () =
+    ignore
+      (Runner.step ~pattern ~detector:Perfect.canonical null_automaton c
+         ~time:(time 5) ~pid:(pid p) ~receive)
+  in
+  step 2 (Some consumed) ();
+  (consumed, to_p3, step)
+
 let runner_guard_tests =
   [
     test "a scheduler cannot step a crashed process" (fun () ->
@@ -62,6 +84,20 @@ let runner_guard_tests =
         in
         check_all_hold "duo"
           (Properties.check_consensus ~uniform:true ~proposals ~equal:Int.equal r));
+    test "the step refuses a consumed message" (fun () ->
+        let consumed, _, step = guard_scope [] in
+        Alcotest.check_raises "consumed"
+          (Invalid_argument "Runner.step: a consumed message was delivered")
+          (step 2 (Some consumed)));
+    test "the step refuses a message for another process" (fun () ->
+        let _, to_p3, step = guard_scope [] in
+        Alcotest.check_raises "misdelivered"
+          (Invalid_argument "Runner.step: a message was misdelivered")
+          (step 4 (Some to_p3)));
+    test "the step refuses a crashed process" (fun () ->
+        let _, _, step = guard_scope [ (3, 5) ] in
+        Alcotest.check_raises "crashed"
+          (Invalid_argument "Runner.step: a crashed process stepped") (step 3 None));
   ]
 
 (* ---------- rotating coordinator details ---------- *)

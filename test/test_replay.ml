@@ -242,10 +242,13 @@ let shrink_tests =
           (execute_rank ~pattern ~schedule:(pump_schedule ~rounds:2))
             .Replay.executed
         in
+        (* a subsequence of a clean schedule, led by an entry for a
+           process outside 1..n: what cannot be honoured is dropped *)
         let sub =
-          List.filteri
-            (fun i _ -> List.exists (fun k -> k mod List.length base = i) mask)
-            base
+          (Pid.of_int (n + 1), None)
+          :: List.filteri
+               (fun i _ -> List.exists (fun k -> k mod List.length base = i) mask)
+               base
         in
         let e = execute_rank ~pattern ~schedule:sub in
         List.length e.Replay.executed + e.Replay.dropped = List.length sub
@@ -274,7 +277,7 @@ let run_kind_tests =
         in
         let a = record (Scheduler.fair ()) in
         let a = roundtrip_artifact a in
-        let a' = record (Scheduler.replay (Replay.replay_entries a)) in
+        let a' = record (Scheduler.replay (Result.get_ok (Replay.replay_entries a))) in
         Alcotest.(check (list string)) "byte-identical artifact"
           (Recorder.to_lines a) (Recorder.to_lines a'));
     test "replay entries carry exact message identities" (fun () ->
@@ -290,7 +293,7 @@ let run_kind_tests =
           Replay.runner_artifact ~scope:scope_json ~pp_output:string_of_int
             ~queries:(queries ()) r
         in
-        let entries = Replay.replay_entries a in
+        let entries = Result.get_ok (Replay.replay_entries a) in
         Alcotest.(check int) "one entry per step" r.Runner.steps
           (List.length entries);
         let receives =
@@ -298,6 +301,41 @@ let run_kind_tests =
         in
         Alcotest.(check int) "receive count matches the run" r.Runner.delivered
           receives);
+    test "Replay re-executes a fair Runner run step for step" (fun () ->
+        (* Both drivers take the Runner's step: under [fair], which always
+           delivers the oldest message, a run's events read as a schedule
+           replay to the same processes, message ids and outputs. *)
+        List.iter
+          (fun (n, crashes) ->
+            let pattern = pattern ~n crashes in
+            let algo = Ct_strong.automaton ~proposals in
+            let r = run_consensus ~detector:Perfect.canonical ~pattern algo in
+            let schedule =
+              List.map
+                (fun (ev : _ Runner.event) ->
+                  (ev.pid, Option.map (fun src -> (src, "")) ev.received))
+                r.Runner.events
+            in
+            let e =
+              Replay.execute ~pp_output:string_of_int ~pattern
+                ~detector:Perfect.canonical ~check:(fun _ -> None) ~schedule algo
+            in
+            let of_event (ev : _ Runner.event) =
+              ( ev.pid,
+                Option.map (fun src -> (src, Option.get ev.received_id)) ev.received,
+                List.combine ev.sent_to ev.sent_ids,
+                List.map string_of_int ev.outputs )
+            in
+            let of_step (s : Replay.step_info) =
+              (s.pid, s.received, s.sent, s.outputs)
+            in
+            Alcotest.(check int) "nothing dropped" 0 e.Replay.dropped;
+            Alcotest.(check bool) "same steps" true
+              (List.map of_event r.Runner.events = List.map of_step e.Replay.steps);
+            Alcotest.(check bool) "same outputs" true
+              (List.map (fun (t, p, o) -> (Time.to_int t, p, o)) r.Runner.outputs
+              = e.Replay.outputs))
+          [ (3, []); (4, [ (2, 10) ]) ]);
   ]
 
 (* ---------- recorder codec edges ---------- *)
@@ -324,6 +362,18 @@ let codec_tests =
           (Result.is_error (Recorder.hex_decode "abc"));
         Alcotest.(check bool) "bad digit" true
           (Result.is_error (Recorder.hex_decode "zz")));
+    test "a choice naming process 0 is an Error, not an exception" (fun () ->
+        let e = execute_rank ~pattern:(Pattern.failure_free ~n) ~schedule:[] in
+        let a = Replay.to_artifact ~scope:scope_json e in
+        List.iter
+          (fun choice ->
+            let a = { a with Recorder.choices = [ choice ] } in
+            Alcotest.(check bool) "both decoders refuse it" true
+              (Result.is_error (Replay.schedule_of_artifact a)
+              && Result.is_error (Replay.replay_entries a)))
+          [ { Recorder.at = Some 0; pid = 0; recv = None };
+            { at = Some 0; pid = 1;
+              recv = Some { src = 0; msg = Some 0; payload = "" } } ]);
   ]
 
 let () =

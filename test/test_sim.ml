@@ -41,34 +41,64 @@ let run_gossip ?(pattern = Pattern.failure_free ~n) ?(scheduler = Scheduler.fair
 
 (* ---------- buffer ---------- *)
 
+(* The buffer against a list model: a removal returns a message exactly
+   once, [pending] lists a destination's messages oldest first and [iter]
+   walks every message in id order, which is the order of [add].  The
+   order is part of the results: [Scheduler.random] picks by position in
+   [pending] and [fair] takes its head. *)
+let buffer_model_test =
+  qtest ~count:300 "add/remove/pending/iter agree with a list model"
+    QCheck.(small_list (pair bool (int_bound 31)))
+    (fun ops ->
+      let b = Buffer.create ~dst:fst in
+      let model = ref [] (* (id, (dst, k)), oldest first *) in
+      List.for_all
+        (fun (add, k) ->
+          let op_ok =
+            if add then (
+              let m = (pid ((k mod 4) + 1), k) in
+              model := !model @ [ (Buffer.add b m, m) ];
+              true)
+            else
+              let expected = List.assoc_opt k !model in
+              model := List.remove_assoc k !model;
+              Buffer.remove b k = expected
+          in
+          let visited = ref [] in
+          Buffer.iter b (fun id m -> visited := (id, m) :: !visited);
+          op_ok
+          && List.rev !visited = !model
+          && List.for_all
+               (fun p ->
+                 Buffer.pending b p
+                 = List.filter (fun (_, (dst, _)) -> Pid.equal dst p) !model)
+               (Pid.all ~n:4))
+        ops)
+
 let buffer_tests =
   [
     test "add/remove roundtrip" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun _ -> pid 1) in
         let id = Buffer.add b "x" in
         Alcotest.(check (option string)) "found" (Some "x") (Buffer.remove b id);
         Alcotest.(check (option string)) "gone" None (Buffer.remove b id));
     test "pending_for filters by destination, oldest first" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun e -> e.Model.dst) in
         let env dst payload = { Model.src = pid 1; dst = pid dst; payload } in
         ignore (Buffer.add b (env 2 "a"));
         ignore (Buffer.add b (env 3 "b"));
         ignore (Buffer.add b (env 2 "c"));
-        let pending = Buffer.pending_for b ~dst:(pid 2) ~keep:(fun e -> e.Model.dst) in
+        let pending = Buffer.pending b (pid 2) in
         Alcotest.(check (list string)) "ordered" [ "a"; "c" ]
           (List.map (fun (_, e) -> e.Model.payload) pending));
-    test "size" (fun () ->
-        let b = Buffer.create () in
-        ignore (Buffer.add b 1);
-        ignore (Buffer.add b 2);
-        Alcotest.(check int) "2" 2 (Buffer.size b));
     test "iter in id order" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun _ -> pid 1) in
         ignore (Buffer.add b "first");
         ignore (Buffer.add b "second");
         let acc = ref [] in
         Buffer.iter b (fun _ v -> acc := v :: !acc);
         Alcotest.(check (list string)) "order" [ "second"; "first" ] !acc);
+    buffer_model_test;
   ]
 
 (* ---------- schedulers ---------- *)

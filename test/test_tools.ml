@@ -38,7 +38,7 @@ let spacetime_tests =
             (Ct_strong.automaton ~proposals)
         in
         let s =
-          Spacetime.render ~max_rows:500 ~pp_output:Format.pp_print_int r
+          Spacetime.render ~max_rows:500 ~pp_output:string_of_int r
         in
         Alcotest.(check bool) "decision value shown" true
           (contains_substring ~needle:"1001" s));
@@ -134,7 +134,7 @@ let replay_tests =
           check_violated "replayed violation"
             (Properties.uniform_agreement ~equal:Int.equal r);
           (* the space-time diagram of the witness renders *)
-          let s = Spacetime.render ~pp_output:Format.pp_print_int r in
+          let s = Spacetime.render ~pp_output:string_of_int r in
           Alcotest.(check bool) "renders" true (contains_substring ~needle:"legend" s);
           ignore n);
     test "scripted scheduler goes idle after the script" (fun () ->
