@@ -634,6 +634,24 @@ let parse_impl s =
     Format.eprintf "fdsim: %s@." msg;
     exit 2
 
+(* An unset --timeout resolves per run to the implementation's perfect
+   timeout on that run's link, or to 31 where the link has none. *)
+let fallback_timeout = 31
+
+let with_timeout timeout (spec : Detector_impl.spec) model =
+  let perfect =
+    match spec.impl with
+    | `Heartbeat -> Heartbeat.perfect_timeout
+    | `Pingack -> Pingack.perfect_timeout
+  in
+  let timeout =
+    match timeout with
+    | Some t -> t
+    | None ->
+      Option.value ~default:fallback_timeout (perfect model ~period:spec.period)
+  in
+  { spec with timeout }
+
 let qos_summary_to_json ~spec ~partitions (s : Qos_stream.summary) =
   let open Obs.Json in
   Obj
@@ -721,7 +739,7 @@ let campaign_progress ~progress_f prefix =
         Printf.eprintf "%s: %d/%d jobs\n%!" prefix done_ total
       | _ -> ())
 
-let qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
+let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
     ~base_model ~ns ~losses ~churns ~seeds ~jobs ~out ~progress_f =
   let spec =
     Campaign.Spec.make ~name:"fdsim-qos"
@@ -748,6 +766,7 @@ let qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
     let partitions = partitions_for ~n:jn partition_triples in
     let pattern = pattern_of ~n:jn (churn_crashes ~n:jn ~horizon churn) in
     let model = apply_loss ~loss base_model in
+    let dspec = with_timeout timeout dspec model in
     let s =
       qos_run ~label:(Campaign.Spec.label jb) ~n:jn ~pattern ~model
         ~seed:jb.Campaign.Spec.seed ~horizon ~spec:dspec ~partitions
@@ -798,7 +817,10 @@ let qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
           ("detector",
            Obs.Json.Obj
              [ ("period", Obs.Json.Int base.Detector_impl.period);
-               ("timeout", Obs.Json.Int base.Detector_impl.timeout);
+               ("timeout",
+                match timeout with
+                | Some t -> Obs.Json.Int t
+                | None -> Obs.Json.Null);
                ("adaptive", Obs.Json.Bool (base.Detector_impl.backoff <> None));
                ("retries", Obs.Json.Int base.Detector_impl.retries) ]);
           ("partitions",
@@ -834,7 +856,7 @@ let qos_cmd =
         Detector_impl.impl = parse_impl impl_s;
         topology = parse_topology topology_s;
         period;
-        timeout;
+        timeout = fallback_timeout;
         backoff = (if adaptive then Some 25 else None);
         retries;
       }
@@ -854,7 +876,7 @@ let qos_cmd =
           if grid_topos = [] then [ base.Detector_impl.topology ]
           else List.map parse_topology grid_topos
         in
-        qos_grid ~seed ~horizon ~base ~impls ~topos ~partition_triples
+        qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
           ~base_model ~ns ~losses ~churns ~seeds ~jobs ~out ~progress_f
       else begin
         let crashes =
@@ -863,8 +885,9 @@ let qos_cmd =
         let pattern = pattern_of ~n crashes in
         let model = apply_loss ~loss base_model in
         let partitions = partitions_for ~n partition_triples in
-        qos_single ~n ~seed ~horizon ~pattern ~model ~spec:base ~partitions
-          ~json ~progress_f ~check
+        qos_single ~n ~seed ~horizon ~pattern ~model
+          ~spec:(with_timeout timeout base model) ~partitions ~json ~progress_f
+          ~check
       end
     in
     exit_ok ok
@@ -905,7 +928,16 @@ let qos_cmd =
     Arg.(value & opt int 20 & info [ "period" ] ~docv:"T" ~doc:"Heartbeat period.")
   in
   let timeout =
-    Arg.(value & opt int 31 & info [ "timeout" ] ~docv:"T" ~doc:"Suspicion timeout.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "timeout" ] ~docv:"T"
+          ~doc:
+            "Suspicion timeout.  Default: the implementation's perfect \
+             timeout on the run's link, delta + period + 1 for heartbeat \
+             and 2*delta + period + 1 for pingack (31 and 41 on the \
+             default sync link); 31 where the link has none (psync, \
+             async, --loss).  Under --grid it is resolved per job.")
   in
   let loss =
     Arg.(

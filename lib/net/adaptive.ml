@@ -4,7 +4,6 @@ type t = {
   initial : int;
   backoff : int option;
   deltas : int Pid.Map.t; (* only peers ever bumped *)
-  max_timeout : int;
 }
 
 let create ~initial ~backoff =
@@ -12,9 +11,7 @@ let create ~initial ~backoff =
   (match backoff with
   | Some b when b <= 0 -> invalid_arg "Adaptive.create: backoff must be > 0"
   | _ -> ());
-  { initial; backoff; deltas = Pid.Map.empty; max_timeout = initial }
-
-let is_adaptive t = t.backoff <> None
+  { initial; backoff; deltas = Pid.Map.empty }
 
 let timeout t p =
   match Pid.Map.find_opt p t.deltas with Some d -> d | None -> t.initial
@@ -22,16 +19,4 @@ let timeout t p =
 let bump t p =
   match t.backoff with
   | None -> t
-  | Some b ->
-    let d = timeout t p + b in
-    { t with deltas = Pid.Map.add p d t.deltas;
-      max_timeout = Stdlib.max t.max_timeout d }
-
-let max_timeout t = t.max_timeout
-
-let pp ppf t =
-  match t.backoff with
-  | None -> Format.fprintf ppf "fixed(timeout=%d)" t.initial
-  | Some b ->
-    Format.fprintf ppf "adaptive(timeout0=%d,backoff=%d,max=%d)" t.initial b
-      t.max_timeout
+  | Some b -> { t with deltas = Pid.Map.add p (timeout t p + b) t.deltas }

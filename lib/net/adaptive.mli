@@ -10,10 +10,10 @@
     themselves slack; quiet links keep their tight bound and their low
     detection latency.
 
-    The table is a pure value shared by {!Heartbeat} and {!Pingack}, so
-    both implementations adapt with exactly the same rule — the
-    [--adaptive] axis of [fdsim qos] is one switch, not one per
-    implementation. *)
+    The table is a pure value held by the {!Monitor} core that
+    {!Heartbeat} and {!Pingack} share, so both implementations adapt
+    with exactly the same rule — the [--adaptive] axis of [fdsim qos] is
+    one switch, not one per implementation. *)
 
 open Rlfd_kernel
 
@@ -24,18 +24,9 @@ val create : initial:int -> backoff:int option -> t
     identity.  Raises [Invalid_argument] if [initial < 1] or
     [backoff <= 0]. *)
 
-val is_adaptive : t -> bool
-
 val timeout : t -> Pid.t -> int
 (** The current timeout for a peer ([initial] until first bumped). *)
 
 val bump : t -> Pid.t -> t
 (** Grow the peer's timeout by the backoff after a premature suspicion;
     identity for fixed tables. *)
-
-val max_timeout : t -> int
-(** The largest per-peer timeout currently in force ([initial] when
-    nothing was ever bumped) — what retry schedulers use to size a wave
-    timer covering every peer. *)
-
-val pp : Format.formatter -> t -> unit

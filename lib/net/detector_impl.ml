@@ -48,8 +48,6 @@ module type S = sig
   type msg
 
   val node : (state, msg, Pid.Set.t) Netsim.node
-
-  val suspected : state -> Pid.Set.t
 end
 
 type detector = (module S)
@@ -74,8 +72,6 @@ let instantiate ?sink ?metrics ~n spec =
       type msg = Heartbeat.msg
 
       let node = Heartbeat.node ?sink ?metrics ~topology:spec.topology style
-
-      let suspected = Heartbeat.suspected
     end : S)
   | `Pingack ->
     let params =
@@ -87,8 +83,6 @@ let instantiate ?sink ?metrics ~n spec =
       type msg = Pingack.msg
 
       let node = Pingack.node ?sink ?metrics ?backoff:spec.backoff ~topology:spec.topology params
-
-      let suspected = Pingack.suspected
     end : S)
 
 type simulation = Sim : ('s, Pid.Set.t) Netsim.result -> simulation

@@ -7,7 +7,11 @@
     first-class {!spec} and erases the per-implementation state types
     behind a module ({!S}) and an existential result ({!simulation}), so
     the QoS machinery, the CLI and the benches are written once and run
-    against every member of the zoo. *)
+    against every member of the zoo.
+
+    Both protocols run on one suspicion core ({!Monitor}): the protocol
+    axis changes how proof of life arrives and when a deadline sweep
+    floods, never how a suspicion is formed, refuted or output. *)
 
 open Rlfd_kernel
 open Rlfd_fd
@@ -19,6 +23,9 @@ type spec = {
   topology : Topology.t;
   period : int;
   timeout : int;
+      (** per-link timeout (the initial one when adaptive); the
+          implementation's [perfect_timeout] makes it Perfect on a
+          synchronous link *)
   backoff : int option;  (** [Some b]: adaptive per-link timeouts *)
   retries : int;  (** ping-ack re-solicitations per round; ignored by heartbeat *)
 }
@@ -38,16 +45,14 @@ val to_json : spec -> Rlfd_obs.Json.t
 (** The self-describing scope-header fragment: impl, topology, period,
     timeout, adaptive (+backoff), retries for ping-ack. *)
 
-(** A detector instance ready to run: its node and how to read a node
-    state's suspicion set back out. *)
+(** A detector instance ready to run: its node, with the state and
+    message types erased. *)
 module type S = sig
   type state
 
   type msg
 
   val node : (state, msg, Pid.Set.t) Netsim.node
-
-  val suspected : state -> Pid.Set.t
 end
 
 type detector = (module S)

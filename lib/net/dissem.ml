@@ -54,13 +54,3 @@ let payload t ~now =
       else acc)
     t.view []
   |> List.rev (* Pid.Map.fold is ascending; rev keeps subject order *)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>view{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       (fun ppf (p, e) ->
-         Format.fprintf ppf "p%d:%s@%d" (Pid.to_int p)
-           (if e.on then "susp" else "ok")
-           e.since))
-    (Pid.Map.bindings t.view)

@@ -17,7 +17,7 @@
       its own (refutation beats suspicion on a tie) — so a refuted
       suspicion can never be resurrected by a laggard's stale gossip;
     - adopting something new is worth telling the neighbours about
-      immediately (event-driven flooding, the caller's job via the
+      immediately (event-driven flooding, {!Monitor}'s job via the
       [changed] result of {!merge}): each node adopts a given verdict at
       most once, so a transition costs O(n · degree) messages and
       reaches everyone in diameter hops instead of diameter periods.
@@ -67,5 +67,3 @@ val payload : t -> now:int -> payload
 (** What to piggyback at [now]: every suspicion entry, plus refutations
     adopted within [retention].  Sorted by subject, so message contents
     are deterministic. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,20 +12,8 @@ let pp_style ppf = function
 
 type msg = Beat of Dissem.payload | Update of Dissem.payload
 
-type state = {
-  period : int;
-  adaptive : Adaptive.t;
-  last_heard : int Pid.Map.t; (* watched peers only *)
-  direct : Pid.Set.t; (* watched peers currently overdue *)
-  view : Dissem.t; (* only consulted under dissemination *)
-  dissemination : bool;
-  watchers : Pid.t list;
-  neighbours : Pid.t list;
-}
-
-let suspected st = if st.dissemination then Dissem.suspected st.view else st.direct
-
-let timeout_of st p = Adaptive.timeout st.adaptive p
+(* The protocol's own state is who to beat: this node's watchers. *)
+type state = Pid.t list Monitor.t
 
 let tick_tag = 0
 
@@ -33,150 +21,41 @@ let params = function
   | Fixed { period; timeout } -> (period, timeout, None)
   | Adaptive { period; initial_timeout; backoff } -> (period, initial_timeout, Some backoff)
 
-let node ?(sink = Rlfd_obs.Trace.null) ?metrics ?(topology = Topology.All_to_all)
-    style =
-  let period, timeout0, backoff = params style in
-  let dissemination = Topology.needs_dissemination topology in
-  let retention = 4 * (period + timeout0) in
+let update payload = Update payload
+
+let node ?sink ?metrics ?(topology = Topology.All_to_all) style =
+  let period, timeout, backoff = params style in
+  (* under all-to-all every node watches every other and nothing is
+     gossiped, so one Broadcast makes the same posts in the same order *)
+  let broadcast = not (Topology.needs_dissemination topology) in
+  let tick = Netsim.Set_timer { delay = period; tag = tick_tag } in
+  let beats m ~now =
+    if broadcast then [ Netsim.Broadcast (Beat []) ]
+    else
+      let beat = Beat (Monitor.news m ~now) in
+      List.map (fun p -> Netsim.Send (p, beat)) (Monitor.protocol m)
+  in
   let init ~n ~self =
-    let watched = Topology.watches topology ~n self in
-    let last_heard = List.fold_left (fun m p -> Pid.Map.add p 0 m) Pid.Map.empty watched in
-    let st =
-      {
-        period;
-        adaptive = Adaptive.create ~initial:timeout0 ~backoff;
-        last_heard;
-        direct = Pid.Set.empty;
-        view = Dissem.create ~retention;
-        dissemination;
-        watchers = Topology.watchers topology ~n self;
-        neighbours = Topology.neighbours topology ~n self;
-      }
+    let m =
+      Monitor.create ~topology ~n ~self ~period ~timeout ~backoff
+        (Topology.watchers topology ~n self)
     in
-    let beats =
-      if dissemination then List.map (fun p -> Netsim.Send (p, Beat [])) st.watchers
-      else [ Netsim.Broadcast (Beat []) ]
-    in
-    (st, beats @ [ Netsim.Set_timer { delay = period; tag = tick_tag } ])
+    (m, beats m ~now:0 @ [ tick ])
   in
-  let observe_transitions ~self ~now old_suspects suspects =
-    let flipped on subject =
-      if not (Rlfd_obs.Trace.is_null sink) then
-        Rlfd_obs.Trace.(
-          emit sink
-            (Suspect
-               {
-                 time = now;
-                 observer = Pid.to_int self;
-                 subject = Pid.to_int subject;
-                 on;
-               }));
-      match metrics with
-      | None -> ()
-      | Some m -> Rlfd_obs.Metrics.incr m "suspicion_transitions"
-    in
-    Pid.Set.iter (flipped true) (Pid.Set.diff suspects old_suspects);
-    Pid.Set.iter (flipped false) (Pid.Set.diff old_suspects suspects)
+  let on_message ~n:_ ~self ~now m ~src = function
+    | Beat news -> Monitor.alive m ~self ~now src news ~update
+    | Update news -> Monitor.merge m ~self ~now news ~update
   in
-  let emit_if_changed ~self ~now old_suspects st =
-    let suspects = suspected st in
-    if Pid.Set.equal old_suspects suspects then []
-    else begin
-      observe_transitions ~self ~now old_suspects suspects;
-      [ suspects ]
-    end
-  in
-  (* Event-driven dissemination: on any view change, push the whole view to
-     every monitoring neighbour.  Receivers adopt an entry only if strictly
-     fresher, so each wave crosses each edge a bounded number of times. *)
-  let flood st ~now =
-    let payload = Dissem.payload st.view ~now in
-    List.map (fun p -> Netsim.Send (p, Update payload)) st.neighbours
-  in
-  let on_message ~n:_ ~self ~now st ~src msg =
-    let old = suspected st in
-    match msg with
-    | Update payload ->
-      if not st.dissemination then (st, [], [])
-      else begin
-        let view, changed = Dissem.merge st.view ~self ~now payload in
-        let st' = { st with view } in
-        (st', (if changed then flood st' ~now else []), emit_if_changed ~self ~now old st')
-      end
-    | Beat payload ->
-      if not st.dissemination then begin
-        (* legacy all-to-all path: every pair has a direct monitoring edge,
-           so the local deadline book is the whole story *)
-        let st = { st with last_heard = Pid.Map.add src now st.last_heard } in
-        if Pid.Set.mem src st.direct then begin
-          (* premature suspicion: trust again and, if adaptive, learn. *)
-          let adaptive = Adaptive.bump st.adaptive src in
-          let st' = { st with direct = Pid.Set.remove src st.direct; adaptive } in
-          (st', [], emit_if_changed ~self ~now old st')
-        end
-        else (st, [], [])
-      end
-      else begin
-        let watched = Pid.Map.mem src st.last_heard in
-        let last_heard = if watched then Pid.Map.add src now st.last_heard else st.last_heard in
-        (* only a direct monitor refutes: hearing from a suspect is
-           first-hand evidence it is alive, stamped fresher than any
-           gossip in flight *)
-        let refute = watched && Pid.Set.mem src (Dissem.suspected st.view) in
-        let adaptive =
-          if Pid.Set.mem src st.direct then Adaptive.bump st.adaptive src else st.adaptive
-        in
-        let direct = Pid.Set.remove src st.direct in
-        let view = if refute then Dissem.note st.view ~subject:src ~on:false ~now else st.view in
-        let view, merged = Dissem.merge view ~self ~now payload in
-        let st' = { st with last_heard; adaptive; direct; view } in
-        let changed = refute || merged in
-        (st', (if changed then flood st' ~now else []), emit_if_changed ~self ~now old st')
-      end
-  in
-  let on_timer ~n:_ ~self ~now st ~tag:_ =
-    let old = suspected st in
-    let overdue q last = now - last > Adaptive.timeout st.adaptive q in
-    if not st.dissemination then begin
-      let direct =
-        Pid.Map.fold
-          (fun q last acc -> if overdue q last then Pid.Set.add q acc else acc)
-          st.last_heard Pid.Set.empty
-      in
-      let st' = { st with direct } in
-      ( st',
-        [ Netsim.Broadcast (Beat []); Netsim.Set_timer { delay = st.period; tag = tick_tag } ],
-        emit_if_changed ~self ~now old st' )
-    end
-    else begin
-      let newly =
-        Pid.Map.fold
-          (fun q last acc ->
-            if overdue q last && not (Pid.Set.mem q st.direct) then q :: acc else acc)
-          st.last_heard []
-        |> List.rev
-      in
-      let direct = List.fold_left (fun s q -> Pid.Set.add q s) st.direct newly in
-      let view =
-        List.fold_left (fun v q -> Dissem.note v ~subject:q ~on:true ~now) st.view newly
-      in
-      let st' = { st with direct; view } in
-      let payload = Dissem.payload st'.view ~now in
-      let beats = List.map (fun p -> Netsim.Send (p, Beat payload)) st.watchers in
-      let commands =
-        beats
-        @ (if newly <> [] then flood st' ~now else [])
-        @ [ Netsim.Set_timer { delay = st.period; tag = tick_tag } ]
-      in
-      (st', commands, emit_if_changed ~self ~now old st')
-    end
+  let on_timer ~n:_ ~self:_ ~now m ~tag:_ =
+    let m, added = Monitor.sweep m ~now in
+    (m, beats m ~now @ (if added then Monitor.flood m ~now ~update else []) @ [ tick ])
   in
   let node_name =
     if Topology.equal topology Topology.All_to_all then
       Format.asprintf "heartbeat-%a" pp_style style
     else Format.asprintf "heartbeat-%a@%s" pp_style style (Topology.name topology)
   in
-  { Netsim.node_name; init; on_message; on_timer }
+  Monitor.node ?sink ?metrics ~node_name ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

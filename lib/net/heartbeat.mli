@@ -14,13 +14,16 @@
       synchronous} link the suspicions are eventually accurate: an
       implementation of [◊P] (hence of [◊S]).
 
-    Under the default {!Topology.All_to_all} assignment each node
-    heartbeats every other and judges every other by local deadline —
-    O(n) per-node bandwidth.  Under a sparse assignment ({!Topology.Ring},
-    {!Topology.Hierarchical}) a node heartbeats only its watchers, judges
-    only its watched peers, and learns about the rest through suspicion
-    dissemination ({!Dissem}) along the monitoring graph, so the output
-    suspicion sets stay complete at O(degree) per-node bandwidth.
+    The protocol is push: every [period] a node sends a beat to each of
+    its watchers ({!Topology.watchers}), and a beat is proof of life to
+    its receiver.  Everything else — deadlines, timeouts, refutation,
+    dissemination and the output — is the shared {!Monitor} core.  Under
+    the default {!Topology.All_to_all} assignment the beats go out as one
+    [Broadcast] and carry no news, at O(n) per-node bandwidth.  Under a
+    sparse assignment ({!Topology.Ring}, {!Topology.Hierarchical}) each
+    beat piggybacks the sender's suspicion view, and a sweep that adds a
+    suspect floods the view to the monitoring neighbours, so the output
+    stays complete at O(degree) per-node bandwidth.
 
     Each node emits its full suspicion set whenever the set changes, which
     is what {!Qos} consumes. *)
@@ -37,13 +40,6 @@ type state
 
 type msg
 
-val suspected : state -> Pid.Set.t
-(** The node's current output: its direct deadline judgments plus, under a
-    sparse topology, everything adopted from dissemination. *)
-
-val timeout_of : state -> Pid.t -> int
-(** Current timeout applied to a peer (grows under {!Adaptive}). *)
-
 val node :
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
@@ -55,8 +51,9 @@ val node :
     transition, and [metrics] counts them as [suspicion_transitions].
 
     [topology] (default {!Topology.All_to_all}) selects the monitoring
-    assignment.  The all-to-all behaviour is exactly the historical one —
-    same messages in the same order, so seeded runs reproduce. *)
+    assignment.  A node's messages depend only on the seed and the
+    arguments — same messages in the same order — so seeded runs
+    reproduce. *)
 
 val perfect_timeout : Link.t -> period:int -> int option
 (** The timeout that makes {!Fixed} Perfect on the given link model:

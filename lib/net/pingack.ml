@@ -10,198 +10,79 @@ type msg =
   | Pong of { round : int; news : Dissem.payload }
   | Update of Dissem.payload
 
-type state = {
-  period : int;
-  retries : int;
-  attempt_gap : int;
-  adaptive : Adaptive.t;
-  last_heard : int Pid.Map.t; (* watched peers only *)
-  responded : Pid.Set.t; (* pongs seen this round *)
+type rounds = {
+  watched : Pid.t list;
   round : int;
   attempts : int; (* re-pings already sent this round *)
-  direct : Pid.Set.t; (* watched peers currently overdue *)
-  view : Dissem.t;
-  dissemination : bool;
-  watched : Pid.t list;
-  neighbours : Pid.t list;
+  responded : Pid.Set.t; (* pongs seen this round *)
 }
 
-let suspected st = if st.dissemination then Dissem.suspected st.view else st.direct
-
-let timeout_of st p = Adaptive.timeout st.adaptive p
+type state = rounds Monitor.t
 
 let tick_tag = 0
 let attempt_tag = 1
 
-let node ?(sink = Rlfd_obs.Trace.null) ?metrics ?backoff
-    ?(topology = Topology.All_to_all) { period; timeout; retries } =
+let update payload = Update payload
+
+let node ?sink ?metrics ?backoff ?(topology = Topology.All_to_all)
+    { period; timeout; retries } =
   if period < 1 then invalid_arg "Pingack.node: period must be >= 1";
   if retries < 0 then invalid_arg "Pingack.node: retries must be >= 0";
-  let dissemination = Topology.needs_dissemination topology in
-  let retention = 4 * (period + timeout) in
-  let news st ~now = if st.dissemination then Dissem.payload st.view ~now else [] in
+  let attempt_gap = Stdlib.max 1 (period / (retries + 1)) in
+  let pings ~round ~news peers =
+    let ping = Ping { round; news } in
+    List.map (fun p -> Netsim.Send (p, ping)) peers
+  in
+  let tick = Netsim.Set_timer { delay = period; tag = tick_tag } in
+  let attempt = Netsim.Set_timer { delay = attempt_gap; tag = attempt_tag } in
+  let timers watched = tick :: (if retries > 0 && watched <> [] then [ attempt ] else []) in
   let init ~n ~self =
     let watched = Topology.watches topology ~n self in
-    let last_heard = List.fold_left (fun m p -> Pid.Map.add p 0 m) Pid.Map.empty watched in
-    let st =
-      {
-        period;
-        retries;
-        attempt_gap = Stdlib.max 1 (period / (retries + 1));
-        adaptive = Adaptive.create ~initial:timeout ~backoff;
-        last_heard;
-        responded = Pid.Set.empty;
-        round = 0;
-        attempts = 0;
-        direct = Pid.Set.empty;
-        view = Dissem.create ~retention;
-        dissemination;
-        watched;
-        neighbours = Topology.neighbours topology ~n self;
-      }
+    let m =
+      Monitor.create ~topology ~n ~self ~period ~timeout ~backoff
+        { watched; round = 0; attempts = 0; responded = Pid.Set.empty }
     in
-    let pings = List.map (fun p -> Netsim.Send (p, Ping { round = 0; news = [] })) watched in
-    let timers =
-      Netsim.Set_timer { delay = period; tag = tick_tag }
-      :: (if retries > 0 && watched <> [] then
-            [ Netsim.Set_timer { delay = st.attempt_gap; tag = attempt_tag } ]
-          else [])
-    in
-    (st, pings @ timers)
+    (m, pings ~round:0 ~news:[] watched @ timers watched)
   in
-  let observe_transitions ~self ~now old_suspects suspects =
-    let flipped on subject =
-      if not (Rlfd_obs.Trace.is_null sink) then
-        Rlfd_obs.Trace.(
-          emit sink
-            (Suspect
-               {
-                 time = now;
-                 observer = Pid.to_int self;
-                 subject = Pid.to_int subject;
-                 on;
-               }));
-      match metrics with
-      | None -> ()
-      | Some m -> Rlfd_obs.Metrics.incr m "suspicion_transitions"
-    in
-    Pid.Set.iter (flipped true) (Pid.Set.diff suspects old_suspects);
-    Pid.Set.iter (flipped false) (Pid.Set.diff old_suspects suspects)
-  in
-  let emit_if_changed ~self ~now old_suspects st =
-    let suspects = suspected st in
-    if Pid.Set.equal old_suspects suspects then []
-    else begin
-      observe_transitions ~self ~now old_suspects suspects;
-      [ suspects ]
-    end
-  in
-  let flood st ~now =
-    let payload = Dissem.payload st.view ~now in
-    List.map (fun p -> Netsim.Send (p, Update payload)) st.neighbours
-  in
-  let on_message ~n:_ ~self ~now st ~src msg =
-    let old = suspected st in
-    match msg with
-    | Ping { round; news = incoming } ->
+  let on_message ~n:_ ~self ~now m ~src = function
+    | Ping { round; news } ->
       (* always answer: being monitored needs no state of our own *)
-      let view, merged =
-        if st.dissemination then Dissem.merge st.view ~self ~now incoming else (st.view, false)
+      let m, floods = Monitor.merge m ~self ~now news ~update in
+      (m, Netsim.Send (src, Pong { round; news = Monitor.news m ~now }) :: floods)
+    | Pong { round; news } ->
+      (* a pong is proof of life even when stale: it refreshes the deadline *)
+      let r = Monitor.protocol m in
+      let m =
+        if round = r.round then
+          Monitor.with_protocol m { r with responded = Pid.Set.add src r.responded }
+        else m
       in
-      let st' = { st with view } in
-      ( st',
-        Netsim.Send (src, Pong { round; news = news st' ~now })
-        :: (if merged then flood st' ~now else []),
-        emit_if_changed ~self ~now old st' )
-    | Pong { round; news = incoming } ->
-      let watched = Pid.Map.mem src st.last_heard in
-      if not watched then (st, [], [])
-      else begin
-        (* a pong is proof of life even when stale: refresh the deadline *)
-        let last_heard = Pid.Map.add src now st.last_heard in
-        let responded =
-          if round = st.round then Pid.Set.add src st.responded else st.responded
-        in
-        let refute = st.dissemination && Pid.Set.mem src (Dissem.suspected st.view) in
-        let adaptive =
-          if Pid.Set.mem src st.direct then Adaptive.bump st.adaptive src else st.adaptive
-        in
-        let direct = Pid.Set.remove src st.direct in
-        let view = if refute then Dissem.note st.view ~subject:src ~on:false ~now else st.view in
-        let view, merged =
-          if st.dissemination then Dissem.merge view ~self ~now incoming else (view, false)
-        in
-        let st' = { st with last_heard; responded; adaptive; direct; view } in
-        (st', (if refute || merged then flood st' ~now else []), emit_if_changed ~self ~now old st')
-      end
-    | Update payload ->
-      if not st.dissemination then (st, [], [])
-      else begin
-        let view, changed = Dissem.merge st.view ~self ~now payload in
-        let st' = { st with view } in
-        (st', (if changed then flood st' ~now else []), emit_if_changed ~self ~now old st')
-      end
+      Monitor.alive m ~self ~now src news ~update
+    | Update news -> Monitor.merge m ~self ~now news ~update
   in
-  let on_timer ~n:_ ~self ~now st ~tag =
-    let old = suspected st in
+  let on_timer ~n:_ ~self:_ ~now m ~tag =
+    let r = Monitor.protocol m in
     if tag = attempt_tag then begin
       (* re-solicit the peers that have not answered this round *)
-      let silent = List.filter (fun p -> not (Pid.Set.mem p st.responded)) st.watched in
-      let st' = { st with attempts = st.attempts + 1 } in
-      let pings =
-        List.map (fun p -> Netsim.Send (p, Ping { round = st.round; news = news st ~now })) silent
-      in
-      let timers =
-        if st'.attempts < st.retries then
-          [ Netsim.Set_timer { delay = st.attempt_gap; tag = attempt_tag } ]
-        else []
-      in
-      (st', pings @ timers, [])
+      let silent = List.filter (fun p -> not (Pid.Set.mem p r.responded)) r.watched in
+      let attempts = r.attempts + 1 in
+      ( Monitor.with_protocol m { r with attempts },
+        pings ~round:r.round ~news:(Monitor.news m ~now) silent
+        @ if attempts < retries then [ attempt ] else [] )
     end
     else begin
       (* new round: judge deadlines, then solicit afresh *)
-      let overdue q last = now - last > Adaptive.timeout st.adaptive q in
-      let st' =
-        if not st.dissemination then begin
-          let direct =
-            Pid.Map.fold
-              (fun q last acc -> if overdue q last then Pid.Set.add q acc else acc)
-              st.last_heard Pid.Set.empty
-          in
-          { st with direct }
-        end
-        else begin
-          let newly =
-            Pid.Map.fold
-              (fun q last acc ->
-                if overdue q last && not (Pid.Set.mem q st.direct) then q :: acc else acc)
-              st.last_heard []
-            |> List.rev
-          in
-          let direct = List.fold_left (fun s q -> Pid.Set.add q s) st.direct newly in
-          let view =
-            List.fold_left (fun v q -> Dissem.note v ~subject:q ~on:true ~now) st.view newly
-          in
-          { st with direct; view }
-        end
+      let swept, _ = Monitor.sweep m ~now in
+      let changed = not (Pid.Set.equal (Monitor.suspected swept) (Monitor.suspected m)) in
+      let round = r.round + 1 in
+      let m =
+        Monitor.with_protocol swept
+          { r with round; attempts = 0; responded = Pid.Set.empty }
       in
-      let changed = not (Pid.Set.equal (Dissem.suspected st'.view) (Dissem.suspected st.view)) in
-      let st' =
-        { st' with round = st.round + 1; responded = Pid.Set.empty; attempts = 0 }
-      in
-      let pings =
-        List.map
-          (fun p -> Netsim.Send (p, Ping { round = st'.round; news = news st' ~now }))
-          st.watched
-      in
-      let timers =
-        Netsim.Set_timer { delay = st.period; tag = tick_tag }
-        :: (if st.retries > 0 && st.watched <> [] then
-              [ Netsim.Set_timer { delay = st.attempt_gap; tag = attempt_tag } ]
-            else [])
-      in
-      let floods = if st'.dissemination && changed then flood st' ~now else [] in
-      (st', pings @ floods @ timers, emit_if_changed ~self ~now old st')
+      ( m,
+        pings ~round ~news:(Monitor.news m ~now) r.watched
+        @ (if changed then Monitor.flood m ~now ~update else [])
+        @ timers r.watched )
     end
   in
   let node_name =
@@ -210,7 +91,7 @@ let node ?(sink = Rlfd_obs.Trace.null) ?metrics ?backoff
     else
       Format.asprintf "%a@%s" pp_params { period; timeout; retries } (Topology.name topology)
   in
-  { Netsim.node_name; init; on_message; on_timer }
+  Monitor.node ?sink ?metrics ~node_name ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

@@ -7,13 +7,16 @@
     the bounded-retry protocol of practical monitors, which rides out a
     single lost datagram without a false suspicion.  Suspicion itself is
     judged by deadline: a watched peer is suspected when no pong has been
-    heard for more than its timeout.
+    heard for more than its timeout, a full round trip.
 
-    Monitoring respects a {!Topology.t} assignment exactly as
-    {!Heartbeat} does, including suspicion dissemination ({!Dissem}) on
-    sparse graphs, and the per-link timeout can be made adaptive
-    ([?backoff], {!Rlfd_net.Adaptive}): a pong from a suspected peer both
-    clears the suspicion and grows that link's timeout.
+    This module holds only the rounds: pings, retries and pong
+    bookkeeping.  A pong is proof of life to the shared {!Monitor} core,
+    which keeps the deadlines, the per-link timeouts ([?backoff],
+    {!Rlfd_net.Adaptive}: a pong from a suspected peer both clears the
+    suspicion and grows that link's timeout), the dissemination view and
+    the output.  On a sparse {!Topology.t} pings and pongs piggyback the
+    view, and a round whose sweep changes the suspect set floods it to
+    the monitoring neighbours.
 
     Emits the full suspicion set at every change — the same output
     contract as {!Heartbeat}, so {!Qos} and {!Qos_stream} consume both
@@ -28,11 +31,6 @@ val pp_params : Format.formatter -> params -> unit
 type state
 
 type msg
-
-val suspected : state -> Pid.Set.t
-
-val timeout_of : state -> Pid.t -> int
-(** Current timeout applied to a peer (grows when [?backoff] is given). *)
 
 val node :
   ?sink:Rlfd_obs.Trace.sink ->

@@ -4,7 +4,8 @@
     costs each process O(n) monitoring work and the system O(n^2)
     bandwidth — the reason honest experiments stall near n=1,000.  This
     module provides the assignment as a first-class value so the detector
-    implementations ({!Heartbeat}, {!Pingack}) are generic over it:
+    implementations ({!Heartbeat}, {!Pingack}, through their shared
+    {!Monitor} core) are generic over it:
 
     - {!All_to_all}: every process monitors every other — the paper's
       implicit assumption, exact but O(n) per-node bandwidth;

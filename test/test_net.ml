@@ -552,6 +552,187 @@ let perfect_timeout_tests =
           (Pingack.perfect_timeout (Link.lossy ~drop:0.5 sync) ~period:20));
   ]
 
+(* ---------- the shared monitoring core ---------- *)
+
+(* Random proofs of life and sweeps at non-decreasing times.  After every
+   sweep the incrementally kept [direct] set must equal the from-scratch
+   overdue set: the fact that lets one sweep serve every topology. *)
+let monitor_tests =
+  (* (time step, Some peer = proof of life from it | None = sweep) *)
+  let ops =
+    QCheck.(list_of_size Gen.(int_bound 60) (pair (int_bound 15) (option (int_range 2 8))))
+  in
+  [
+    qtest ~count:200 "sweep keeps direct equal to the overdue set"
+      QCheck.(quad (int_range 1 30) (option (int_range 1 20)) (int_bound 2) ops)
+      (fun (timeout, backoff, topo, ops) ->
+        let self = pid 1 in
+        let m =
+          Monitor.create ~topology:(List.nth all_topos topo) ~n:8 ~self ~period:20
+            ~timeout ~backoff ()
+        in
+        let update news = news in
+        let _, _, ok =
+          List.fold_left
+            (fun (m, now, ok) (dt, op) ->
+              let now = now + dt in
+              match op with
+              | Some q ->
+                let m, _ = Monitor.alive m ~self ~now (pid q) [] ~update in
+                (m, now, ok)
+              | None ->
+                let m, _ = Monitor.sweep m ~now in
+                (m, now, ok && Pid.Set.equal (Monitor.direct m) (Monitor.overdue m ~now)))
+            (m, 0, true) ops
+        in
+        ok);
+  ]
+
+(* ---------- the zoo's seeded runs, pinned ---------- *)
+
+(* Every zoo corner at n = 8 with two crashes and a timeout of 31, on a
+   synchronous and a partially synchronous link, plus one partitioned
+   scope.  The counts were recorded before the two detectors shared their
+   monitoring core; a change to which messages are sent, or in which
+   order, moves at least one of them. *)
+type pinned = {
+  sent : int;
+  delivered : int;
+  dropped : int;
+  events : int;
+  false_eps : int;
+  detected : int;
+  transitions : int;
+}
+
+let pinned_table =
+  [
+    ( `Heartbeat, Topology.All_to_all, None, "sync",
+      { sent = 7042; delivered = 7000; dropped = 0; events = 6768;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.All_to_all, None, "psync",
+      { sent = 7042; delivered = 7000; dropped = 0; events = 6746;
+        false_eps = 266; detected = 12; transitions = 708 } );
+    ( `Heartbeat, Topology.All_to_all, Some 25, "sync",
+      { sent = 7042; delivered = 7000; dropped = 0; events = 6768;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.All_to_all, Some 25, "psync",
+      { sent = 7042; delivered = 7000; dropped = 0; events = 6746;
+        false_eps = 71; detected = 12; transitions = 201 } );
+    ( `Heartbeat, Topology.ring ~k:2, None, "sync",
+      { sent = 2064; delivered = 2052; dropped = 0; events = 2638;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.ring ~k:2, None, "psync",
+      { sent = 5252; delivered = 5240; dropped = 0; events = 5662;
+        false_eps = 305; detected = 12; transitions = 808 } );
+    ( `Heartbeat, Topology.ring ~k:2, Some 25, "sync",
+      { sent = 2064; delivered = 2052; dropped = 0; events = 2638;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.ring ~k:2, Some 25, "psync",
+      { sent = 2988; delivered = 2976; dropped = 0; events = 3530;
+        false_eps = 68; detected = 12; transitions = 195 } );
+    ( `Heartbeat, Topology.Hierarchical, None, "sync",
+      { sent = 3078; delivered = 3060; dropped = 0; events = 3446;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.Hierarchical, None, "psync",
+      { sent = 5748; delivered = 5730; dropped = 0; events = 5994;
+        false_eps = 349; detected = 12; transitions = 910 } );
+    ( `Heartbeat, Topology.Hierarchical, Some 25, "sync",
+      { sent = 3078; delivered = 3060; dropped = 0; events = 3446;
+        false_eps = 0; detected = 12; transitions = 13 } );
+    ( `Heartbeat, Topology.Hierarchical, Some 25, "psync",
+      { sent = 3993; delivered = 3975; dropped = 0; events = 4336;
+        false_eps = 90; detected = 12; transitions = 259 } );
+    ( `Pingack, Topology.All_to_all, None, "sync",
+      { sent = 21414; delivered = 21358; dropped = 0; events = 20886;
+        false_eps = 10; detected = 12; transitions = 35 } );
+    ( `Pingack, Topology.All_to_all, None, "psync",
+      { sent = 23284; delivered = 23237; dropped = 0; events = 22658;
+        false_eps = 118; detected = 12; transitions = 319 } );
+    ( `Pingack, Topology.All_to_all, Some 25, "sync",
+      { sent = 21414; delivered = 21358; dropped = 0; events = 20886;
+        false_eps = 10; detected = 12; transitions = 35 } );
+    ( `Pingack, Topology.All_to_all, Some 25, "psync",
+      { sent = 23284; delivered = 23237; dropped = 0; events = 22658;
+        false_eps = 48; detected = 12; transitions = 139 } );
+    ( `Pingack, Topology.ring ~k:2, None, "sync",
+      { sent = 6368; delivered = 6356; dropped = 0; events = 7533;
+        false_eps = 17; detected = 12; transitions = 57 } );
+    ( `Pingack, Topology.ring ~k:2, None, "psync",
+      { sent = 7918; delivered = 7905; dropped = 0; events = 8996;
+        false_eps = 108; detected = 12; transitions = 295 } );
+    ( `Pingack, Topology.ring ~k:2, Some 25, "sync",
+      { sent = 6344; delivered = 6330; dropped = 0; events = 7501;
+        false_eps = 15; detected = 12; transitions = 49 } );
+    ( `Pingack, Topology.ring ~k:2, Some 25, "psync",
+      { sent = 7125; delivered = 7111; dropped = 0; events = 8252;
+        false_eps = 51; detected = 12; transitions = 147 } );
+    ( `Pingack, Topology.Hierarchical, None, "sync",
+      { sent = 9393; delivered = 9371; dropped = 0; events = 10117;
+        false_eps = 24; detected = 12; transitions = 65 } );
+    ( `Pingack, Topology.Hierarchical, None, "psync",
+      { sent = 11252; delivered = 11228; dropped = 0; events = 11924;
+        false_eps = 123; detected = 12; transitions = 365 } );
+    ( `Pingack, Topology.Hierarchical, Some 25, "sync",
+      { sent = 9319; delivered = 9298; dropped = 0; events = 10062;
+        false_eps = 11; detected = 12; transitions = 39 } );
+    ( `Pingack, Topology.Hierarchical, Some 25, "psync",
+      { sent = 10433; delivered = 10409; dropped = 0; events = 11133;
+        false_eps = 55; detected = 12; transitions = 155 } );
+    ( `Pingack, Topology.Hierarchical, None, "sync, partitioned",
+      { sent = 8389; delivered = 8368; dropped = 760; events = 9390;
+        false_eps = 29; detected = 12; transitions = 77 } );
+  ]
+
+let pinned_tests =
+  let sync = Link.Synchronous { delta = 10 } in
+  let psync = Link.Partially_synchronous { gst = 1000; delta = 10; wild_max = 120 } in
+  let cut =
+    Partition.make ~starts:1000 ~heals:2000 ~island:(Partition.island_of_size ~n:8 ~k:3)
+  in
+  let run (impl, topology, backoff, link, _) =
+    let n = 8 in
+    let model, partitions =
+      match link with
+      | "sync" -> (sync, [])
+      | "psync" -> (psync, [])
+      | _ -> (sync, [ cut ])
+    in
+    let reg = Rlfd_obs.Metrics.create () in
+    let (Detector_impl.Sim r) =
+      Detector_impl.simulate ~metrics:reg ~partitions ~n
+        ~pattern:(pattern ~n [ (3, 700); (6, 1300) ])
+        ~model ~seed:42 ~horizon:3000
+        { Detector_impl.impl; topology; period = 20; timeout = 31; backoff; retries = 1 }
+    in
+    let q = Qos.analyze ~partitions r in
+    let c = Rlfd_obs.Metrics.counter_value reg in
+    {
+      sent = c "messages_sent";
+      delivered = c "messages_delivered";
+      dropped = c "messages_dropped";
+      events = r.Netsim.events_processed;
+      false_eps = q.Qos.false_episodes;
+      detected = List.length q.Qos.detection_latencies;
+      transitions = c "suspicion_transitions";
+    }
+  in
+  let fields p =
+    [ p.sent; p.delivered; p.dropped; p.events; p.false_eps; p.detected; p.transitions ]
+  in
+  [
+    test "every zoo corner reproduces its recorded counts" (fun () ->
+        List.iter
+          (fun ((impl, topology, backoff, link, expected) as row) ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s/%s%s on %s: sent, delivered, dropped, events, \
+                               false episodes, detected, transitions"
+                 (Detector_impl.impl_name impl) (Topology.name topology)
+                 (if backoff = None then "" else " adaptive") link)
+              (fields expected) (fields (run row)))
+          pinned_table);
+  ]
+
 let () =
   Alcotest.run "net"
     [
@@ -562,4 +743,6 @@ let () =
       suite "partition" partition_tests;
       suite "pingack" pingack_tests;
       suite "perfect-timeout" perfect_timeout_tests;
+      suite "monitor" monitor_tests;
+      suite "zoo-pinned" pinned_tests;
     ]
