@@ -1209,8 +1209,7 @@ let table_channel () =
   let ring_node : (unit, int, int) Netsim.node =
     let next ~n self = pid ((Pid.to_int self mod n) + 1) in
     {
-      Netsim.node_name = "ring";
-      init =
+      Netsim.init =
         (fun ~n ~self ->
           if Pid.to_int self = 1 then ((), [ Netsim.Send (next ~n (pid 1), 1) ])
           else ((), []));

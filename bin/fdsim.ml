@@ -74,6 +74,36 @@ let trace_out_arg =
           "Archive the run trace as JSON Lines (one event per line) to \
            $(docv); '-' writes to stdout.")
 
+(* A FILE argument fdsim cannot use is a usage error like any other: it
+   prints [fdsim: FILE: reason] and exits 2. *)
+let file_error file reason =
+  (* the Sys_error of an open already leads with the path *)
+  let prefix = file ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      String.sub reason (String.length prefix)
+        (String.length reason - String.length prefix)
+    else reason
+  in
+  Format.eprintf "fdsim: %s: %s@." file reason;
+  exit 2
+
+(* Every read or write of a FILE argument goes through here. *)
+let with_file file f = try f file with Sys_error msg -> file_error file msg
+
+(* An output destination ('-' is stdout), opened before any work runs so
+   that a bad path fails fast: the writer of its lines, which also closes
+   it. *)
+let lines_out =
+  Option.map (function
+    | "-" -> List.iter print_endline
+    | file ->
+      let oc = with_file file open_out in
+      fun lines ->
+        with_file file (fun _ ->
+            List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+            close_out oc))
+
 (* Both --trace and --trace-out feed off one sink, so the printed trace and
    the JSONL archive are two renderings of the same event stream and cannot
    diverge.  Returns (sink, memory-sink, close). *)
@@ -84,12 +114,7 @@ let trace_sink ~trace ~trace_out =
     | None -> (Obs.Trace.null, fun () -> ())
     | Some "-" -> (Obs.Trace.to_channel stdout, fun () -> flush stdout)
     | Some file ->
-      let oc =
-        try open_out file
-        with Sys_error msg ->
-          Format.eprintf "fdsim: cannot open trace file: %s@." msg;
-          exit 2
-      in
+      let oc = with_file file open_out in
       (Obs.Trace.to_channel oc, fun () -> close_out oc)
   in
   (Obs.Trace.tee mem jsonl, mem, close)
@@ -413,9 +438,10 @@ let run_cmd =
                         (match sched with `Fair -> "fair" | `Random -> "random")
                     ) ]
               in
-              Obs.Recorder.save file
-                (Replay.runner_artifact ~scope ~pp_output:string_of_int
-                   ~queries:(queries ()) r);
+              with_file file (fun file ->
+                  Obs.Recorder.save file
+                    (Replay.runner_artifact ~scope ~pp_output:string_of_int
+                       ~queries:(queries ()) r));
               Format.printf "recorded run to %s (%d steps, %d queries)@." file
                 r.Runner.steps
                 (List.length (queries ())));
@@ -741,6 +767,7 @@ let campaign_progress ~progress_f prefix =
 
 let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
     ~base_model ~ns ~losses ~churns ~seeds ~jobs ~out ~progress_f =
+  let write_out = lines_out out in
   let spec =
     Campaign.Spec.make ~name:"fdsim-qos"
       ~axes:
@@ -796,9 +823,9 @@ let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
     report.Campaign.Engine.outcomes;
   (* The --out document deliberately excludes timing and worker fields:
      two runs of the same grid at different --jobs are byte-identical. *)
-  (match out with
+  (match write_out with
   | None -> ()
-  | Some dest ->
+  | Some write ->
     let rows =
       List.map
         (fun o ->
@@ -834,14 +861,7 @@ let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
                 partition_triples));
           ("rows", Obs.Json.List rows) ]
     in
-    let line = Obs.Json.to_string doc in
-    if dest = "-" then print_endline line
-    else begin
-      let oc = open_out dest in
-      output_string oc line;
-      output_char oc '\n';
-      close_out oc
-    end);
+    write [ Obs.Json.to_string doc ]);
   Format.printf "qos campaign: %d jobs, workers=%d, %.2fs@."
     report.Campaign.Engine.total report.Campaign.Engine.workers
     report.Campaign.Engine.wall_s;
@@ -1207,9 +1227,9 @@ let explore_cmd =
             (fun (p, recv) ->
               Format.printf "  %a %s@." Pid.pp p
                 (match recv with
-                | Some src -> Format.asprintf "receives from %a" Pid.pp src
+                | Some (src, _) -> Format.asprintf "receives from %a" Pid.pp src
                 | None -> "lambda"))
-            v.Explore.trail;
+            v.Explore.schedule;
           List.iter
             (fun (p, v) -> Format.printf "  output: %a decided %d@." Pid.pp p v)
             v.Explore.outputs)
@@ -1299,7 +1319,8 @@ let explore_cmd =
                 [ ("uniform", Obs.Json.Bool uniform);
                   ("max_steps", Obs.Json.Int max_steps) ]
             in
-            Obs.Recorder.save file (Replay.to_artifact ~scope e);
+            with_file file (fun file ->
+                Obs.Recorder.save file (Replay.to_artifact ~scope e));
             Format.printf "recorded %d-step violation to %s@."
               (List.length e.Replay.steps) file));
         exit_ok (report.Explore.violations = [])
@@ -1390,13 +1411,7 @@ type playback =
 (* The one loader of replay, shrink and render: a malformed file, scope or
    choice exits 2, naming what is wrong. *)
 let load_playback file =
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        Format.eprintf "fdsim: %s: %s@." file msg;
-        exit 2)
-      fmt
-  in
+  let fail fmt = Format.kasprintf (file_error file) fmt in
   let artifact =
     match Obs.Recorder.load file with Ok a -> a | Error msg -> fail "%s" msg
   in
@@ -1545,9 +1560,10 @@ let shrink_cmd =
                       Filename.chop_suffix file ".jsonl" ^ ".min.jsonl"
                     else file ^ ".min"
                 in
-                Obs.Recorder.save out
-                  (Replay.to_artifact ~scope:artifact.Obs.Recorder.scope
-                     s.Replay.execution);
+                with_file out (fun out ->
+                    Obs.Recorder.save out
+                      (Replay.to_artifact ~scope:artifact.Obs.Recorder.scope
+                         s.Replay.execution));
                 Format.printf
                   "shrink: %d -> %d step(s) in %d round(s), %d candidate \
                    schedule(s)@."
@@ -1825,6 +1841,32 @@ let campaign_job ~n ~horizon job =
     cr_violations = violations;
   }
 
+(* The consensus campaign of [campaign] and [profile].  Its name carries
+   -n and --horizon, which change every job's result but not its label, so
+   that resuming from another scope's checkpoint fails the header check. *)
+let campaign_spec ~n ~horizon ~seed ~seeds ~families ~fds ~scheds =
+  Campaign.Spec.make
+    ~name:(Printf.sprintf "fdsim-campaign n=%d horizon=%d" n horizon)
+    ~axes:[ ("family", families); ("fd", fds); ("sched", scheds) ]
+    ~seeds:(List.init seeds (fun i -> seed + i))
+    ()
+
+(* A checkpoint fdsim cannot read or write exits 2 (the engine does its
+   IO), and so does a resume the engine rejects: the only [Failure] it
+   raises, before any job runs, is for a checkpoint of another campaign. *)
+let run_campaign ?timeline ?sink ?checkpoint ~resume ~jobs ~n ~horizon ~seed
+    spec =
+  try
+    Campaign.Engine.run_spec ~workers:jobs ?timeline ?sink ?checkpoint ~resume
+      ~codec:campaign_codec ~seed spec
+      (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
+  with
+  | Sys_error msg when checkpoint <> None ->
+    file_error (Option.get checkpoint) msg
+  | Failure msg when resume ->
+    Format.eprintf "fdsim: %s@." msg;
+    exit 2
+
 let campaign_cmd =
   let run n seed horizon seeds families fds scheds jobs checkpoint resume out
       progress_f =
@@ -1849,27 +1891,15 @@ let campaign_cmd =
       Format.eprintf "fdsim: --resume requires --checkpoint@.";
       exit 2
     end;
-    let spec =
-      Campaign.Spec.make ~name:"fdsim-campaign"
-        ~axes:[ ("family", families); ("fd", fds); ("sched", scheds) ]
-        ~seeds:(List.init seeds (fun i -> seed + i))
-        ()
-    in
+    let write_out = lines_out out in
     let report =
-      Campaign.Engine.run_spec ~workers:jobs ?checkpoint ~resume
-        ~codec:campaign_codec
-        ~sink:(campaign_progress ~progress_f "campaign")
-        ~seed spec
-        (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
+      run_campaign ~sink:(campaign_progress ~progress_f "campaign") ?checkpoint
+        ~resume ~jobs ~n ~horizon ~seed
+        (campaign_spec ~n ~horizon ~seed ~seeds ~families ~fds ~scheds)
     in
-    let lines = Campaign.Engine.report_lines campaign_codec report in
-    (match out with
-    | None -> ()
-    | Some "-" -> List.iter print_endline lines
-    | Some file ->
-      let oc = open_out file in
-      List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
-      close_out oc);
+    Option.iter
+      (fun write -> write (Campaign.Engine.report_lines campaign_codec report))
+      write_out;
     let passed =
       List.length
         (List.filter
@@ -1960,26 +1990,19 @@ let profile_cmd =
   let run n seed horizon seeds jobs scope capacity checkpoint out folded_out
       width =
     check_n n;
+    let write_out = lines_out out and write_folded = lines_out folded_out in
     let timeline =
       Obs.Timeline.create ~capacity ~label:(Printf.sprintf "%s x%d" scope jobs)
         ()
     in
     (match scope with
     | "campaign" ->
-      let spec =
-        Campaign.Spec.make ~name:"fdsim-campaign"
-          ~axes:
-            [ ("family",
-               List.map (fun f -> f.Pattern.Family.name) Pattern.Family.all);
-              ("fd", [ "P"; "P-delayed"; "S" ]);
-              ("sched", [ "fair"; "random" ]) ]
-          ~seeds:(List.init seeds (fun i -> seed + i))
-          ()
-      in
       let (_ : campaign_result Campaign.Engine.report) =
-        Campaign.Engine.run_spec ~workers:jobs ~timeline ?checkpoint
-          ~codec:campaign_codec ~seed spec
-          (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
+        run_campaign ~timeline ?checkpoint ~resume:false ~jobs ~n ~horizon
+          ~seed
+          (campaign_spec ~n ~horizon ~seed ~seeds
+             ~families:(List.map (fun f -> f.Pattern.Family.name) Pattern.Family.all)
+             ~fds:[ "P"; "P-delayed"; "S" ] ~scheds:[ "fair"; "random" ])
       in
       ()
     | "explore" ->
@@ -2000,21 +2023,10 @@ let profile_cmd =
     Format.printf "%a@.@.%a@."
       (Obs.Timeline.pp_gantt ~width)
       artifact Obs.Timeline.pp_utilization artifact;
-    (match out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Json.to_string (Obs.Timeline.to_json artifact));
-      output_char oc '\n';
-      close_out oc);
-    (match folded_out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      List.iter
-        (fun line -> output_string oc line; output_char oc '\n')
-        (Obs.Timeline.folded artifact);
-      close_out oc);
+    Option.iter
+      (fun write -> write [ Obs.Json.to_string (Obs.Timeline.to_json artifact) ])
+      write_out;
+    Option.iter (fun write -> write (Obs.Timeline.folded artifact)) write_folded;
     exit_ok true
   in
   let seeds =
@@ -2059,7 +2071,9 @@ let profile_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:"Write the merged timeline artifact (versioned JSON) to $(docv).")
+          ~doc:
+            "Write the merged timeline artifact (versioned JSON) to $(docv) \
+             ('-' writes to stdout).")
   in
   let folded_out =
     Arg.(
@@ -2067,7 +2081,7 @@ let profile_cmd =
       & info [ "folded" ] ~docv:"FILE"
           ~doc:
             "Write folded-stack lines (domain;span;... microseconds) to \
-             $(docv) for flamegraph tooling.")
+             $(docv) for flamegraph tooling ('-' writes to stdout).")
   in
   let width =
     Arg.(

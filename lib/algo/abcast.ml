@@ -17,8 +17,6 @@ type 'v state = {
   decided_count : int;
 }
 
-let delivered st = List.rev st.done_
-
 let instances_decided st = st.decided_count
 
 let known st i = List.exists (Broadcast.same_id i) st.known

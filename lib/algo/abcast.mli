@@ -21,9 +21,6 @@ type 'v msg
 
 type 'v state
 
-val delivered : 'v state -> 'v Broadcast.item list
-(** The process's delivery sequence, in order. *)
-
 val instances_decided : 'v state -> int
 
 val automaton :

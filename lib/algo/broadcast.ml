@@ -9,13 +9,7 @@ let compare_id a b =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
-let compare_item cmp_data a b =
-  match compare_id a b with 0 -> cmp_data a.data b.data | c -> c
-
 let same_id a b = compare_id a b = 0
-
-let pp_item pp_data ppf i =
-  Format.fprintf ppf "%a#%d:%a" Pid.pp i.origin i.seq pp_data i.data
 
 let sort_batch items =
   let sorted = List.sort compare_id items in

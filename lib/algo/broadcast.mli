@@ -11,14 +11,8 @@ type 'v item = { origin : Pid.t; seq : int; data : 'v }
 
 val item : origin:Pid.t -> seq:int -> 'v -> 'v item
 
-val compare_item : ('v -> 'v -> int) -> 'v item -> 'v item -> int
-(** Orders by [(origin, seq)]; the payload comparator breaks (impossible in
-    well-formed workloads) ties. *)
-
 val same_id : 'v item -> 'v item -> bool
 (** Same [(origin, seq)] identity. *)
-
-val pp_item : (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v item -> unit
 
 val sort_batch : 'v item list -> 'v item list
 (** Canonical deterministic order of a batch: ascending [(origin, seq)],

@@ -14,8 +14,6 @@ type 'v state = {
   done_ : 'v delivery list; (* newest first *)
 }
 
-let delivered st = List.rev_map (fun d -> d.item) st.done_
-
 let count st origin =
   match Pid.Map.find_opt origin st.counts with Some k -> k | None -> 0
 

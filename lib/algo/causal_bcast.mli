@@ -18,8 +18,6 @@ type 'v state
     carried counters), which is what the order checker consumes. *)
 type 'v delivery = { item : 'v Broadcast.item; deps : int Pid.Map.t }
 
-val delivered : 'v state -> 'v Broadcast.item list
-
 val automaton :
   to_broadcast:(Pid.t -> 'v list) ->
   ('v state, 'v msg, 'd, 'v delivery) Model.t

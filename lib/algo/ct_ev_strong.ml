@@ -47,8 +47,6 @@ let init ~n:_ ~self:_ ~proposal =
     decide_forwarded = false;
   }
 
-let decision st = st.decided
-
 let round_of st = st.round
 
 let majority ~n = (n / 2) + 1

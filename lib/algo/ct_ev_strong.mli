@@ -23,23 +23,11 @@ type 'v msg
 
 type 'v state
 
-val init : n:int -> self:Pid.t -> proposal:'v -> 'v state
-
-val decision : 'v state -> 'v option
-
 val round_of : 'v state -> int
 (** Current round number (diagnostics: grows forever in blocked runs). *)
 
 val majority : n:int -> int
 (** The quorum size [n/2 + 1]. *)
-
-val handle :
-  n:int ->
-  self:Pid.t ->
-  'v state ->
-  'v msg Model.envelope option ->
-  Detector.suspicions ->
-  ('v state, 'v msg, 'v) Model.effects
 
 val automaton :
   proposals:(Pid.t -> 'v) -> ('v state, 'v msg, Detector.suspicions, 'v) Model.t

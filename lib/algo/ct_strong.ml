@@ -38,11 +38,6 @@ let init ~n ~self ~proposal =
 
 let decision st = match st.phase with Decided v -> Some v | Rounds _ | Collect_final -> None
 
-let view st = st.view
-
-let current_round st =
-  match st.phase with Rounds r -> Some r | Collect_final | Decided _ -> None
-
 let others ~n ~self = List.filter (fun p -> not (Pid.equal p self)) (Pid.all ~n)
 
 (* Shape-canonical insertion: the explorer's canonical encoding marshals

@@ -39,12 +39,6 @@ val init : n:int -> self:Pid.t -> proposal:'v -> 'v state
 val decision : 'v state -> 'v option
 (** The value decided, once the state has reached its decision. *)
 
-val view : 'v state -> 'v vector
-(** Current knowledge vector (diagnostics and tests). *)
-
-val current_round : 'v state -> int option
-(** The asynchronous round in progress; [None] once past the rounds. *)
-
 val handle :
   n:int ->
   self:Pid.t ->

@@ -11,8 +11,6 @@ type 'v state = {
   done_ : 'v Broadcast.item list; (* delivered, newest first *)
 }
 
-let delivered st = List.rev st.done_
-
 let pending_count st = List.length st.held
 
 let known st i = List.exists (Broadcast.same_id i) st.seen

@@ -14,9 +14,6 @@ type 'v msg
 
 type 'v state
 
-val delivered : 'v state -> 'v Broadcast.item list
-(** In delivery order. *)
-
 val pending_count : 'v state -> int
 (** Items received but still held back by a sequence gap. *)
 

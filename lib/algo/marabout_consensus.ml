@@ -7,8 +7,6 @@ type 'v state = { proposal : 'v; sent : bool; decided : 'v option }
 
 let init ~self:_ ~proposal = { proposal; sent = false; decided = None }
 
-let decision st = st.decided
-
 let elected ~n suspects =
   List.find_opt (fun p -> not (Pid.Set.mem p suspects)) (Pid.all ~n)
 

@@ -24,8 +24,6 @@ type 'v state
 
 val init : self:Pid.t -> proposal:'v -> 'v state
 
-val decision : 'v state -> 'v option
-
 val handle :
   n:int ->
   self:Pid.t ->

@@ -14,8 +14,6 @@ let pp_outcome ppf = function
   | Commit -> Format.pp_print_string ppf "commit"
   | Abort -> Format.pp_print_string ppf "abort"
 
-let equal_outcome a b = a = b
-
 type msg = Vote of vote | Cons of outcome Ct_strong.msg
 
 type phase =

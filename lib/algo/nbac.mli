@@ -26,8 +26,6 @@ type outcome = Commit | Abort
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val equal_outcome : outcome -> outcome -> bool
-
 type msg
 
 type state

@@ -43,8 +43,6 @@ let init ~n:_ ~self:_ ~proposal =
     forwarded = false;
   }
 
-let decision st = st.decided
-
 let ballot_of st = st.led_ballot
 
 let majority ~n = (n / 2) + 1

@@ -21,10 +21,6 @@ type 'v msg
 
 type 'v state
 
-val init : n:int -> self:Pid.t -> proposal:'v -> 'v state
-
-val decision : 'v state -> 'v option
-
 val ballot_of : 'v state -> int
 (** The highest ballot this process has led (diagnostics). *)
 

@@ -14,9 +14,6 @@ open Rlfd_sim
 val termination : ('s, 'v) Runner.result -> Classes.result
 (** Every correct process decides. *)
 
-val integrity : ('s, 'v) Runner.result -> Classes.result
-(** No process decides more than once. *)
-
 val agreement : equal:('v -> 'v -> bool) -> ('s, 'v) Runner.result -> Classes.result
 (** No two {e correct} processes decide differently (the correct-restricted
     clause of Section 6.2). *)
@@ -37,8 +34,9 @@ val check_consensus :
   equal:('v -> 'v -> bool) ->
   ('s, 'v) Runner.result ->
   (string * Classes.result) list
-(** The full specification: termination, integrity, validity, and uniform or
-    correct-restricted agreement. *)
+(** The full specification: termination, integrity (no process decides
+    more than once), validity, and uniform or correct-restricted
+    agreement. *)
 
 (** {1 Terminating reliable broadcast (paper, Section 5)}
 

@@ -11,8 +11,6 @@ type 'v state = {
 
 let init ~self:_ ~proposal = { proposal; below = Pid.Map.empty; decided = None }
 
-let decision st = st.decided
-
 let handle ~n ~self st envelope suspects =
   let st =
     match envelope with

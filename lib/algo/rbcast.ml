@@ -7,8 +7,6 @@ type 'v state = {
   seen : 'v Broadcast.item list; (* identities already delivered, newest first *)
 }
 
-let delivered st = List.rev st.seen
-
 let known st i = List.exists (Broadcast.same_id i) st.seen
 
 let deliver_and_relay ~n ~self st i =

@@ -17,9 +17,6 @@ type 'v msg
 
 type 'v state
 
-val delivered : 'v state -> 'v Broadcast.item list
-(** In delivery order. *)
-
 val automaton :
   to_broadcast:(Pid.t -> 'v list) ->
   ('v state, 'v msg, 'd, 'v Broadcast.item) Model.t

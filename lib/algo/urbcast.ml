@@ -12,8 +12,6 @@ type 'v state = {
   done_ : 'v Broadcast.item list; (* delivered, newest first *)
 }
 
-let delivered st = List.rev st.done_
-
 let known xs i = List.exists (Broadcast.same_id i) xs
 
 (* First sight of an item: relay it to everyone and ack it (the ack also

@@ -18,8 +18,6 @@ type 'v msg
 
 type 'v state
 
-val delivered : 'v state -> 'v Broadcast.item list
-
 val automaton :
   to_broadcast:(Pid.t -> 'v list) ->
   ('v state, 'v msg, Detector.suspicions, 'v Broadcast.item) Model.t

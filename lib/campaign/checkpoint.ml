@@ -73,27 +73,29 @@ let write_entries oc entries =
     entries;
   sync oc
 
+(* Opening a directory succeeds and reading it fails, so the read is
+   guarded too; only the open's error names the path. *)
 let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> Error (path ^ ": empty checkpoint")
-        | first -> (
-          match Result.bind (Json.of_string first) header_of_json with
-          | Error msg -> Error (Printf.sprintf "%s: line 1: %s" path msg)
-          | Ok header ->
-            let entries = ref [] and skipped = ref 0 in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if String.trim line <> "" then
-                   match Result.bind (Json.of_string line) entry_of_json with
-                   | Ok e -> entries := e :: !entries
-                   | Error _ -> incr skipped
-               done
-             with End_of_file -> ());
-            Ok (header, List.rev !entries, !skipped)))
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg ->
+    Error
+      (if String.starts_with ~prefix:(path ^ ": ") msg then msg
+       else path ^ ": " ^ msg)
+  | text -> (
+    match String.split_on_char '\n' text with
+    | [] | [ "" ] -> Error (path ^ ": empty checkpoint")
+    | first :: rest -> (
+      match Result.bind (Json.of_string first) header_of_json with
+      | Error msg -> Error (Printf.sprintf "%s: line 1: %s" path msg)
+      | Ok header ->
+        let entries, skipped =
+          List.fold_left
+            (fun (entries, skipped) line ->
+              if String.trim line = "" then (entries, skipped)
+              else
+                match Result.bind (Json.of_string line) entry_of_json with
+                | Ok e -> (e :: entries, skipped)
+                | Error _ -> (entries, skipped + 1))
+            ([], 0) rest
+        in
+        Ok (header, List.rev entries, skipped)))

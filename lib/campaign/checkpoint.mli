@@ -8,9 +8,6 @@
     rather than rejects.  Resuming therefore never redoes a completed job
     and never produces a duplicate job id. *)
 
-val schema_version : int
-(** Version stamp written into every header; bumped on format changes. *)
-
 (** The identity line a checkpoint file opens with. *)
 type header = { name : string; seed : int; total : int }
 
@@ -39,4 +36,5 @@ val load : string -> (header * entry list * int, string) result
 (** [load path] parses the checkpoint: the header, the well-formed entries
     in file order (duplicates included — the engine dedupes), and the count
     of skipped lines (torn tails, foreign garbage).  [Error] if the file is
-    unreadable, empty, or its first line is not a campaign header. *)
+    unreadable (missing, a directory), empty, or its first line is not a
+    campaign header. *)

@@ -29,8 +29,10 @@ type 'r report = {
 }
 
 (* Resume: load the checkpoint, keep the first entry per in-range job id,
-   and count everything else.  Decode failures just mean the job re-runs. *)
-let load_resume codec ~name ~seed ~total path =
+   and count everything else.  Decode failures just mean the job re-runs,
+   but a header or a job label that differs from this campaign's means
+   the file belongs to another campaign. *)
+let load_resume codec ~name ~seed ~total ~label path =
   if not (Sys.file_exists path) then ([], 0, 0)
   else
     match Checkpoint.load path with
@@ -54,6 +56,11 @@ let load_resume codec ~name ~seed ~total path =
               incr skipped;
               None
             end
+            else if e.label <> label e.job then
+              failwith
+                (Printf.sprintf
+                   "campaign resume: %s records job %d as %S, not %S" path
+                   e.job e.label (label e.job))
             else if Hashtbl.mem seen e.job then begin
               incr duplicates;
               None
@@ -103,7 +110,8 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
   let t0 = Profile.now () in
   let recovered, duplicates, skipped =
     match (resume, checkpoint, codec) with
-    | true, Some path, Some codec -> load_resume codec ~name ~seed ~total path
+    | true, Some path, Some codec ->
+      load_resume codec ~name ~seed ~total ~label path
     | _ -> ([], 0, 0)
   in
   let done_jobs = Hashtbl.create 64 in

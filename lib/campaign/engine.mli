@@ -92,9 +92,10 @@ val run :
       then rewritten compacted — recovered entries first, torn lines and
       duplicates dropped — before new entries are appended, so a resumed
       file never carries a corrupt tail forward.  A missing file is a
-      fresh start, but a file whose header disagrees with
-      [name]/[seed]/[total] raises [Failure] — it belongs to a different
-      campaign.
+      fresh start, but an unreadable file, or one whose header disagrees
+      with [name]/[seed]/[total] or whose entry for a job carries another
+      [label], raises [Failure] before any job runs and leaves the file
+      untouched — it belongs to a different campaign.
     - [sink]: receives one {!Rlfd_obs.Trace.Progress} event once at
       start and then (serialised) after each batch — [label = name],
       jobs done/total (the first event's [done_] counts the recovered

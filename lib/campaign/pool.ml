@@ -69,8 +69,6 @@ let set_max_helpers = function
     if n < 0 then invalid_arg "Pool.set_max_helpers: negative cap";
     Atomic.set cap_override n
 
-let helpers_alive () = Mutex.protect st.m (fun () -> st.helpers)
-
 let spawned_total () = Mutex.protect st.m (fun () -> st.spawned)
 
 type stats = { participants : int; spawned : int; wait_s : float }

@@ -17,7 +17,8 @@
     than cores never oversubscribes — on a 1-core host every run is
     inline and pays nothing for "parallelism".  The cap can be forced
     with {!set_max_helpers} or the [RLFD_POOL_MAX_HELPERS] environment
-    variable (useful in tests and CI smokes). *)
+    variable (useful in tests and CI smokes); the override wins over the
+    variable, and the cap always stays within [0 .. 126]. *)
 
 type stats = {
   participants : int;
@@ -32,18 +33,10 @@ val recommended_workers : unit -> int
 (** [Domain.recommended_domain_count ()], floored at 1 — what
     [--jobs auto] resolves to. *)
 
-val max_helpers : unit -> int
-(** The current helper cap: {!set_max_helpers} override if set, else
-    [RLFD_POOL_MAX_HELPERS], else [recommended_workers () - 1]; always
-    within [0 .. 126]. *)
-
 val set_max_helpers : int option -> unit
 (** Force ([Some n]) or restore to automatic ([None]) the helper cap.
     Takes effect at the next {!run}; already-parked surplus helpers
     stay parked and harmless. *)
-
-val helpers_alive : unit -> int
-(** Helpers currently alive (parked or working). *)
 
 val spawned_total : unit -> int
 (** Domains ever spawned by the pool — a warm pool stops growing, which
@@ -53,8 +46,8 @@ val run :
   workers:int -> ?on_spawn:(int -> unit) -> (slot:int -> unit) -> stats
 (** [run ~workers body] executes [body ~slot:0] on the calling domain
     and [body ~slot:i] ([1 <= i < p]) on [p - 1] pool helpers, where
-    [p = min workers (max_helpers () + 1)], returning once every
-    participant has left the body.
+    [p = min workers (cap + 1)] for the helper cap described above,
+    returning once every participant has left the body.
 
     Freshly spawned helpers pre-claim their slot, so they always join
     the run that spawned them; already-parked helpers race the run's

@@ -13,7 +13,10 @@
     - [Q]  (Quasi-Perfect): weak completeness and strong accuracy.
     - [S]  (Strong): strong completeness and weak accuracy.
     - [W]  (Weak): weak completeness and weak accuracy.
-    - [◊P], [◊Q], [◊S], [◊W]: same completeness, accuracy only eventual.
+    - [◊P], [◊Q], [◊S], [◊W]: same completeness, accuracy only eventual
+      (for [◊S] and [◊W], eventual weak accuracy: there is a time after
+      which some correct process is never suspected by any correct
+      process).
     - [P<] (Partially Perfect, Section 6.2): partial completeness and strong
            accuracy. *)
 
@@ -61,10 +64,6 @@ val weak_accuracy : check
 val eventual_strong_accuracy : check
 (** There is a time after which no correct process is suspected by any
     correct process. *)
-
-val eventual_weak_accuracy : check
-(** There is a time after which some correct process is never suspected by
-    any correct process. *)
 
 (** {1 Classes} *)
 

@@ -10,8 +10,6 @@ let name e = e.name
 
 let contains e pattern = e.contains pattern
 
-let families_of e = e.families
-
 let sample e ~n ~horizon rng =
   let rec try_once attempts =
     if attempts = 0 then

@@ -45,6 +45,3 @@ val custom :
   t
 (** An environment accepting what [contains] accepts, sampled by filtering
     the given families. *)
-
-val families_of : t -> Pattern.Family.t list
-(** The generator families used for sampling. *)

@@ -14,8 +14,6 @@ val canonical : Pid.t Detector.t
     crashed (such runs are outside the model: a correct process exists in
     every pattern the generators produce). *)
 
-val leader_at : Pattern.t -> Time.t -> Pid.t option
-
 val as_suspicions : n:int -> Detector.suspicions Detector.t
 (** [Ω] recast in the suspicion range: suspect everyone but the leader.
     Eventually-strong-like behaviour, useful for plugging [Ω] into

@@ -47,8 +47,6 @@ val num_faulty : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Prefixes}

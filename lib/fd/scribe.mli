@@ -6,15 +6,9 @@
     projected onto crash sets — it belongs to [P]: the prefix determines
     [F(t)] exactly. *)
 
-open Rlfd_kernel
-
 val canonical : Pattern.prefix Detector.t
 
 val as_suspicions : Detector.suspicions Detector.t
 (** The Scribe with its output projected to the crashed set: literally the
     canonical Perfect detector, which is how the paper concludes
     [C ∈ P]. *)
-
-val output_at : Pattern.t -> Time.t -> Pattern.prefix
-(** The value every module outputs at time [t] (it is the same at every
-    process). *)

@@ -10,8 +10,6 @@ let compare = Int.compare
 
 let equal = Int.equal
 
-let hash i = i
-
 let pp ppf i = Format.fprintf ppf "p%d" i
 
 let to_string i = Format.asprintf "%a" pp i

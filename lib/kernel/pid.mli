@@ -17,8 +17,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [p3]. *)
 

@@ -28,8 +28,6 @@ let mix_gamma z =
 
 let make seed = { state = mix64 (Int64.of_int seed); gamma = golden_gamma }
 
-let copy g = { state = g.state; gamma = g.gamma }
-
 let bits64 g =
   g.state <- Int64.add g.state g.gamma;
   mix64 g.state

@@ -13,10 +13,6 @@ type t
 val make : int -> t
 (** [make seed] creates a generator from an integer seed. *)
 
-val copy : t -> t
-(** An independent generator continuing from [g]'s current state;
-    advancing one does not affect the other. *)
-
 val split : t -> int -> t
 (** [split g salt] derives an independent generator; the derivation is a pure
     function of [g]'s current state and [salt] and does not advance [g]. *)
@@ -33,10 +29,6 @@ val of_path : seed:int -> int list -> t
     streams ([of_path ~seed [i]] for different [i]) are statistically
     independent: same results at any worker count, no cross-job
     correlation.  Equal inputs give equal streams. *)
-
-val bits64 : t -> int64
-(** The next raw 64-bit output; every other drawing function is built
-    on it. *)
 
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  Raises [Invalid_argument] if

@@ -11,8 +11,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row width mismatch";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let widths t =
   let all = t.columns :: List.rev t.rows in
   let ncols = List.length t.columns in

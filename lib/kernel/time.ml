@@ -29,8 +29,6 @@ let ( > ) (a : t) b = Stdlib.( > ) a b
 
 let min = Stdlib.min
 
-let max = Stdlib.max
-
 let pp ppf t = Format.fprintf ppf "t=%d" t
 
 let range a b = if Stdlib.( > ) a b then [] else List.init (b - a + 1) (fun i -> a + i)

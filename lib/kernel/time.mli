@@ -33,8 +33,6 @@ val ( > ) : t -> t -> bool
 
 val min : t -> t -> t
 
-val max : t -> t -> t
-
 val pp : Format.formatter -> t -> unit
 
 val range : t -> t -> t list

@@ -18,10 +18,3 @@ let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let support vc =
   Pid.Map.fold (fun p k acc -> if k > 0 then Pid.Set.add p acc else acc) vc Pid.Set.empty
-
-let pp ppf vc =
-  let bindings = Pid.Map.bindings vc in
-  let pp_one ppf (p, k) = Format.fprintf ppf "%a:%d" Pid.pp p k in
-  Format.fprintf ppf "<%a>"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ") pp_one)
-    bindings

@@ -32,5 +32,3 @@ val concurrent : t -> t -> bool
 val support : t -> Pid.Set.t
 (** Processes with a non-zero component: every process that contributed an
     event to the causal past summarised by this clock. *)
-
-val pp : Format.formatter -> t -> unit

@@ -112,7 +112,7 @@ let node config =
     in
     (st, commands, outputs)
   in
-  { Netsim.node_name = "group-membership"; init; on_message; on_timer }
+  { Netsim.init; on_message; on_timer }
 
 (* ---------- analysis ---------- *)
 

@@ -241,7 +241,7 @@ let node config ~to_send =
       beats @ commands @ [ Netsim.Set_timer { delay = st.config.period; tag = tick_tag } ],
       outputs )
   in
-  { Netsim.node_name = "view-synchronous-multicast"; init; on_message; on_timer }
+  { Netsim.init; on_message; on_timer }
 
 (* ---------- checkers ---------- *)
 

@@ -53,16 +53,12 @@ val node :
 
 (** {1 Checkers} *)
 
-val view_agreement : ('s, 'v event) Netsim.result -> Classes.result
-(** Processes that install the same view have delivered exactly the same
-    item set in the preceding view — virtual synchrony's defining
-    property. *)
-
 val delivery_in_sending_view : ('s, 'v event) Netsim.result -> Classes.result
 (** No item is delivered in two different views by different processes. *)
 
-val no_duplicates : ('s, 'v event) Netsim.result -> Classes.result
-(** No process delivers the same item identity twice. *)
-
 val check : ('s, 'v event) Netsim.result -> (string * Classes.result) list
-(** All of the above. *)
+(** Every checker, by name: view agreement (processes that install the
+    same view have delivered exactly the same item set in the preceding
+    view — virtual synchrony's defining property), delivery in the
+    sending view (above), and no duplicates (no process delivers the same
+    item identity twice). *)

@@ -87,5 +87,4 @@ let reliable ~retransmit_every node =
       (st, commands, outputs)
     end
   in
-  { Netsim.node_name = "reliable-channel[" ^ node.Netsim.node_name ^ "]";
-    init; on_message; on_timer }
+  { Netsim.init; on_message; on_timer }

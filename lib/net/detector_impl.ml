@@ -18,8 +18,6 @@ let impl_of_string = function
   | "pingack" | "ping-ack" | "pa" -> Ok `Pingack
   | s -> Error (Printf.sprintf "unknown detector impl %S (heartbeat|pingack)" s)
 
-let name spec = impl_name spec.impl
-
 let describe spec =
   Format.asprintf "%s/%s period=%d timeout=%d%s%s" (impl_name spec.impl)
     (Topology.name spec.topology) spec.period spec.timeout

@@ -35,9 +35,6 @@ val impl_name : impl -> string
 val impl_of_string : string -> (impl, string) result
 (** ["heartbeat"]/["hb"] and ["pingack"]/["ping-ack"]/["pa"]. *)
 
-val name : spec -> string
-(** The impl token alone — a campaign axis value. *)
-
 val describe : spec -> string
 (** One line for humans, e.g. ["pingack/hier period=50 timeout=71 retries=1"]. *)
 

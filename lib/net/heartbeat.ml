@@ -50,12 +50,7 @@ let node ?sink ?metrics ?(topology = Topology.All_to_all) style =
     let m, added = Monitor.sweep m ~now in
     (m, beats m ~now @ (if added then Monitor.flood m ~now ~update else []) @ [ tick ])
   in
-  let node_name =
-    if Topology.equal topology Topology.All_to_all then
-      Format.asprintf "heartbeat-%a" pp_style style
-    else Format.asprintf "heartbeat-%a@%s" pp_style style (Topology.name topology)
-  in
-  Monitor.node ?sink ?metrics ~node_name ~init ~on_message ~on_timer ()
+  Monitor.node ?sink ?metrics ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

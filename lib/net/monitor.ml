@@ -93,8 +93,8 @@ let sweep m ~now =
       else (m, added))
     m.last_heard (m, false)
 
-let node ?(sink = Rlfd_obs.Trace.null) ?metrics ~node_name ~init ~on_message
-    ~on_timer () =
+let node ?(sink = Rlfd_obs.Trace.null) ?metrics ~init ~on_message ~on_timer ()
+    =
   let flipped ~self ~now on subject =
     if not (Rlfd_obs.Trace.is_null sink) then
       Rlfd_obs.Trace.(
@@ -116,8 +116,7 @@ let node ?(sink = Rlfd_obs.Trace.null) ?metrics ~node_name ~init ~on_message
     end
   in
   {
-    Netsim.node_name;
-    init;
+    Netsim.init;
     on_message =
       (fun ~n ~self ~now m ~src msg ->
         let m', commands = on_message ~n ~self ~now m ~src msg in

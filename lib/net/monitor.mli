@@ -86,7 +86,6 @@ val sweep : 'p t -> now:int -> 'p t * bool
 val node :
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
-  node_name:string ->
   init:(n:int -> self:Pid.t -> 'p t * 'm Netsim.command list) ->
   on_message:
     (n:int -> self:Pid.t -> now:Netsim.time -> 'p t -> src:Pid.t -> 'm ->

@@ -10,7 +10,6 @@ type 'm command =
   | Halt
 
 type ('s, 'm, 'o) node = {
-  node_name : string;
   init : n:int -> self:Pid.t -> 's * 'm command list;
   on_message :
     n:int -> self:Pid.t -> now:time -> 's -> src:Pid.t -> 'm -> 's * 'm command list * 'o list;

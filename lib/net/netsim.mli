@@ -24,7 +24,6 @@ type 'm command =
   | Halt (** fail-stop: the node stops processing all future events *)
 
 type ('s, 'm, 'o) node = {
-  node_name : string;
   init : n:int -> self:Pid.t -> 's * 'm command list;
   on_message :
     n:int -> self:Pid.t -> now:time -> 's -> src:Pid.t -> 'm -> 's * 'm command list * 'o list;

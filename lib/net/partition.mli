@@ -27,19 +27,10 @@ val island_of_size : n:int -> k:int -> Pid.Set.t
 (** The first [k] processes — how the CLI's [--partition START:HEAL:K]
     names an island.  Raises [Invalid_argument] unless [1 <= k < n]. *)
 
-val active : t -> at:int -> bool
-
-val separates : t -> Pid.t -> Pid.t -> bool
-(** The processes are on opposite sides of the cut (regardless of time). *)
-
 val separated : t list -> Pid.t -> Pid.t -> at:int -> bool
 (** Some active partition of the schedule separates the pair at [at] —
     the single predicate shared by the simulator (drop decision) and the
     QoS layer (classification). *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_json : t -> Rlfd_obs.Json.t
 
 val schedule_to_json : t list -> Rlfd_obs.Json.t
 (** The list as a JSON array — the self-describing scope-header field. *)

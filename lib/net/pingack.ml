@@ -2,9 +2,6 @@ open Rlfd_kernel
 
 type params = { period : int; timeout : int; retries : int }
 
-let pp_params ppf { period; timeout; retries } =
-  Format.fprintf ppf "pingack(period=%d,timeout=%d,retries=%d)" period timeout retries
-
 type msg =
   | Ping of { round : int; news : Dissem.payload }
   | Pong of { round : int; news : Dissem.payload }
@@ -85,13 +82,7 @@ let node ?sink ?metrics ?backoff ?(topology = Topology.All_to_all)
         @ timers r.watched )
     end
   in
-  let node_name =
-    if Topology.equal topology Topology.All_to_all then
-      Format.asprintf "%a" pp_params { period; timeout; retries }
-    else
-      Format.asprintf "%a@%s" pp_params { period; timeout; retries } (Topology.name topology)
-  in
-  Monitor.node ?sink ?metrics ~node_name ~init ~on_message ~on_timer ()
+  Monitor.node ?sink ?metrics ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

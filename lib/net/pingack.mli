@@ -26,8 +26,6 @@ open Rlfd_kernel
 
 type params = { period : int; timeout : int; retries : int }
 
-val pp_params : Format.formatter -> params -> unit
-
 type state
 
 type msg

@@ -95,11 +95,3 @@ let observe metrics report =
   incr ~by:report.partition_episodes metrics "partition_suspicion_episodes";
   incr ~by:report.undetected metrics "undetected_crash_pairs";
   set_gauge metrics "undetected_fraction" (undetected_fraction report)
-
-let pp_report ppf report =
-  Format.fprintf ppf
-    "@[<v>detection: %a@ undetected pairs: %d (%.1f%% of crashed pairs)@ false episodes: %d (%d partition-induced)@ mistake durations: %a@ messages: %d@ perfect-grade: %b@]"
-    Stats.pp_summary report.detection_latencies report.undetected
-    (100. *. undetected_fraction report)
-    report.false_episodes report.partition_episodes
-    Stats.pp_summary report.mistake_durations report.messages (perfect_grade report)

@@ -39,21 +39,16 @@ val analyze : ?partitions:Partition.t list -> ('s, Pid.Set.t) Netsim.result -> r
 val perfect_grade : report -> bool
 (** [complete && accurate]. *)
 
-val undetected_fraction : report -> float
-(** [undetected / (detected + undetected)] over (crashed subject, correct
-    observer) pairs; 0. when nothing crashed.  The information
-    {!observe}'s counters alone lose: a latency histogram only holds the
-    pairs that {e were} detected. *)
-
 val observe : Rlfd_obs.Metrics.t -> report -> unit
 (** Push the report into a metrics registry: the [detection_latency] and
     [mistake_duration] histograms (detection-latency samples exist {e only}
     for crashed processes, by construction of {!analyze}), the
     [false_suspicion_episodes] / [partition_suspicion_episodes] /
     [undetected_crash_pairs] counters and the [undetected_fraction]
-    gauge. *)
-
-val pp_report : Format.formatter -> report -> unit
+    gauge: [undetected / (detected + undetected)] over (crashed subject,
+    correct observer) pairs, 0 when nothing crashed — what the latency
+    histogram alone loses, since it only holds the pairs that {e were}
+    detected. *)
 
 (** {1 Timeline reconstruction} *)
 

@@ -41,12 +41,6 @@ let of_string s =
         (Printf.sprintf
            "unknown topology %S (expected all, ring[:K], or hier)" s))
 
-let pp ppf t =
-  match t with
-  | All_to_all -> Format.pp_print_string ppf "all-to-all"
-  | Ring { k } -> Format.fprintf ppf "ring(k=%d)" k
-  | Hierarchical -> Format.pp_print_string ppf "hierarchical"
-
 (* log2 bits needed so that every pid index fits: the number of s with
    2^s < n. *)
 let bits n =

@@ -49,8 +49,6 @@ val of_string : string -> (t, string) result
 (** Inverse of {!name}; also accepts ["all-to-all"], ["ring"] (= [ring:2]),
     ["ring:<k>"] and ["hierarchical"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val watches : t -> n:int -> Pid.t -> Pid.t list
 (** The peers this process monitors (sorted, self-free, duplicate-free). *)
 

@@ -64,8 +64,6 @@ let to_string v =
   emit b v;
   Buffer.contents b
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* ---------- parsing ---------- *)
 
 exception Parse_error of int * string

@@ -21,8 +21,6 @@ val to_string : t -> string
 (** Compact (single-line) rendering — one value per line is what makes the
     JSONL trace format greppable and [jq]-friendly. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parses one JSON value; trailing non-whitespace is an error.  [Error]
     carries a human-readable reason with a character position. *)

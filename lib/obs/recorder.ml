@@ -248,17 +248,9 @@ let save path artifact =
           output_char oc '\n')
         (to_lines artifact))
 
+(* Opening a directory succeeds and reading it fails, so the read is
+   guarded too. *)
 let load path =
-  match open_in path with
+  match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        of_lines (List.rev !lines))
+  | text -> of_lines (String.split_on_char '\n' text)

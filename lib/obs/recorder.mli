@@ -19,9 +19,6 @@
     Canonical encodings are [Marshal] bytes, which are binary — they are
     hex-encoded ({!hex_encode}) wherever they appear in the JSON. *)
 
-val schema_version : int
-(** Version of the artifact format; {!of_lines} rejects others. *)
-
 type kind =
   | Explore  (** a violation schedule out of {!Rlfd_sim.Explore.run} *)
   | Run  (** one complete {!Rlfd_sim.Runner.run} execution *)
@@ -91,4 +88,5 @@ val save : string -> t -> unit
 (** Write the artifact to [path], one record per line. *)
 
 val load : string -> (t, string) result
-(** Read and decode; IO problems come back as [Error] too. *)
+(** Read and decode; IO problems (a missing file, a directory) come back
+    as [Error] too. *)

@@ -35,9 +35,6 @@ val count : t -> int
 
 val sum : t -> float
 
-val mean : t -> float
-(** 0. when empty. *)
-
 val min_value : t -> float
 (** Exact observed minimum.  Raises [Invalid_argument] when empty. *)
 

@@ -209,8 +209,6 @@ let create ?(capacity = default_capacity) ~label () =
     active = true;
   }
 
-let label t = t.t_label
-
 let recorder t label =
   if not t.active then null_recorder
   else begin

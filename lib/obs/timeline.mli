@@ -36,8 +36,6 @@ val create : ?capacity:int -> label:string -> unit -> t
 (** A live collector.  [capacity] (default 8192) is the per-recorder ring
     size, in records; raises [Invalid_argument] if < 1. *)
 
-val label : t -> string
-
 val recorder : t -> string -> recorder
 (** [recorder t label] registers a fresh recorder under [label].  Safe to
     call from any domain (registration takes the collector's mutex once);
@@ -119,19 +117,15 @@ val version : int
 val to_json : artifact -> Json.t
 (** The full versioned artifact, timestamps and GC deltas included. *)
 
-val lifecycle_names : string list
-(** Record names {!normalized_json} always excludes: the pool lifecycle
-    vocabulary ([pool-start], [pool-wait], [steal], [park], [unpark]).
-    Their counts depend on pool warmth, core count and raw scheduling,
-    never on the workload, so they can never appear in a
-    determinism-checked view. *)
-
 val normalized_json : ?exclude:string list -> artifact -> Json.t
 (** The determinism view: timing and GC numbers erased, spans pooled
     across domains and sorted by (name, tag, depth) — byte-identical
     across runs of the same deterministic workload regardless of domain
-    interleaving, worker count or pool state.  {!lifecycle_names} are
-    always dropped; [exclude] drops further records by name (e.g. the
+    interleaving, worker count or pool state.  The pool lifecycle
+    records ([pool-start], [pool-wait], [steal], [park], [unpark]) are
+    always dropped: their counts depend on pool warmth, core count and
+    raw scheduling, never on the workload.  [exclude] drops further
+    records by name (e.g. the
     engine's batch-level spans when comparing adaptive-batching runs,
     whose batch boundaries are timing-dependent). *)
 

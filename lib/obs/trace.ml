@@ -9,18 +9,15 @@ type event =
       outputs : string list;
       seen : string option;
     }
-  | Idle of { time : int }
   | Send of { time : int; src : int; dst : int }
   | Deliver of { time : int; src : int; dst : int }
   | Drop of { time : int; src : int; dst : int }
   | Timer_set of { time : int; pid : int; tag : int; fires_at : int }
   | Timer_fire of { time : int; pid : int; tag : int }
   | Suspect of { time : int; observer : int; subject : int; on : bool }
-  | Output of { time : int; pid : int; value : string }
   | Crash of { time : int; pid : int }
   | Halt of { time : int; pid : int }
   | Violation of { time : int; reason : string }
-  | Note of { time : int; label : string }
   | Progress of {
       time : int;
       label : string;
@@ -45,18 +42,15 @@ type event =
 
 let time_of = function
   | Step { time; _ }
-  | Idle { time }
   | Send { time; _ }
   | Deliver { time; _ }
   | Drop { time; _ }
   | Timer_set { time; _ }
   | Timer_fire { time; _ }
   | Suspect { time; _ }
-  | Output { time; _ }
   | Crash { time; _ }
   | Halt { time; _ }
   | Violation { time; _ }
-  | Note { time; _ }
   | Progress { time; _ }
   | Qos_snapshot { time; _ } -> time
 
@@ -77,7 +71,6 @@ let to_json event =
       match seen with None -> base | Some s -> base @ [ ("seen", String s) ]
     in
     tagged "step" base
-  | Idle { time } -> tagged "idle" [ ("t", Int time) ]
   | Send { time; src; dst } ->
     tagged "send" [ ("t", Int time); ("src", Int src); ("dst", Int dst) ]
   | Deliver { time; src; dst } ->
@@ -94,14 +87,10 @@ let to_json event =
     tagged "suspect"
       [ ("t", Int time); ("observer", Int observer); ("subject", Int subject);
         ("on", Bool on) ]
-  | Output { time; pid; value } ->
-    tagged "output" [ ("t", Int time); ("pid", Int pid); ("value", String value) ]
   | Crash { time; pid } -> tagged "crash" [ ("t", Int time); ("pid", Int pid) ]
   | Halt { time; pid } -> tagged "halt" [ ("t", Int time); ("pid", Int pid) ]
   | Violation { time; reason } ->
     tagged "violation" [ ("t", Int time); ("reason", String reason) ]
-  | Note { time; label } ->
-    tagged "note" [ ("t", Int time); ("label", String label) ]
   | Progress { time; label; done_; total; rate; detail } ->
     tagged "progress"
       [ ("t", Int time); ("label", String label); ("done", Int done_);
@@ -172,9 +161,6 @@ let of_json json =
       Option.bind (Json.member "seen" json) Json.to_string_opt
     in
     Ok (Step { time; pid; received_from; sent_to; outputs; seen })
-  | "idle" ->
-    let* time = int_field "t" in
-    Ok (Idle { time })
   | "send" | "deliver" | "drop" ->
     let* time = int_field "t" in
     let* src = int_field "src" in
@@ -201,11 +187,6 @@ let of_json json =
     let* subject = int_field "subject" in
     let* on = bool_field "on" in
     Ok (Suspect { time; observer; subject; on })
-  | "output" ->
-    let* time = int_field "t" in
-    let* pid = int_field "pid" in
-    let* value = string_field "value" in
-    Ok (Output { time; pid; value })
   | "crash" ->
     let* time = int_field "t" in
     let* pid = int_field "pid" in
@@ -218,10 +199,6 @@ let of_json json =
     let* time = int_field "t" in
     let* reason = string_field "reason" in
     Ok (Violation { time; reason })
-  | "note" ->
-    let* time = int_field "t" in
-    let* label = string_field "label" in
-    Ok (Note { time; label })
   | "progress" ->
     let* time = int_field "t" in
     let* label = string_field "label" in
@@ -290,7 +267,6 @@ let render event =
       | [] -> ""
       | outs -> Printf.sprintf " OUTPUT %s" (String.concat "; " outs))
       (match seen with None -> "" | Some s -> Printf.sprintf " seen=%s" s)
-  | Idle { time } -> Printf.sprintf "t=%-5d idle" time
   | Send { time; src; dst } -> Printf.sprintf "t=%-5d p%d send->p%d" time src dst
   | Deliver { time; src; dst } ->
     Printf.sprintf "t=%-5d p%d deliver<-p%d" time dst src
@@ -304,13 +280,10 @@ let render event =
     Printf.sprintf "t=%-5d p%d %s p%d" time observer
       (if on then "suspects" else "trusts")
       subject
-  | Output { time; pid; value } ->
-    Printf.sprintf "t=%-5d p%d OUTPUT %s" time pid value
   | Crash { time; pid } -> Printf.sprintf "t=%-5d p%d CRASH" time pid
   | Halt { time; pid } -> Printf.sprintf "t=%-5d p%d HALT" time pid
   | Violation { time; reason } ->
     Printf.sprintf "step=%-3d VIOLATION %s" time reason
-  | Note { time; label } -> Printf.sprintf "t=%-5d # %s" time label
   | Progress { time; label; done_; total; rate; detail } ->
     Printf.sprintf "[%6.1fs] %s %s rate=%.0f/s%s"
       (float_of_int time /. 1000.)

@@ -30,7 +30,6 @@ type event =
       outputs : string list;  (** rendered by the caller's [pp_output] *)
       seen : string option;  (** rendered failure-detector output, if any *)
     }  (** one scheduled step of the abstract model (= one clock tick) *)
-  | Idle of { time : int }  (** the scheduler let the tick pass *)
   | Send of { time : int; src : int; dst : int }
   | Deliver of { time : int; src : int; dst : int }
   | Drop of { time : int; src : int; dst : int }  (** lost by a lossy link *)
@@ -38,12 +37,10 @@ type event =
   | Timer_fire of { time : int; pid : int; tag : int }
   | Suspect of { time : int; observer : int; subject : int; on : bool }
       (** a suspicion transition: [on] = started suspecting *)
-  | Output of { time : int; pid : int; value : string }
   | Crash of { time : int; pid : int }
   | Halt of { time : int; pid : int }  (** voluntary fail-stop *)
   | Violation of { time : int; reason : string }
       (** a safety violation found by {!Rlfd_sim.Explore} ([time] = depth) *)
-  | Note of { time : int; label : string }  (** free-form annotation *)
   | Progress of {
       time : int;  (** elapsed wall-clock milliseconds since the run began *)
       label : string;  (** which long-running path: ["explore"], a campaign name *)

@@ -9,8 +9,6 @@ type state = {
   gossip_every : int;
 }
 
-let output_now st = st.emulated
-
 let handle ~n ~self st envelope seen =
   (* merge the local module's raw output, then the gossip rule *)
   let emulated = Pid.Set.union st.emulated seen in

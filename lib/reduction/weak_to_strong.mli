@@ -30,9 +30,6 @@ type state
 
 type msg
 
-val output_now : state -> Pid.Set.t
-(** The emulated detector's current value at this process. *)
-
 val automaton :
   gossip_every:int -> (state, msg, Detector.suspicions, Pid.Set.t) Model.t
 (** The input detector is the one the {!Runner} is given; each process

@@ -5,11 +5,10 @@ type 'o outputs = (Pid.t * 'o) list
 
 type 'o violation = {
   at_step : int;
-  trail : (Pid.t * Pid.t option) list;
   schedule : (Pid.t * (Pid.t * string) option) list;
-      (* trail plus the canonical payload bytes of each received message —
-         what Replay needs to re-resolve the same messages; payloads are
-         [""] unless the run captured encodings *)
+      (* (process, sender and canonical payload bytes of the received
+         message) per step — what Replay needs to re-resolve the same
+         messages; payloads are [""] unless the run captured encodings *)
   outputs : 'o outputs;
   reason : string;
 }
@@ -217,8 +216,6 @@ type ('s, 'm, 'd, 'o) symmetry_spec = {
   d_rename : (Pid.t -> Pid.t) -> 'd -> 'd;
 }
 
-type symmetry_mode = [ `Full | `Decisions_only ]
-
 (* The reduction pipeline, resolved once per exploration: which encoding
    layers are active and the precomputed data they need (the quiescence
    point of the scope's detector views, the symmetry group). *)
@@ -229,7 +226,7 @@ type ('s, 'm, 'd, 'o) reduction = {
   quiesce_at : int; (* first tick from which views and aliveness are constant *)
   group : Symmetry.perm list; (* identity first; [identity] = symmetry off *)
   spec : ('s, 'm, 'd, 'o) symmetry_spec option; (* present iff decisions quotient *)
-  orbit_merge : bool; (* false under `Decisions_only *)
+  orbit_merge : bool; (* false on cross_check's naive side *)
 }
 
 (* The first tick q <= horizon such that aliveness and every process's
@@ -260,7 +257,7 @@ let quiescence ~pattern ~detector ~d_equal ~horizon =
   !stable_from
 
 let resolve_reduction ?(canon = false) ?(por = false) ?(por_lambda = false)
-    ?symmetry ?(symmetry_mode = `Full) ~pattern ~detector ~d_equal ~max_steps ()
+    ?symmetry ?(orbit_merge = true) ~pattern ~detector ~d_equal ~max_steps ()
     =
   let horizon = max_steps + 1 in
   let quiesce_at =
@@ -275,7 +272,7 @@ let resolve_reduction ?(canon = false) ?(por = false) ?(por_lambda = false)
         |> Symmetry.filter_equivariant ~pattern ~detector ~horizon
              ~d_rename:spec.d_rename ~d_equal
       in
-      (g, Some spec, symmetry_mode = `Full)
+      (g, Some spec, orbit_merge)
   in
   { canon; por; por_lambda; quiesce_at; group; spec; orbit_merge }
 
@@ -302,16 +299,19 @@ type 'o acc = {
   mutable t_confirm : float;
 }
 
-let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
-    ?(canon = false) ?(por = false) ?(por_lambda = false) ?symmetry
-    ?(symmetry_mode = `Full) ?(capture = false) ?(d_equal = fun a b -> a = b)
+(* [orbit_merge:false] quotients only the recorded decisions, not the
+   visited set: how cross_check's naive side makes its decision sets
+   comparable with a symmetry-reduced run's. *)
+let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
+    ?(max_violations = 5) ?(canon = false) ?(por = false) ?(por_lambda = false)
+    ?symmetry ?(capture = false) ?(d_equal = fun a b -> a = b)
     ?(sink = Rlfd_obs.Trace.null) ?metrics ?(paranoid = false)
     ?(timeline = Rlfd_obs.Timeline.null) ~pattern ~detector ~check
     (algo : _ Model.t) =
   if max_steps < 0 then invalid_arg "Explore.run: max_steps < 0";
   let n = Pattern.n pattern in
   let red =
-    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~symmetry_mode
+    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~orbit_merge
       ~pattern ~detector ~d_equal ~max_steps ()
   in
   (* Message encodings are needed both for canonical dedup and for the
@@ -393,8 +393,8 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
   in
   (* Lane counts: state/message lanes exist per group element only when
      orbits are actually merged; output lanes whenever a spec is present
-     (the decision quotient needs renamed outputs even under
-     [`Decisions_only]). *)
+     (the decision quotient needs renamed outputs even without orbit
+     merging). *)
   let sm_lanes = if red.orbit_merge then g_order else 1 in
   let out_lanes = match red.spec with None -> 1 | Some _ -> g_order in
   let renamings =
@@ -965,8 +965,6 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
                     add_violation
                       {
                         at_step = config'.step_no;
-                        trail =
-                          List.map (fun (p, r) -> (p, Option.map fst r)) chron;
                         schedule = chron;
                         outputs = outputs';
                         reason;
@@ -1071,6 +1069,13 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
     decision_states = List.sort String.compare acc.decision_list;
   }
 
+let run ?max_steps ?max_nodes ?max_violations ?canon ?por ?por_lambda ?symmetry
+    ?capture ?d_equal ?sink ?metrics ?paranoid ?timeline ~pattern ~detector
+    ~check algo =
+  walk ~orbit_merge:true ?max_steps ?max_nodes ?max_violations ?canon ?por
+    ?por_lambda ?symmetry ?capture ?d_equal ?sink ?metrics ?paranoid ?timeline
+    ~pattern ~detector ~check algo
+
 (* ---------- self-description (the --explain surface) ---------- *)
 
 let describe ?(max_steps = 12) ?(canon = false) ?(por = false)
@@ -1127,9 +1132,9 @@ let cross_check ?max_steps ?max_nodes ?max_violations ?(canon = true)
      quotients by symmetry — records its decision multisets through the
      same quotient, so the two sets are compared in the same coordinates. *)
   let unreduced =
-    run ?max_steps ?max_nodes ?max_violations ~canon:false ~por:false
-      ~por_lambda:false ?symmetry ~symmetry_mode:`Decisions_only ?d_equal ?sink
-      ?metrics ~pattern ~detector ~check algo
+    walk ~orbit_merge:false ?max_steps ?max_nodes ?max_violations ~canon:false
+      ~por:false ~por_lambda:false ?symmetry ?d_equal ?sink ?metrics ~pattern
+      ~detector ~check algo
   in
   {
     reduced;

@@ -70,13 +70,11 @@ type 'o outputs = (Pid.t * 'o) list
 
 type 'o violation = {
   at_step : int;
-  trail : (Pid.t * Pid.t option) list;
-      (** the schedule: (process, sender of received message) per step *)
   schedule : (Pid.t * (Pid.t * string) option) list;
-      (** [trail] enriched with the canonical payload bytes of each
-          received message — the flight-recorder form {!Replay.execute}
-          consumes.  Payloads are [""] unless the run had [capture] (or
-          [canon]) on. *)
+      (** the schedule: the process of each step and, for a reception,
+          the sender and canonical payload bytes of the received message
+          — the flight-recorder form {!Replay.execute} consumes.  Payloads
+          are [""] unless the run had [capture] (or [canon]) on. *)
   outputs : 'o outputs;
   reason : string;
 }
@@ -137,12 +135,6 @@ type ('s, 'm, 'd, 'o) symmetry_spec = {
           for suspicion sets) — used to check detector equivariance *)
 }
 
-type symmetry_mode = [ `Full | `Decisions_only ]
-(** [`Full] (the default) quotients both the visited set and the recorded
-    decision multisets.  [`Decisions_only] quotients only the decisions —
-    no orbit merging — which is how {!cross_check} makes the naive side's
-    decision sets comparable with a symmetry-reduced run's. *)
-
 val run :
   ?max_steps:int ->
   ?max_nodes:int ->
@@ -151,7 +143,6 @@ val run :
   ?por:bool ->
   ?por_lambda:bool ->
   ?symmetry:('s, 'm, 'd, 'o) symmetry_spec ->
-  ?symmetry_mode:symmetry_mode ->
   ?capture:bool ->
   ?d_equal:('d -> 'd -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
@@ -174,12 +165,12 @@ val run :
     pruning, and with it the detector-view canonicalizer.  [por] (default
     [false]) enables sleep sets over delivery pairs, [por_lambda] (default
     [false]) over pairs involving lambda steps; [d_equal] (default
-    structural equality) compares
-    detector outputs when deciding commutation and quiescence — pass e.g.
-    [Pid.Set.equal] for set-valued detectors.  [symmetry] supplies the
-    scope's {!symmetry_spec} and enables orbit quotienting (restricted to
-    decisions under [~symmetry_mode:`Decisions_only]).  With everything
-    off, behaviour is exactly the naive enumeration.  With [canon] on,
+    structural equality) compares detector outputs when deciding
+    commutation and quiescence — pass e.g. [Pid.Set.equal] for set-valued
+    detectors.  [symmetry] supplies the scope's {!symmetry_spec} and
+    enables orbit quotienting of both the visited set and the recorded
+    decision multisets.  With everything off, behaviour is exactly the
+    naive enumeration.  With [canon] on,
     [check] must additionally be insensitive to the emission order of
     outputs (a multiset property — {!agreement_check} and
     {!validity_check} are), because a branch reaching an already-expanded
@@ -267,8 +258,8 @@ val cross_check :
     [symmetry] when a spec is given) and naive — and compare the reachable
     decision-state sets byte-for-byte.  When the reduced side quotients by
     symmetry, the naive side records its decisions through the same
-    quotient ([`Decisions_only]) so the comparison happens in one
-    coordinate system.  The soundness regression gate for every layer:
+    quotient (without merging orbits of visited states) so the comparison
+    happens in one coordinate system.  The soundness regression gate for every layer:
     [identical = true] certifies that within this scope the reductions
     lost no reachable decision state. *)
 

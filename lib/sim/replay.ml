@@ -52,7 +52,7 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
       let now = Time.of_int !step_no in
       (* Resolve the prescribed reception to the oldest pending message to
          [p] from [src] whose canonical bytes match — by sender alone when
-         the schedule carries no payload (a capture-less trail). *)
+         the schedule carries no payload (a capture-less schedule). *)
       let resolved =
         if Pid.to_int p > n || not (Pattern.is_alive pattern p now) then None
         else

@@ -10,15 +10,13 @@ type 'm view = {
 
 type action = Step of { pid : Pid.t; receive : Buffer.id option } | Idle
 
-type 'm t = { name : string; choose : 'm view -> action }
+type 'm t = 'm view -> action
 
-let name t = t.name
-
-let choose t view = t.choose view
+let choose t view = t view
 
 let fair () =
   let cursor = ref 0 in
-  let choose view =
+  fun view ->
     match view.alive with
     | [] -> Idle
     | alive ->
@@ -29,14 +27,12 @@ let fair () =
         match view.pending pid with [] -> None | (id, _) :: _ -> Some id
       in
       Step { pid; receive }
-  in
-  { name = "fair"; choose }
 
 let random ~seed ~lambda_bias =
   if lambda_bias < 0. || lambda_bias >= 1. then
     invalid_arg "Scheduler.random: lambda_bias out of [0,1)";
   let rng = Rng.make seed in
-  let choose view =
+  fun view ->
     match view.alive with
     | [] -> Idle
     | alive ->
@@ -49,34 +45,10 @@ let random ~seed ~lambda_bias =
           else Some (fst (Rng.pick rng pending))
       in
       Step { pid; receive }
-  in
-  { name = Format.asprintf "random(seed=%d)" seed; choose }
-
-let scripted trail =
-  let remaining = ref trail in
-  let choose view =
-    match !remaining with
-    | [] -> Idle
-    | (pid, from) :: rest ->
-      remaining := rest;
-      if not (List.exists (Pid.equal pid) view.alive) then Idle
-      else begin
-        let receive =
-          match from with
-          | None -> None
-          | Some src ->
-            view.pending pid
-            |> List.find_opt (fun (_, e) -> Pid.equal e.Model.src src)
-            |> Option.map fst
-        in
-        Step { pid; receive }
-      end
-  in
-  { name = "scripted"; choose }
 
 let replay entries =
   let remaining = ref entries in
-  let choose view =
+  fun view ->
     match !remaining with
     | [] -> Idle
     | (t, pid, receive) :: rest ->
@@ -96,8 +68,6 @@ let replay entries =
           Step { pid; receive }
         end
       end
-  in
-  { name = "replay"; choose }
 
 type 'm constraint_ = {
   blocks_step : 'm view -> Pid.t -> bool;
@@ -150,20 +120,12 @@ let constrained ~base constraints =
   let blocks_delivery view e =
     List.exists (fun c -> c.blocks_delivery view e) constraints
   in
-  let choose view =
-    let view' =
-      {
-        view with
-        alive = List.filter (fun p -> not (blocks_step view p)) view.alive;
-        pending =
-          (fun p ->
-            List.filter (fun (_, e) -> not (blocks_delivery view e)) (view.pending p));
-      }
-    in
-    match base.choose view' with
-    | Idle -> Idle
-    | Step _ as a -> a
-  in
-  { name = base.name ^ "+constraints"; choose }
-
-let with_name name t = { t with name }
+  fun view ->
+      base
+        {
+          view with
+          alive = List.filter (fun p -> not (blocks_step view p)) view.alive;
+          pending =
+            (fun p ->
+              List.filter (fun (_, e) -> not (blocks_delivery view e)) (view.pending p));
+        }

@@ -28,9 +28,6 @@ type action =
 type 'm t
 (** A scheduling policy over messages of type ['m]. *)
 
-val name : 'm t -> string
-(** Display name, used in run headers and reports. *)
-
 val choose : 'm t -> 'm view -> action
 (** One scheduling decision; called once per tick by {!Runner}. *)
 
@@ -43,23 +40,14 @@ val random : seed:int -> lambda_bias:float -> 'm t
     otherwise a uniformly chosen pending message.  Raises
     [Invalid_argument] unless [0 <= lambda_bias < 1]. *)
 
-val scripted : (Pid.t * Pid.t option) list -> 'm t
-(** Replays an explicit schedule — one [(process, sender of the received
-    message)] pair per step, [None] meaning lambda — such as the witness
-    trail of {!Explore}.  A prescribed reception whose message is absent
-    degrades to a lambda step; after the script ends every tick is
-    {!Idle}. *)
-
 val replay : (int * Pid.t * Buffer.id option) list -> 'm t
 (** Replays a flight-recorder schedule exactly: one [(tick, process,
     received buffer id)] entry per recorded step, consumed when the clock
     reaches its tick.  Buffer ids are deterministic (allocation order), so
-    an entry names precisely the message the original run delivered —
-    unlike {!scripted}, which resolves by sender and can diverge when one
-    sender has several messages in flight.  Ticks with no entry, an entry
-    whose process is dead, and a prescribed message already consumed all
-    degrade safely (idle / lambda); a faithful artifact never hits those
-    cases. *)
+    an entry names precisely the message the original run delivered.
+    Ticks with no entry, an entry whose process is dead, and a prescribed
+    message already consumed all degrade safely (idle / lambda); a
+    faithful artifact never hits those cases. *)
 
 (** {1 Adversarial constraints}
 
@@ -96,6 +84,3 @@ val freeze_all_except : Pid.t list -> until:Time.t -> 'm constraint_
 val constrained : base:'m t -> 'm constraint_ list -> 'm t
 (** [base]'s choices filtered through every constraint in the list; the
     tick is {!Idle} when nothing permissible remains. *)
-
-val with_name : string -> 'm t -> 'm t
-(** Rename a scheduler (e.g. to label an adversarial construction). *)

@@ -70,3 +70,62 @@ let arb_pattern ~n ~horizon =
       (Gen.int_bound 1_000_000)
   in
   make ~print:(Format.asprintf "%a" Pattern.pp) gen
+
+(* ---------- reader fuzzing ---------- *)
+
+(* One corruption of a line-oriented artifact: a byte flipped (xor with a
+   non-zero mask), the text cut short, or a line deleted or duplicated.
+   Positions are taken modulo the text's size, so any int is valid. *)
+type mutation =
+  | Flip of int * int
+  | Truncate of int
+  | Delete_line of int
+  | Duplicate_line of int
+
+let mutate text = function
+  | Flip (i, mask) ->
+    if text = "" then text
+    else
+      let i = i mod String.length text in
+      String.mapi
+        (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c)
+        text
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+  | (Delete_line k | Duplicate_line k) as m ->
+    let lines = String.split_on_char '\n' text in
+    let i = k mod List.length lines in
+    List.mapi
+      (fun j l ->
+        if j <> i then [ l ]
+        else match m with Delete_line _ -> [] | _ -> [ l; l ])
+      lines
+    |> List.concat |> String.concat "\n"
+
+let pp_mutation = function
+  | Flip (i, mask) -> Printf.sprintf "flip %d ^ 0x%02x" i mask
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Delete_line k -> Printf.sprintf "delete-line %d" k
+  | Duplicate_line k -> Printf.sprintf "duplicate-line %d" k
+
+(* One to three mutations, applied in order. *)
+let arb_mutations =
+  let open QCheck in
+  let mutation =
+    Gen.(
+      oneof
+        [ map2 (fun i mask -> Flip (i, mask)) nat (int_range 1 255);
+          map (fun k -> Truncate k) nat;
+          map (fun k -> Delete_line k) nat;
+          map (fun k -> Duplicate_line k) nat ])
+  in
+  make
+    ~print:(fun ms -> String.concat "; " (List.map pp_mutation ms))
+    Gen.(list_size (int_range 1 3) mutation)
+
+(* The reader property: on every corruption of the valid artifact [text]
+   [read] returns — [Ok] or [Error], never an exception — and on [text]
+   itself its answer satisfies [roundtrip]. *)
+let qtest_reader name ~text ~read ~roundtrip =
+  qtest ~count:300 name arb_mutations (fun ms ->
+      ignore (read (List.fold_left mutate text ms));
+      roundtrip (read text))

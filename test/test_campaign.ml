@@ -99,6 +99,30 @@ let spec_tests =
 
 (* ---------- Checkpoint ---------- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* A valid checkpoint, as the writers produce it. *)
+let ck_header = { Checkpoint.name = "fuzz"; seed = 3; total = 4 }
+
+let ck_entries =
+  List.map
+    (fun job ->
+      { Checkpoint.job; label = string_of_int job; elapsed_s = 0.25;
+        value = Json.Obj [ ("v", Json.Int job) ] })
+    [ 0; 1; 3 ]
+
+let ck_text =
+  let path = tmp_file "rlfd-ck-fuzz-valid.jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      Checkpoint.write_header oc ck_header;
+      List.iter (Checkpoint.write_entry oc) ck_entries);
+  let text = read_file path in
+  Sys.remove path;
+  text
+
 let checkpoint_tests =
   [
     test "header and entries round-trip" (fun () ->
@@ -149,6 +173,16 @@ let checkpoint_tests =
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected Error");
         Sys.remove path);
+    qtest_reader "load never raises on a corrupted checkpoint file" ~text:ck_text
+      ~read:(fun text ->
+        let path = tmp_file "rlfd-ck-fuzz.jsonl" in
+        write_file path text;
+        Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+            Checkpoint.load path))
+      ~roundtrip:(( = ) (Ok (ck_header, ck_entries, 0)));
+    test "load of a directory is an Error, not an exception" (fun () ->
+        Alcotest.(check bool) "error" true
+          (Result.is_error (Checkpoint.load (Filename.get_temp_dir_name ()))));
   ]
 
 (* ---------- Engine determinism ---------- *)
@@ -304,6 +338,28 @@ let resume_tests =
          with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "expected Failure on total mismatch");
+        Sys.remove path);
+    test "another spec's checkpoint with the same name, seed and size is refused"
+      (fun () ->
+        let path = tmp_file "rlfd-ck-foreign.jsonl" in
+        let spec fd = Spec.make ~name:"same" ~axes:[ ("fd", [ fd ]) ] ~seeds:[ 1; 2 ] () in
+        let _ =
+          Engine.run_spec ~checkpoint:path ~codec:int_codec ~seed:2002 (spec "P")
+            (fun ~rng:_ ~metrics:_ job -> job.Spec.index)
+        in
+        let before = read_file path in
+        let ran = ref false in
+        (match
+           Engine.run_spec ~checkpoint:path ~resume:true ~codec:int_codec
+             ~seed:2002 (spec "S")
+             (fun ~rng:_ ~metrics:_ _ ->
+               ran := true;
+               0)
+         with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail "expected Failure on another spec's labels");
+        Alcotest.(check bool) "no job ran" false !ran;
+        Alcotest.(check string) "file untouched" before (read_file path);
         Sys.remove path);
   ]
 

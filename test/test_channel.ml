@@ -12,8 +12,7 @@ let n = 4
 let ring_node : (unit, int, int) Netsim.node =
   let next ~n self = Pid.of_int ((Pid.to_int self mod n) + 1) in
   {
-    Netsim.node_name = "ring";
-    init =
+    Netsim.init =
       (fun ~n ~self ->
         if Pid.to_int self = 1 then ((), [ Netsim.Send (next ~n (Pid.of_int 1), 1) ])
         else ((), []));

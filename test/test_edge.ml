@@ -17,10 +17,9 @@ let null_automaton : (unit, int, Detector.suspicions, int) Model.t =
 
 (* a scheduler that only ever lets one chosen process step *)
 let evil_scheduler pid_to_step =
-  Scheduler.with_name "evil"
-    (Scheduler.constrained ~base:(Scheduler.fair ())
-       [ { Scheduler.blocks_step = (fun _ q -> not (Pid.equal q pid_to_step));
-           blocks_delivery = (fun _ _ -> false) } ])
+  Scheduler.constrained ~base:(Scheduler.fair ())
+    [ { Scheduler.blocks_step = (fun _ q -> not (Pid.equal q pid_to_step));
+        blocks_delivery = (fun _ _ -> false) } ]
 
 (* The step's guards, reached directly: the built-in schedulers only
    choose alive processes and pending messages, so they never trip them.

@@ -58,7 +58,7 @@ let explorer_tests =
         match report.Explore.violations with
         | [] -> Alcotest.fail "expected a uniform-agreement violation"
         | v :: _ ->
-          Alcotest.(check bool) "witness has a schedule" true (v.Explore.trail <> []);
+          Alcotest.(check bool) "witness has a schedule" true (v.Explore.schedule <> []);
           Alcotest.(check bool) "two different decisions" true
             (List.length v.Explore.outputs >= 2));
     test "the Marabout algorithm with P is unsafe: witness found" (fun () ->

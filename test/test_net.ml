@@ -46,8 +46,7 @@ let link_tests =
 let ring_node : (unit, int, int) Netsim.node =
   let next ~n self = Pid.of_int ((Pid.to_int self mod n) + 1) in
   {
-    Netsim.node_name = "ring";
-    init =
+    Netsim.init =
       (fun ~n ~self ->
         if Pid.to_int self = 1 then ((), [ Netsim.Send (next ~n (Pid.of_int 1), 1) ])
         else ((), []));
@@ -81,8 +80,7 @@ let netsim_tests =
     test "timers fire and reschedule" (fun () ->
         let counter_node : (int, unit, int) Netsim.node =
           {
-            Netsim.node_name = "counter";
-            init = (fun ~n:_ ~self:_ -> (0, [ Netsim.Set_timer { delay = 10; tag = 0 } ]));
+            Netsim.init = (fun ~n:_ ~self:_ -> (0, [ Netsim.Set_timer { delay = 10; tag = 0 } ]));
             on_message = (fun ~n:_ ~self:_ ~now:_ st ~src:_ () -> (st, [], []));
             on_timer =
               (fun ~n:_ ~self:_ ~now:_ st ~tag:_ ->
@@ -98,8 +96,7 @@ let netsim_tests =
     test "halt silences a node" (fun () ->
         let suicidal : (unit, unit, int) Netsim.node =
           {
-            Netsim.node_name = "suicidal";
-            init = (fun ~n:_ ~self:_ -> ((), [ Netsim.Set_timer { delay = 5; tag = 0 } ]));
+            Netsim.init = (fun ~n:_ ~self:_ -> ((), [ Netsim.Set_timer { delay = 5; tag = 0 } ]));
             on_message = (fun ~n:_ ~self:_ ~now:_ () ~src:_ () -> ((), [], []));
             on_timer =
               (fun ~n:_ ~self ~now:_ () ~tag:_ ->

@@ -59,6 +59,9 @@ let json_tests =
         Alcotest.(check string) "nan" "null" (Json.to_string (Json.Float nan));
         Alcotest.(check string) "inf" "null"
           (Json.to_string (Json.Float infinity)));
+    qtest_reader "of_string never raises on a corrupted document"
+      ~text:(Json.to_string sample_json) ~read:Json.of_string
+      ~roundtrip:(( = ) (Ok sample_json));
   ]
 
 (* ---------- trace schema ---------- *)
@@ -70,7 +73,6 @@ let all_constructors =
     Trace.Step
       { time = 0; pid = 4; received_from = None; sent_to = []; outputs = [];
         seen = None };
-    Trace.Idle { time = 9 };
     Trace.Send { time = 1; src = 1; dst = 2 };
     Trace.Deliver { time = 5; src = 1; dst = 2 };
     Trace.Drop { time = 5; src = 3; dst = 2 };
@@ -78,11 +80,10 @@ let all_constructors =
     Trace.Timer_fire { time = 22; pid = 1; tag = 7 };
     Trace.Suspect { time = 30; observer = 1; subject = 3; on = true };
     Trace.Suspect { time = 31; observer = 1; subject = 3; on = false };
-    Trace.Output { time = 12; pid = 2; value = "decided 7" };
     Trace.Crash { time = 40; pid = 3 };
     Trace.Halt { time = 41; pid = 4 };
     Trace.Violation { time = 6; reason = "disagreement: 1 vs 2" };
-    Trace.Note { time = 0; label = "hello \"world\"" };
+    Trace.Violation { time = 0; reason = "hello \"world\"" };
     Trace.Progress
       { time = 1500; label = "explore"; done_ = 5000; total = Some 200_000;
         rate = 12_500.; detail = [ ("depth", 7.); ("load_factor", 0.43) ] };
@@ -119,13 +120,19 @@ let trace_tests =
         let m1 = Trace.memory () and m2 = Trace.memory () in
         let s = Trace.tee m1 (Trace.tee Trace.null m2) in
         Alcotest.(check bool) "not null" false (Trace.is_null s);
-        Trace.emit s (Trace.Idle { time = 1 });
-        Alcotest.(check (list event)) "m1" [ Trace.Idle { time = 1 } ]
+        Trace.emit s (Trace.Crash { time = 1; pid = 1 });
+        Alcotest.(check (list event)) "m1" [ Trace.Crash { time = 1; pid = 1 } ]
           (Trace.contents m1);
-        Alcotest.(check (list event)) "m2" [ Trace.Idle { time = 1 } ]
+        Alcotest.(check (list event)) "m2" [ Trace.Crash { time = 1; pid = 1 } ]
           (Trace.contents m2);
         Alcotest.(check bool) "null tee collapses" true
           (Trace.is_null (Trace.tee Trace.null Trace.null)));
+    qtest_reader "parse_line never raises on a corrupted JSONL trace"
+      ~text:
+        (String.concat "\n"
+           (List.map (fun e -> Json.to_string (Trace.to_json e)) all_constructors))
+      ~read:(fun text -> List.map Trace.parse_line (String.split_on_char '\n' text))
+      ~roundtrip:(( = ) (List.map Result.ok all_constructors));
   ]
 
 (* ---------- a real run: JSONL export vs in-memory events ---------- *)

@@ -340,6 +340,14 @@ let run_kind_tests =
 
 (* ---------- recorder codec edges ---------- *)
 
+(* A valid Explore-kind artifact: the first rank+P< witness, re-executed. *)
+let witness_lines =
+  let pattern, report = explore_violations () in
+  let v = List.hd report.Explore.violations in
+  Recorder.to_lines
+    (Replay.to_artifact ~scope:scope_json
+       (execute_rank ~pattern ~schedule:v.Explore.schedule))
+
 let codec_tests =
   [
     qtest ~count:100 "hex encode/decode round-trips arbitrary bytes"
@@ -374,6 +382,13 @@ let codec_tests =
           [ { Recorder.at = Some 0; pid = 0; recv = None };
             { at = Some 0; pid = 1;
               recv = Some { src = 0; msg = Some 0; payload = "" } } ]);
+    qtest_reader "of_lines never raises on a corrupted artifact"
+      ~text:(String.concat "\n" witness_lines)
+      ~read:(fun text -> Recorder.of_lines (String.split_on_char '\n' text))
+      ~roundtrip:(fun r -> Result.map Recorder.to_lines r = Ok witness_lines);
+    test "load of a directory is an Error, not an exception" (fun () ->
+        Alcotest.(check bool) "error" true
+          (Result.is_error (Recorder.load (Filename.get_temp_dir_name ()))));
   ]
 
 let () =

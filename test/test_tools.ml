@@ -99,30 +99,28 @@ let grid_tests =
         Alcotest.(check bool) "same" true (once () = once ()));
   ]
 
-(* explorer witness -> scripted scheduler -> full replayed run *)
+(* explorer witness -> Replay.execute -> the same decisions and violation *)
 let replay_tests =
   [
-    test "an explorer witness replays into a real run with the same outputs" (fun () ->
-        let n = 3 in
+    test "an explorer witness replays into the same outputs and violation" (fun () ->
         let proposals p = 10 + Pid.to_int p in
         let pattern = pattern ~n:3 [ (1, 1) ] in
+        let check = Explore.agreement_check ~equal:Int.equal in
         let report =
           Explore.run ~max_steps:10 ~max_nodes:400_000 ~pattern
-            ~detector:Partial_perfect.canonical
-            ~check:(Explore.agreement_check ~equal:Int.equal)
+            ~detector:Partial_perfect.canonical ~check
             (Rank_consensus.automaton ~proposals)
         in
         match report.Explore.violations with
         | [] -> Alcotest.fail "expected a witness"
         | v :: _ ->
-          let r =
-            Runner.run ~pattern ~detector:Partial_perfect.canonical
-              ~scheduler:(Scheduler.scripted v.Explore.trail)
-              ~horizon:(time (List.length v.Explore.trail + 5))
+          let e =
+            Replay.execute ~pp_output:string_of_int ~pattern
+              ~detector:Partial_perfect.canonical ~check ~schedule:v.Explore.schedule
               (Rank_consensus.automaton ~proposals)
           in
           (* the replay reproduces the witness's decisions *)
-          let replayed = List.map (fun (_, p, o) -> (p, o)) r.Runner.outputs in
+          let replayed = List.map (fun (_, p, o) -> (p, o)) e.Replay.outputs in
           Alcotest.(check int) "same number of decisions"
             (List.length v.Explore.outputs) (List.length replayed);
           List.iter2
@@ -130,35 +128,15 @@ let replay_tests =
               Alcotest.(check bool) "same decider" true (Pid.equal p p');
               Alcotest.(check int) "same value" o o')
             v.Explore.outputs replayed;
-          (* and it violates uniform agreement, reproducibly *)
-          check_violated "replayed violation"
-            (Properties.uniform_agreement ~equal:Int.equal r);
+          (* and it violates agreement at the same step, reproducibly *)
+          Alcotest.(check (option (pair int string))) "replayed violation"
+            (Some (v.Explore.at_step, v.Explore.reason)) e.Replay.violation;
+          Alcotest.(check int) "nothing dropped" 0 e.Replay.dropped;
           (* the space-time diagram of the witness renders *)
-          let s = Spacetime.render ~pp_output:string_of_int r in
-          Alcotest.(check bool) "renders" true (contains_substring ~needle:"legend" s);
-          ignore n);
-    test "scripted scheduler goes idle after the script" (fun () ->
-        let pattern = Pattern.failure_free ~n in
-        let r =
-          Runner.run ~pattern ~detector:Perfect.canonical
-            ~scheduler:(Scheduler.scripted [ (pid 1, None); (pid 2, None) ])
-            ~horizon:(time 10)
-            (Ct_strong.automaton ~proposals)
-        in
-        Alcotest.(check int) "two steps" 2 r.Runner.steps;
-        Alcotest.(check int) "rest idle" 8 r.Runner.idle_ticks);
-    test "a prescribed but absent reception degrades to lambda" (fun () ->
-        let pattern = Pattern.failure_free ~n in
-        let r =
-          Runner.run ~pattern ~detector:Perfect.canonical
-            ~scheduler:(Scheduler.scripted [ (pid 1, Some (pid 2)) ])
-            ~horizon:(time 5)
-            (Ct_strong.automaton ~proposals)
-        in
-        Alcotest.(check int) "one step" 1 r.Runner.steps;
-        match r.Runner.events with
-        | e :: _ -> Alcotest.(check bool) "lambda" true (e.Runner.received = None)
-        | [] -> Alcotest.fail "no events");
+          let s =
+            Spacetime.Timeline.(render_ascii ~pattern (of_execution e))
+          in
+          Alcotest.(check bool) "renders" true (contains_substring ~needle:"legend" s));
   ]
 
 let () =
