@@ -204,15 +204,18 @@ let exit_ok ok = if ok then 0 else 1
 
 (* ---------- fdsim check ---------- *)
 
-(* Counts (--jobs, --seeds, --trials, --capacity) must be >= 1: cmdliner
+(* Counts (--jobs, --seeds, --trials, --capacity) and the detector's
+   --period and --timeout must be >= 1, and --retries >= 0: cmdliner
    rejects anything else with its usage error, before any work starts. *)
-let count_conv =
+let bounded_conv ~min =
   let parse s =
     match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a count >= 1, got %S" s))
+    | Some k when k >= min -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= %d, got %S" min s))
   in
   Arg.conv ~docv:"K" (parse, Format.pp_print_int)
+
+let count_conv = bounded_conv ~min:1
 
 (* --jobs accepts a count or the literal "auto", which
    resolves to Domain.recommended_domain_count — the persistent pool
@@ -929,7 +932,7 @@ let qos_cmd =
   in
   let retries_arg =
     Arg.(
-      value & opt int 1
+      value & opt (bounded_conv ~min:0) 1
       & info [ "retries" ] ~docv:"R"
           ~doc:"Ping-ack re-solicitations per round (pingack only).")
   in
@@ -945,12 +948,12 @@ let qos_cmd =
   in
   let adaptive = Arg.(value & flag & info [ "adaptive" ] ~doc:"Adaptive per-link timeouts.") in
   let period =
-    Arg.(value & opt int 20 & info [ "period" ] ~docv:"T" ~doc:"Heartbeat period.")
+    Arg.(value & opt count_conv 20 & info [ "period" ] ~docv:"T" ~doc:"Heartbeat period.")
   in
   let timeout =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "timeout" ] ~docv:"T"
           ~doc:
             "Suspicion timeout.  Default: the implementation's perfect \

@@ -1,78 +1,28 @@
-type 'a entry = { prio : int; seq : int; value : 'a }
+module Int_map = Map.Make (Int)
 
-type 'a t = {
-  mutable heap : 'a entry array;
-  mutable size : int;
-  mutable next_seq : int;
-}
+(* One non-empty FIFO bucket per distinct pending priority. *)
+type 'a t = { mutable buckets : 'a Queue.t Int_map.t; mutable size : int }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () = { buckets = Int_map.empty; size = 0 }
 
 let is_empty q = q.size = 0
 
 let length q = q.size
 
-let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-
-let swap q i j =
-  let tmp = q.heap.(i) in
-  q.heap.(i) <- q.heap.(j);
-  q.heap.(j) <- tmp
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less q.heap.(i) q.heap.(parent) then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && less q.heap.(l) q.heap.(!smallest) then smallest := l;
-  if r < q.size && less q.heap.(r) q.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
-
-let grow q entry =
-  let capacity = Array.length q.heap in
-  if q.size = capacity then begin
-    let fresh = Array.make (Stdlib.max 8 (2 * capacity)) entry in
-    Array.blit q.heap 0 fresh 0 q.size;
-    q.heap <- fresh
-  end
-
 let add q ~prio value =
-  let entry = { prio; seq = q.next_seq; value } in
-  q.next_seq <- q.next_seq + 1;
-  grow q entry;
-  q.heap.(q.size) <- entry;
-  q.size <- q.size + 1;
-  sift_up q (q.size - 1)
+  (match Int_map.find_opt prio q.buckets with
+  | Some bucket -> Queue.add value bucket
+  | None ->
+    let bucket = Queue.create () in
+    Queue.add value bucket;
+    q.buckets <- Int_map.add prio bucket q.buckets);
+  q.size <- q.size + 1
 
 let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
+  match Int_map.min_binding_opt q.buckets with
+  | None -> None
+  | Some (prio, bucket) ->
+    let value = Queue.take bucket in
+    if Queue.is_empty bucket then q.buckets <- Int_map.remove prio q.buckets;
     q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    Some (top.prio, top.value)
-  end
-
-let peek q = if q.size = 0 then None else Some (q.heap.(0).prio, q.heap.(0).value)
-
-let clear q = q.size <- 0
-
-let to_list q =
-  let copy = { heap = Array.sub q.heap 0 q.size; size = q.size; next_seq = q.next_seq } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
+    Some (prio, value)

@@ -200,17 +200,6 @@ let pqueue_tests =
           List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> "?")
         in
         Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ] order);
-    test "peek does not remove" (fun () ->
-        let q = Pqueue.create () in
-        Pqueue.add q ~prio:3 "x";
-        ignore (Pqueue.peek q);
-        Alcotest.(check int) "still one" 1 (Pqueue.length q));
-    test "to_list snapshot preserves queue" (fun () ->
-        let q = Pqueue.create () in
-        List.iter (fun p -> Pqueue.add q ~prio:p p) [ 3; 1; 2 ];
-        let snapshot = List.map fst (Pqueue.to_list q) in
-        Alcotest.(check (list int)) "snapshot sorted" [ 1; 2; 3 ] snapshot;
-        Alcotest.(check int) "queue intact" 3 (Pqueue.length q));
     qtest "pops in sorted order" QCheck.(list (int_range 0 1000)) (fun prios ->
         let q = Pqueue.create () in
         List.iter (fun p -> Pqueue.add q ~prio:p p) prios;
@@ -218,11 +207,59 @@ let pqueue_tests =
           match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
         in
         drain [] = List.sort compare prios);
-    test "clear" (fun () ->
-        let q = Pqueue.create () in
-        Pqueue.add q ~prio:1 1;
-        Pqueue.clear q;
-        Alcotest.(check bool) "empty" true (Pqueue.is_empty q));
+    (* The slow oracle: random interleavings of add and pop against a list
+       model ordered by (priority, insertion). Priorities are drawn
+       relative to the last one popped (below it, on it, just above, far
+       above), so buckets open behind, at and ahead of the head, with many
+       ties. Values are random, so a queue that breaks ties by value, or
+       pops a bucket newest first, disagrees with the model. *)
+    (let op =
+       QCheck.Gen.(
+         frequency
+           [ (3, return None);
+             ( 5,
+               map2
+                 (fun d v -> Some (d, v))
+                 (frequency
+                    [ (2, int_range (-3) (-1)); (3, return 0); (3, int_range 1 3);
+                      (1, int_range 1_000 1_000_000) ])
+                 (int_bound 9) ) ])
+     in
+     let print = function
+       | None -> "pop"
+       | Some (d, v) -> Printf.sprintf "add last%+d %d" d v
+     in
+     qtest ~count:300 "pops in (priority, insertion) order, like a list model"
+       (QCheck.make
+          ~print:QCheck.Print.(list print)
+          QCheck.Gen.(list_size (int_range 0 200) op))
+       (fun ops ->
+         let q = Pqueue.create () in
+         (* (prio, insertion index, value) of every queued element *)
+         let model = ref [] and seq = ref 0 and last = ref 0 in
+         let step op =
+           let popped_ok =
+             match op with
+             | Some (d, v) ->
+               Pqueue.add q ~prio:(!last + d) v;
+               model := (!last + d, !seq, v) :: !model;
+               incr seq;
+               true
+             | None ->
+               let expected =
+                 match List.sort compare !model with
+                 | [] -> None
+                 | (p, _, v) :: rest ->
+                   model := rest;
+                   last := p;
+                   Some (p, v)
+               in
+               Pqueue.pop q = expected
+           in
+           popped_ok && Pqueue.length q = List.length !model
+         in
+         (* then drain: every element left must come out in model order *)
+         List.for_all step (ops @ List.map (fun _ -> None) ops)));
   ]
 
 (* ---------- Vclock ---------- *)

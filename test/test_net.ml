@@ -730,6 +730,65 @@ let pinned_tests =
           pinned_table);
   ]
 
+(* ---------- event order ---------- *)
+
+(* [zoo-pinned] pins counts, which survive a reordering of same-tick
+   events; this pins the order itself. Each scope's full trace (message
+   lifecycle, timers, crashes and suspicion changes) is rendered as JSON
+   lines and digested. The digests were recorded with the binary-heap
+   event queue. *)
+let order_table =
+  let sync = Link.Synchronous { delta = 10 } in
+  let hb ?(topology = Topology.All_to_all) ?backoff () =
+    { Detector_impl.impl = `Heartbeat; topology; period = 20; timeout = 31;
+      backoff; retries = 1 }
+  in
+  let pa ?(topology = Topology.All_to_all) ?backoff () =
+    { (hb ~topology ?backoff ()) with Detector_impl.impl = `Pingack; timeout = 41 }
+  in
+  [
+    ( "lossy all-to-all heartbeat, n=12", 12,
+      [ (2, 400); (5, 900); (9, 1300) ],
+      Link.Lossy { base = sync; drop = 0.1 }, [], hb (),
+      (25177, "16d7496506909ca1f9c95621f7c1f69a") );
+    ( "hierarchical adaptive ping-ack, churn and a partition, n=16", 16,
+      [ (2, 300); (7, 800); (11, 1500) ],
+      sync,
+      [ Partition.make ~starts:500 ~heals:1200
+          ~island:(Partition.island_of_size ~n:16 ~k:5) ],
+      pa ~topology:Topology.Hierarchical ~backoff:25 (),
+      (42202, "1f203c3ad6889fe9f738d0023ab56f41") );
+    ( "psync ring heartbeat, n=8", 8, [ (3, 700) ],
+      Link.Partially_synchronous { gst = 1000; delta = 10; wild_max = 120 },
+      [], hb ~topology:(Topology.ring ~k:2) (),
+      (11294, "df0cb0e93556de3df2e52cb99ed8e12b") );
+    ( "async all-to-all ping-ack, n=6", 6, [ (4, 900) ],
+      Link.Asynchronous { mean = 15.; spike_every = 20; spike = 300 },
+      [], pa (),
+      (21695, "8ee2d9198bba3ed091f2f9580b3f2947") );
+  ]
+
+let order_tests =
+  let trace_digest (_, n, crashes, model, partitions, spec, _) =
+    let mem = Rlfd_obs.Trace.memory () in
+    let _ =
+      Detector_impl.simulate ~sink:mem ~partitions ~n ~pattern:(pattern ~n crashes)
+        ~model ~seed:7 ~horizon:2000 spec
+    in
+    let lines =
+      List.map
+        (fun e -> Rlfd_obs.Json.to_string (Rlfd_obs.Trace.to_json e))
+        (Rlfd_obs.Trace.contents mem)
+    in
+    (List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines)))
+  in
+  List.map
+    (fun ((name, _, _, _, _, _, expected) as scope) ->
+      test name (fun () ->
+          Alcotest.(check (pair int string))
+            "trace events, digest of their JSON lines" expected (trace_digest scope)))
+    order_table
+
 let () =
   Alcotest.run "net"
     [
@@ -742,4 +801,5 @@ let () =
       suite "perfect-timeout" perfect_timeout_tests;
       suite "monitor" monitor_tests;
       suite "zoo-pinned" pinned_tests;
+      suite "event-order" order_tests;
     ]
