@@ -1318,7 +1318,7 @@ let table_abcast_scaling () =
       let expected = n * 2 in
       let r =
         Runner.run ~pattern ~detector:Perfect.canonical ~scheduler:(Scheduler.fair ())
-          ~horizon:(time 30_000) ~record_events:false
+          ~horizon:(time 30_000)
           ~until:(fun outputs -> List.length outputs >= expected * n)
           (Abcast.automaton ~to_broadcast)
       in

@@ -204,9 +204,10 @@ let exit_ok ok = if ok then 0 else 1
 
 (* ---------- fdsim check ---------- *)
 
-(* Counts (--jobs, --seeds, --trials, --capacity) and the detector's
-   --period and --timeout must be >= 1, and --retries >= 0: cmdliner
-   rejects anything else with its usage error, before any work starts. *)
+(* Counts (--jobs, --seeds, --trials, --capacity) and the detectors'
+   --period and --timeout (qos, gms, vsync) must be >= 1, and --retries
+   >= 0: cmdliner rejects anything else with its usage error, before any
+   work starts. *)
 let bounded_conv ~min =
   let parse s =
     match int_of_string_opt s with
@@ -1075,8 +1076,10 @@ let gms_cmd =
       Classes.pp_result (Gms.final_views_agree r);
     exit_ok ok
   in
-  let period = Arg.(value & opt int 20 & info [ "period" ] ~doc:"Heartbeat period.") in
-  let timeout = Arg.(value & opt int 55 & info [ "timeout" ] ~doc:"Suspicion timeout.") in
+  let period = Arg.(value & opt count_conv 20 & info [ "period" ] ~doc:"Heartbeat period.") in
+  let timeout =
+    Arg.(value & opt count_conv 55 & info [ "timeout" ] ~doc:"Suspicion timeout.")
+  in
   Cmd.v
     (Cmd.info "gms" ~doc:"Run the group membership service (the practical P).")
     Term.(
@@ -1133,8 +1136,10 @@ let vsync_cmd =
     let ok = print_verdicts "virtual synchrony" (Vsync.check r) in
     exit_ok ok
   in
-  let period = Arg.(value & opt int 20 & info [ "period" ] ~doc:"Heartbeat period.") in
-  let timeout = Arg.(value & opt int 55 & info [ "timeout" ] ~doc:"Suspicion timeout.") in
+  let period = Arg.(value & opt count_conv 20 & info [ "period" ] ~doc:"Heartbeat period.") in
+  let timeout =
+    Arg.(value & opt count_conv 55 & info [ "timeout" ] ~doc:"Suspicion timeout.")
+  in
   Cmd.v
     (Cmd.info "vsync" ~doc:"Run view-synchronous multicast (virtual synchrony).")
     Term.(

@@ -5,7 +5,11 @@
     after the fact.  Lemma 4.1 of the paper ("every consensus algorithm using
     a realistic failure detector is total") is checked against these stamps:
     the causal chain of a decision at time [t] must contain a message from
-    every process that has not crashed by [t]. *)
+    every process that has not crashed by [t].
+
+    A clock is one immutable block of [n] counters at most: a step's
+    [tick] allocates one block, and [merge] allocates nothing when one
+    argument already dominates the other (it returns that argument). *)
 
 type t
 
@@ -20,7 +24,8 @@ val tick : t -> Pid.t -> t
 val get : t -> Pid.t -> int
 
 val merge : t -> t -> t
-(** Component-wise maximum. *)
+(** Component-wise maximum; physically [a] (or [b]) when it already
+    dominates the other. *)
 
 val leq : t -> t -> bool
 (** Pointwise less-or-equal: causal precedence (or equality). *)

@@ -5,17 +5,21 @@ type id = int
 type 'a t = {
   dst : 'a -> Pid.t;
   mutable next_id : id;
-  (* newest-first; pending reverses.  Every scan is linear in the whole
-     backlog, which messages to crashed processes grow past 10^5 in the
-     reductions. *)
+  (* newest-first; pending reverses.  Every scan is linear in the backlog,
+     which holds only messages a process can still receive: the step
+     [skip]s messages to crashed processes, so it stays in the tens. *)
   mutable items : (id * 'a) list;
 }
 
 let create ~dst = { dst; next_id = 0; items = [] }
 
-let add t x =
+let skip t =
   let id = t.next_id in
   t.next_id <- id + 1;
+  id
+
+let add t x =
+  let id = skip t in
   t.items <- (id, x) :: t.items;
   id
 

@@ -15,7 +15,7 @@ type 'a t
 
 type id = int
 (** Message identifiers: unique within a buffer, assigned in increasing
-    order of {!add}. *)
+    order of {!add} and {!skip} together. *)
 
 val create : dst:('a -> Pid.t) -> 'a t
 (** An empty buffer whose messages go to [dst m]; identifiers start at
@@ -23,6 +23,12 @@ val create : dst:('a -> Pid.t) -> 'a t
 
 val add : 'a t -> 'a -> id
 (** Put a message in transit and return its fresh identifier. *)
+
+val skip : 'a t -> id
+(** Draw the next identifier for a message that is never received, and
+    store nothing: {!Runner.step} sends to a process already crashed this
+    way.  Later identifiers continue after it, so the ids of a run do not
+    depend on which of its messages were stored. *)
 
 val remove : 'a t -> id -> 'a option
 (** Removes and returns the message; [None] if the id is absent (already

@@ -46,6 +46,9 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
   let violation = ref None in
   let dropped = ref 0 in
   let executed = ref [] in
+  (* The Runner does not buffer messages to crashed processes, but the
+     explorer's state lists them: they are kept here for the final state. *)
+  let dead_letters = ref [] in
   let decisions = ref [ Canon.multiset [] ] in
   List.iter
     (fun ((p, recv) : Pid.t * (Pid.t * string) option) ->
@@ -73,6 +76,11 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
             ~receive:(Option.map fst msg)
         in
         let effects = s.Runner.effects in
+        List.iter
+          (fun (dst, payload) ->
+            if Pattern.is_crashed pattern dst now then
+              dead_letters := Canon.encode_value (p, dst, payload) :: !dead_letters)
+          effects.Model.sends;
         incr step_no;
         List.iter
           (fun o -> run_outputs := (!step_no - 1, p, o) :: !run_outputs)
@@ -104,7 +112,7 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
         executed :=
           (p, Option.map (fun (_, e) -> (e.Model.src, encode e)) msg) :: !executed)
     schedule;
-  let messages = ref [] in
+  let messages = ref !dead_letters in
   Buffer.iter c.Runner.buffer (fun _ e -> messages := encode e :: !messages);
   let final =
     Canon.assemble ~step_no:!step_no
@@ -180,7 +188,7 @@ let runner_artifact ~scope ?(pp_output = fun _ -> "_") ~queries
               Some { Recorder.src = Pid.to_int src; msg = Some id; payload = "" }
             | _ -> None);
         })
-      r.Runner.events
+      (Runner.events r)
   in
   let queries =
     List.map

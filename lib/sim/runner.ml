@@ -37,7 +37,11 @@ let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
         | Some e ->
           if not (Pid.equal e.Model.dst pid) then
             invalid_arg "Runner.step: a message was misdelivered";
-          c.heard_from.(i) <- Pid.Set.union c.heard_from.(i) e.Model.payload.hf;
+          let hf = e.Model.payload.hf in
+          (* Keep the set when the message adds no one: most steps' sets
+             are then shared, not copied. *)
+          if not (Pid.Set.subset hf c.heard_from.(i)) then
+            c.heard_from.(i) <- Pid.Set.union c.heard_from.(i) hf;
           c.vclocks.(i) <- Vclock.merge c.vclocks.(i) e.Model.payload.vc;
           e)
       receive
@@ -51,11 +55,15 @@ let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
   in
   let effects = algo.step ~n:(Array.length c.states) ~self:pid c.states.(i) plain seen in
   c.states.(i) <- effects.Model.state;
+  (* A process crashed by now never steps again, so a message to it is
+     never received (Section 2): it gets its id, and is not stored. *)
   let sent_ids =
     List.map
       (fun (dst, payload) ->
-        let tagged = { payload; hf = c.heard_from.(i); vc = c.vclocks.(i) } in
-        Buffer.add c.buffer { Model.src = pid; dst; payload = tagged })
+        if Pattern.is_crashed pattern dst time then Buffer.skip c.buffer
+        else
+          let tagged = { payload; hf = c.heard_from.(i); vc = c.vclocks.(i) } in
+          Buffer.add c.buffer { Model.src = pid; dst; payload = tagged })
       effects.Model.sends
   in
   { received; seen; effects; sent_ids }
@@ -72,11 +80,27 @@ type 'o event = {
   vclock : Vclock.t;
 }
 
+(* Step [k] of a run, one column each: a lambda step has sender 0 and
+   received id -1.  Its sends are ids [first_sent.(k)] up to the next
+   step's first id, or to the end of [dsts] for the last step, and message
+   [id] goes to [dsts.(id)]: a step draws one id per send, in order. *)
+type 'o log = {
+  times : Time.t array;
+  pids : Pid.t array;
+  senders : int array;
+  received_ids : int array;
+  first_sent : int array;
+  step_outputs : 'o list array;
+  heard : Pid.Set.t array;
+  clocks : Vclock.t array;
+  dsts : Pid.t array;
+}
+
 type ('s, 'o) result = {
   n : int;
   pattern : Pattern.t;
   algorithm : string;
-  events : 'o event list;
+  log : 'o log;
   outputs : (Time.t * Pid.t * 'o) list;
   final_states : 's Pid.Map.t;
   steps : int;
@@ -87,9 +111,46 @@ type ('s, 'o) result = {
   stopped_early : bool;
 }
 
-let run ?(until = fun _ -> false) ?(record_events = true)
-    ?(sink = Rlfd_obs.Trace.null) ?metrics ?(pp_output = fun _ -> "_") ?pp_seen
-    ~pattern ~detector ~scheduler ~horizon (algo : _ Model.t) =
+let events r =
+  let l = r.log in
+  let steps = Array.length l.times in
+  List.init steps (fun k ->
+      let first = l.first_sent.(k) in
+      let last = if k + 1 < steps then l.first_sent.(k + 1) else Array.length l.dsts in
+      let sent_ids = List.init (last - first) (fun j -> first + j) in
+      {
+        time = l.times.(k);
+        pid = l.pids.(k);
+        received = (if l.senders.(k) = 0 then None else Some (Pid.of_int l.senders.(k)));
+        received_id = (if l.received_ids.(k) < 0 then None else Some l.received_ids.(k));
+        sent_to = List.map (fun id -> l.dsts.(id)) sent_ids;
+        sent_ids;
+        outputs = l.step_outputs.(k);
+        heard_from = l.heard.(k);
+        vclock = l.clocks.(k);
+      })
+
+(* A growable array: [data.(0 .. len - 1)] are the values pushed. *)
+module Column = struct
+  type 'a t = { mutable data : 'a array; mutable len : int; fill : 'a }
+
+  let create fill = { data = Array.make 256 fill; len = 0; fill }
+
+  let push c x =
+    if c.len = Array.length c.data then begin
+      let data = Array.make (2 * c.len) c.fill in
+      Array.blit c.data 0 data 0 c.len;
+      c.data <- data
+    end;
+    Array.unsafe_set c.data c.len x;
+    c.len <- c.len + 1
+
+  let contents c = Array.sub c.data 0 c.len
+end
+
+let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
+    ?(pp_output = fun _ -> "_") ?pp_seen ~pattern ~detector ~scheduler ~horizon
+    (algo : _ Model.t) =
   let n = Pattern.n pattern in
   let tracing = not (Rlfd_obs.Trace.is_null sink) in
   let mincr ?by name =
@@ -98,7 +159,11 @@ let run ?(until = fun _ -> false) ?(record_events = true)
     | Some m -> Rlfd_obs.Metrics.incr ?by m name
   in
   let c = initial ~n algo in
-  let events = ref [] in
+  let times = Column.create Time.zero and pids = Column.create (Pid.of_int 1) in
+  let senders = Column.create 0 and received_ids = Column.create 0 in
+  let first_sent = Column.create 0 and step_outputs = Column.create [] in
+  let heard = Column.create Pid.Set.empty and clocks = Column.create Vclock.empty in
+  let dsts = Column.create (Pid.of_int 1) in
   let outputs = ref [] in
   let steps = ref 0 and idle = ref 0 and sent = ref 0 and delivered = ref 0 in
   let stopped = ref false in
@@ -125,17 +190,30 @@ let run ?(until = fun _ -> false) ?(record_events = true)
     | Scheduler.Step { pid; receive } ->
       let s = step ~pattern ~detector algo c ~time:now ~pid ~receive in
       let effects = s.effects in
-      if Option.is_some s.received then begin
+      let i = Pid.to_int pid - 1 in
+      Column.push times now;
+      Column.push pids pid;
+      (match s.received with
+      | None ->
+        Column.push senders 0;
+        Column.push received_ids (-1)
+      | Some e ->
+        Column.push senders (Pid.to_int e.Model.src);
+        Column.push received_ids (Option.get receive);
         incr delivered;
-        mincr "messages_delivered"
-      end;
+        mincr "messages_delivered");
+      (* The buffer is this run's own, so its ids are the sends so far. *)
+      Column.push first_sent !sent;
+      List.iter (fun (dst, _) -> Column.push dsts dst) effects.Model.sends;
+      Column.push step_outputs effects.Model.outputs;
+      Column.push heard c.heard_from.(i);
+      Column.push clocks c.vclocks.(i);
       sent := !sent + List.length s.sent_ids;
       List.iter (fun o -> outputs := (now, pid, o) :: !outputs) effects.Model.outputs;
       incr steps;
       mincr "steps";
       mincr ~by:(List.length effects.Model.sends) "messages_sent";
       mincr ~by:(List.length effects.Model.outputs) "outputs";
-      let received = Option.map (fun (e : _ Model.envelope) -> e.Model.src) s.received in
       if tracing then
         Rlfd_obs.Trace.(
           emit sink
@@ -143,27 +221,14 @@ let run ?(until = fun _ -> false) ?(record_events = true)
                {
                  time = Time.to_int now;
                  pid = Pid.to_int pid;
-                 received_from = Option.map Pid.to_int received;
+                 received_from =
+                   Option.map
+                     (fun (e : _ Model.envelope) -> Pid.to_int e.Model.src)
+                     s.received;
                  sent_to = List.map (fun (dst, _) -> Pid.to_int dst) effects.Model.sends;
                  outputs = List.map pp_output effects.Model.outputs;
                  seen = Option.map (fun f -> f s.seen) pp_seen;
                }));
-      if record_events then begin
-        let i = Pid.to_int pid - 1 in
-        events :=
-          {
-            time = now;
-            pid;
-            received;
-            received_id = receive;
-            sent_to = List.map fst effects.Model.sends;
-            sent_ids = s.sent_ids;
-            outputs = effects.Model.outputs;
-            heard_from = c.heard_from.(i);
-            vclock = c.vclocks.(i);
-          }
-          :: !events
-      end;
       if effects.Model.outputs <> [] && until !outputs then stopped := true);
     t := Time.succ !t
   done;
@@ -172,11 +237,24 @@ let run ?(until = fun _ -> false) ?(record_events = true)
       (fun acc p -> Pid.Map.add p c.states.(Pid.to_int p - 1) acc)
       Pid.Map.empty (Pid.all ~n)
   in
+  let log =
+    {
+      times = Column.contents times;
+      pids = Column.contents pids;
+      senders = Column.contents senders;
+      received_ids = Column.contents received_ids;
+      first_sent = Column.contents first_sent;
+      step_outputs = Column.contents step_outputs;
+      heard = Column.contents heard;
+      clocks = Column.contents clocks;
+      dsts = Column.contents dsts;
+    }
+  in
   {
     n;
     pattern;
     algorithm = algo.name;
-    events = List.rev !events;
+    log;
     outputs = List.rev !outputs;
     final_states;
     steps = !steps;

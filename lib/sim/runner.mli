@@ -24,7 +24,11 @@ type 'm tagged = { payload : 'm; hf : Pid.Set.t; vc : Vclock.t }
 
 (** A configuration: every process's state, causal metadata and the
     messages in transit.  Arrays are indexed by [Pid.to_int p - 1]; the
-    step updates them in place. *)
+    step updates them in place.  The buffer holds only messages a process
+    can still receive: a message sent to a process already crashed at the
+    step's time is never received (Section 2), so the step draws its id
+    ({!Buffer.skip}) and stores nothing.  Such a message still counts as
+    sent: it has an id in [sent_ids], and counts in a result's [sent]. *)
 type ('s, 'm) config = {
   states : 's array;
   heard_from : Pid.Set.t array;  (** as in {!event}, after the last step *)
@@ -56,7 +60,8 @@ val step :
 (** [step ~pattern ~detector algo c ~time ~pid ~receive] is process
     [pid]'s step at [time]: it removes the message [receive] from the
     buffer ([None] = the null message), queries the detector at [time],
-    applies the automaton and puts the sends in transit.  Raises
+    applies the automaton and puts in transit the sends to processes not
+    crashed by [time].  The sends get consecutive ids.  Raises
     [Invalid_argument] if [pid] has crashed by [time], if the message was
     already consumed, or if it is destined to another process. *)
 
@@ -79,12 +84,20 @@ type 'o event = {
   vclock : Vclock.t;
 }
 
-(** The finite run prefix: everything the property checkers consume. *)
+type 'o log
+(** The run log: every step in flat arrays, one per field of {!event}
+    (the sends as a first id and one destination per id).  Recording a
+    step writes a few array cells, and builds no record or list;
+    {!events} reads the log back. *)
+
+(** The finite run prefix: everything the property checkers consume.
+    Holds no closure or lazy value, so results compare with [=] and can be
+    shared across domains. *)
 type ('s, 'o) result = {
   n : int;
   pattern : Pattern.t;
   algorithm : string;
-  events : 'o event list; (** chronological *)
+  log : 'o log;
   outputs : (Time.t * Pid.t * 'o) list; (** chronological *)
   final_states : 's Pid.Map.t; (** last state of every process, crashed included *)
   steps : int;
@@ -95,9 +108,12 @@ type ('s, 'o) result = {
   stopped_early : bool; (** the [until] predicate fired before the horizon *)
 }
 
+val events : ('s, 'o) result -> 'o event list
+(** The run's steps, chronological, built afresh from the log on each
+    call. *)
+
 val run :
   ?until:((Time.t * Pid.t * 'o) list -> bool) ->
-  ?record_events:bool ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?metrics:Rlfd_obs.Metrics.t ->
   ?pp_output:('o -> string) ->
@@ -109,10 +125,10 @@ val run :
   ('s, 'm, 'd, 'o) Model.t ->
   ('s, 'o) result
 (** [until] sees the outputs emitted so far, {e most recent first}; the run
-    stops as soon as it returns [true].  [record_events] (default [true])
-    can be switched off for long benchmark runs.  Each scheduled step is
-    one {!step}, so a scheduler that steps a crashed process or delivers a
-    consumed or misaddressed message raises [Invalid_argument].
+    stops as soon as it returns [true].  Each scheduled step is one
+    {!step}, recorded in the log, so a scheduler that steps a crashed
+    process or delivers a consumed or misaddressed message raises
+    [Invalid_argument].
 
     {b Observability} (all off by default and free when off):
     - [sink] receives exactly one {!Rlfd_obs.Trace.Step} event per

@@ -54,7 +54,7 @@ module Timeline = struct
           outs = List.map pp_output e.Runner.outputs;
           seen = None;
         })
-      r.Runner.events
+      (Runner.events r)
 
   let crashed_at pattern p =
     Option.map Time.to_int (Pattern.crash_time pattern (Pid.of_int p))

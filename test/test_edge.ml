@@ -97,6 +97,28 @@ let runner_guard_tests =
         let _, _, step = guard_scope [ (3, 5) ] in
         Alcotest.check_raises "crashed"
           (Invalid_argument "Runner.step: a crashed process stepped") (step 3 None));
+    test "a send to a crashed process gets an id and is not buffered" (fun () ->
+        (* p1 sends to everyone else at t=5: p3 crashed at 5, p4 crashes
+           later, at 9, so only p3's message is dead. *)
+        let shout : (unit, int, Detector.suspicions, int) Model.t =
+          Model.make ~name:"shout"
+            ~initial:(fun ~n:_ _ -> ())
+            ~step:(fun ~n ~self () _ _ ->
+              { (Model.no_effects ()) with Model.sends = Model.send_all ~n ~but:self 0 })
+        in
+        let pattern = pattern ~n [ (3, 5); (4, 9) ] in
+        let c = Runner.initial ~n shout in
+        let step () =
+          (Runner.step ~pattern ~detector:Perfect.canonical shout c ~time:(time 5)
+             ~pid:(pid 1) ~receive:None)
+            .Runner.sent_ids
+        in
+        Alcotest.(check (list int)) "consecutive ids" [ 0; 1; 2 ] (step ());
+        Alcotest.(check (list int)) "ids continue" [ 3; 4; 5 ] (step ());
+        let pending p = List.map fst (Buffer.pending c.Runner.buffer (pid p)) in
+        Alcotest.(check (list int)) "nothing for the crashed p3" [] (pending 3);
+        Alcotest.(check (list int)) "p2's messages" [ 0; 3 ] (pending 2);
+        Alcotest.(check (list int)) "p4's messages" [ 2; 5 ] (pending 4));
   ]
 
 (* ---------- rotating coordinator details ---------- *)

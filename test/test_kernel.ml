@@ -264,6 +264,63 @@ let pqueue_tests =
 
 (* ---------- Vclock ---------- *)
 
+(* The map-based clock that the array clock replaced, kept as its oracle. *)
+module Map_clock = struct
+  let get vc p = match Pid.Map.find_opt p vc with None -> 0 | Some k -> k
+
+  let tick vc p = Pid.Map.add p (get vc p + 1) vc
+
+  let merge a b = Pid.Map.union (fun _ x y -> Some (Stdlib.max x y)) a b
+
+  let leq a b = Pid.Map.for_all (fun p k -> k <= get b p) a
+
+  let equal a b = leq a b && leq b a
+
+  let concurrent a b = (not (leq a b)) && not (leq b a)
+
+  let support vc =
+    Pid.Map.fold
+      (fun p k acc -> if k > 0 then Pid.Set.add p acc else acc)
+      vc Pid.Set.empty
+end
+
+(* Four clock slots, each held both ways, under random ticks ([true]: tick
+   slot [a] at [p]) and merges ([false]: slot [a] becomes [a] merged with
+   [b]); after every operation the two must answer every query alike. *)
+let vclock_oracle_test =
+  qtest ~count:300 "array clocks agree with a Pid.Map reference"
+    QCheck.(small_list (quad bool (int_bound 3) (int_bound 3) (int_range 1 8)))
+    (fun ops ->
+      let clocks = Array.make 4 Vclock.empty and refs = Array.make 4 Pid.Map.empty in
+      let agree () =
+        let ps = Pid.all ~n:8 in
+        List.for_all
+          (fun i ->
+            List.for_all (fun p -> Vclock.get clocks.(i) p = Map_clock.get refs.(i) p) ps
+            && Pid.Set.equal (Vclock.support clocks.(i)) (Map_clock.support refs.(i))
+            && List.for_all
+                 (fun j ->
+                   let a = clocks.(i) and b = clocks.(j) in
+                   let ra = refs.(i) and rb = refs.(j) in
+                   Vclock.leq a b = Map_clock.leq ra rb
+                   && Vclock.equal a b = Map_clock.equal ra rb
+                   && Vclock.concurrent a b = Map_clock.concurrent ra rb)
+                 [ 0; 1; 2; 3 ])
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun (tick, a, b, p) ->
+          if tick then begin
+            clocks.(a) <- Vclock.tick clocks.(a) (pid p);
+            refs.(a) <- Map_clock.tick refs.(a) (pid p)
+          end
+          else begin
+            clocks.(a) <- Vclock.merge clocks.(a) clocks.(b);
+            refs.(a) <- Map_clock.merge refs.(a) refs.(b)
+          end;
+          agree ())
+        ops)
+
 let vclock_tests =
   [
     test "empty has zero everywhere" (fun () ->
@@ -312,6 +369,7 @@ let vclock_tests =
         let vc = Vclock.merge (Vclock.singleton (pid 1)) (Vclock.singleton (pid 4)) in
         Alcotest.(check string) "support" "{p1,p4}"
           (Format.asprintf "%a" Pid.Set.pp (Vclock.support vc)));
+    vclock_oracle_test;
   ]
 
 (* ---------- Stats ---------- *)

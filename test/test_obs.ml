@@ -172,7 +172,7 @@ let run_tests =
     test "trace Step events mirror Runner.events field by field" (fun () ->
         let r, jsonl, _, _ = traced_run () in
         let steps = parse_jsonl jsonl in
-        Alcotest.(check int) "same length" (List.length r.Runner.events)
+        Alcotest.(check int) "same length" (List.length (Runner.events r))
           (List.length steps);
         List.iter2
           (fun (ev : _ Runner.event) traced ->
@@ -191,7 +191,7 @@ let run_tests =
                 outputs;
               Alcotest.(check bool) "seen rendered" true (seen <> None)
             | other -> Alcotest.failf "not a Step: %s" (Trace.render other))
-          r.Runner.events steps);
+          (Runner.events r) steps);
     test "runner metrics: sent >= delivered, steps match" (fun () ->
         let r, _, _, m = traced_run () in
         Alcotest.(check int) "steps" r.Runner.steps (Metrics.counter_value m "steps");
@@ -214,7 +214,7 @@ let run_tests =
         Alcotest.(check bool) "same outputs" true
           (plain.Runner.outputs = nulled.Runner.outputs);
         Alcotest.(check bool) "same events" true
-          (plain.Runner.events = nulled.Runner.events));
+          (Runner.events plain = Runner.events nulled));
   ]
 
 (* ---------- netsim + heartbeat + qos invariants ---------- *)

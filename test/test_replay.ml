@@ -301,41 +301,102 @@ let run_kind_tests =
         in
         Alcotest.(check int) "receive count matches the run" r.Runner.delivered
           receives);
-    test "Replay re-executes a fair Runner run step for step" (fun () ->
+    qtest ~count:40 "Replay re-executes a fair Runner run step for step"
+      (arb_pattern ~n:4 ~horizon:60)
+      (fun pattern ->
         (* Both drivers take the Runner's step: under [fair], which always
-           delivers the oldest message, a run's events read as a schedule
-           replay to the same processes, message ids and outputs. *)
-        List.iter
-          (fun (n, crashes) ->
-            let pattern = pattern ~n crashes in
-            let algo = Ct_strong.automaton ~proposals in
-            let r = run_consensus ~detector:Perfect.canonical ~pattern algo in
-            let schedule =
-              List.map
-                (fun (ev : _ Runner.event) ->
-                  (ev.pid, Option.map (fun src -> (src, "")) ev.received))
-                r.Runner.events
-            in
-            let e =
-              Replay.execute ~pp_output:string_of_int ~pattern
-                ~detector:Perfect.canonical ~check:(fun _ -> None) ~schedule algo
-            in
-            let of_event (ev : _ Runner.event) =
-              ( ev.pid,
-                Option.map (fun src -> (src, Option.get ev.received_id)) ev.received,
-                List.combine ev.sent_to ev.sent_ids,
-                List.map string_of_int ev.outputs )
-            in
-            let of_step (s : Replay.step_info) =
-              (s.pid, s.received, s.sent, s.outputs)
-            in
-            Alcotest.(check int) "nothing dropped" 0 e.Replay.dropped;
-            Alcotest.(check bool) "same steps" true
-              (List.map of_event r.Runner.events = List.map of_step e.Replay.steps);
-            Alcotest.(check bool) "same outputs" true
-              (List.map (fun (t, p, o) -> (Time.to_int t, p, o)) r.Runner.outputs
-              = e.Replay.outputs))
-          [ (3, []); (4, [ (2, 10) ]) ]);
+           delivers the oldest message and never idles while a process is
+           alive, a run's events read as a schedule replay, at the same
+           times, to the same processes, message ids and outputs.  Crashes
+           make the runs send to crashed processes: those sends keep their
+           ids on both sides, and are received by no one. *)
+        let algo = Ct_strong.automaton ~proposals in
+        let r = run_consensus ~detector:Perfect.canonical ~pattern algo in
+        let events = Runner.events r in
+        let schedule =
+          List.map
+            (fun (ev : _ Runner.event) ->
+              (ev.pid, Option.map (fun src -> (src, "")) ev.received))
+            events
+        in
+        let e =
+          Replay.execute ~pp_output:string_of_int ~pattern
+            ~detector:Perfect.canonical ~check:(fun _ -> None) ~schedule algo
+        in
+        let of_event (ev : _ Runner.event) =
+          ( ev.pid,
+            Option.map (fun src -> (src, Option.get ev.received_id)) ev.received,
+            List.combine ev.sent_to ev.sent_ids,
+            List.map string_of_int ev.outputs )
+        in
+        let of_step (s : Replay.step_info) = (s.pid, s.received, s.sent, s.outputs) in
+        r.Runner.idle_ticks = 0
+        && e.Replay.dropped = 0
+        && List.map of_event events = List.map of_step e.Replay.steps
+        && List.map (fun (t, p, o) -> (Time.to_int t, p, o)) r.Runner.outputs
+           = e.Replay.outputs);
+  ]
+
+(* ---------- artifacts recorded by an earlier build ---------- *)
+
+(* Three artifacts written by [fdsim --record] before messages to crashed
+   processes stopped being buffered, so that a change to the step cannot
+   silently change what a recording means: tier-1 otherwise records and
+   replays with the same code.  Each names its scope (fdsim's workload,
+   proposals 100 + pid, detectors seeded 2002):
+   - explore_rank: explore --algo rank --fd "P<" --crash 1@1
+     --max-steps 10 --canon --por;
+   - explore_ct_strong: explore --algo ct-strong --fd ev-S-paranoid
+     --crash 2@1 --max-steps 9, whose final state holds messages to the
+     crashed p2;
+   - run_ct_strong: run --algo ct-strong --fd P -n 4 --crash 2@40. *)
+let fdsim_proposals p = 100 + Pid.to_int p
+
+let load_fixture name =
+  match Recorder.load (Filename.concat "fixtures" name) with
+  | Ok a -> a
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let explore_fixture name ~pattern ~detector algo =
+  test (name ^ " replays byte-identical") (fun () ->
+      let a = load_fixture name in
+      let check =
+        Explore.both agreement
+          (Explore.validity_check ~n ~proposals:fdsim_proposals ~equal:Int.equal)
+      in
+      let schedule = Result.get_ok (Replay.schedule_of_artifact a) in
+      let e =
+        Replay.execute ~pp_output:string_of_int ~pp_seen ~pattern ~detector
+          ~check ~schedule algo
+      in
+      Alcotest.(check int) "nothing dropped" 0 e.Replay.dropped;
+      Alcotest.(check (list string)) "no mismatches" [] (Replay.check_against a e))
+
+let fixture_tests =
+  [
+    explore_fixture "explore_rank.jsonl" ~pattern:(pattern ~n [ (1, 1) ])
+      ~detector:Partial_perfect.canonical
+      (Rank_consensus.automaton ~proposals:fdsim_proposals);
+    explore_fixture "explore_ct_strong.jsonl" ~pattern:(pattern ~n [ (2, 1) ])
+      ~detector:(Ev_strong.paranoid ~stabilization:(time 400))
+      (Ct_strong.automaton ~proposals:fdsim_proposals);
+    test "run_ct_strong.jsonl replays byte-identical" (fun () ->
+        let a = load_fixture "run_ct_strong.jsonl" in
+        let pattern = pattern ~n:4 [ (2, 40) ] in
+        let detector, queries = Detector.taped ~pp:pp_seen Perfect.canonical in
+        let r =
+          Runner.run ~pattern ~detector
+            ~scheduler:(Scheduler.replay (Result.get_ok (Replay.replay_entries a)))
+            ~horizon:(time 6000)
+            ~until:(Runner.stop_when_all_correct_output pattern)
+            (Ct_strong.automaton ~proposals:fdsim_proposals)
+        in
+        let again =
+          Replay.runner_artifact ~scope:a.Recorder.scope ~pp_output:string_of_int
+            ~queries:(queries ()) r
+        in
+        Alcotest.(check (list string)) "byte-identical artifact"
+          (Recorder.to_lines a) (Recorder.to_lines again));
   ]
 
 (* ---------- recorder codec edges ---------- *)
@@ -398,5 +459,6 @@ let () =
       suite "explorer-violations" violation_tests;
       suite "shrinking" shrink_tests;
       suite "run-artifacts" run_kind_tests;
+      suite "recorded-fixtures" fixture_tests;
       suite "codec" codec_tests;
     ]

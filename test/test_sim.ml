@@ -43,23 +43,32 @@ let run_gossip ?(pattern = Pattern.failure_free ~n) ?(scheduler = Scheduler.fair
 
 (* The buffer against a list model: a removal returns a message exactly
    once, [pending] lists a destination's messages oldest first and [iter]
-   walks every message in id order, which is the order of [add].  The
-   order is part of the results: [Scheduler.random] picks by position in
-   [pending] and [fair] takes its head. *)
+   walks every message in id order, which is the order of [add].  A [skip]
+   draws the next id and stores nothing, so ids count adds and skips
+   together.  The order is part of the results: [Scheduler.random] picks
+   by position in [pending] and [fair] takes its head. *)
 let buffer_model_test =
   qtest ~count:300 "add/remove/pending/iter agree with a list model"
-    QCheck.(small_list (pair bool (int_bound 31)))
+    QCheck.(small_list (pair (int_bound 2) (int_bound 31)))
     (fun ops ->
       let b = Buffer.create ~dst:fst in
       let model = ref [] (* (id, (dst, k)), oldest first *) in
+      let next = ref 0 in
+      let fresh id =
+        incr next;
+        id = !next - 1
+      in
       List.for_all
-        (fun (add, k) ->
+        (fun (op, k) ->
           let op_ok =
-            if add then (
+            match op with
+            | 0 ->
               let m = (pid ((k mod 4) + 1), k) in
-              model := !model @ [ (Buffer.add b m, m) ];
-              true)
-            else
+              let id = Buffer.add b m in
+              model := !model @ [ (id, m) ];
+              fresh id
+            | 1 -> fresh (Buffer.skip b)
+            | _ ->
               let expected = List.assoc_opt k !model in
               model := List.remove_assoc k !model;
               Buffer.remove b k = expected
@@ -110,7 +119,8 @@ let scheduler_tests =
         List.iter
           (fun p ->
             let steps =
-              List.length (List.filter (fun e -> Pid.equal e.Runner.pid p) r.Runner.events)
+              List.length
+                (List.filter (fun e -> Pid.equal e.Runner.pid p) (Runner.events r))
             in
             Alcotest.(check bool)
               (Format.asprintf "%a stepped" Pid.pp p)
@@ -138,7 +148,7 @@ let scheduler_tests =
           (fun e ->
             if Pid.equal e.Runner.pid (pid 2) then
               Alcotest.(check bool) "before crash" true Time.(e.Runner.time < time 30))
-          r.Runner.events);
+          (Runner.events r));
   ]
 
 let constraint_tests =
@@ -154,7 +164,7 @@ let constraint_tests =
           (fun e ->
             if e.Runner.received = Some (pid 1) then
               Alcotest.(check bool) "after 100" true Time.(e.Runner.time >= time 100))
-          r.Runner.events;
+          (Runner.events r);
         Alcotest.(check int) "still completes" 4 (List.length r.Runner.outputs));
     test "delay_to isolates a receiver" (fun () ->
         let scheduler =
@@ -164,7 +174,7 @@ let constraint_tests =
         let r = run_gossip ~scheduler () in
         let p3_first_recv =
           List.find_opt (fun e -> Pid.equal e.Runner.pid (pid 3) && e.Runner.received <> None)
-            r.Runner.events
+            (Runner.events r)
         in
         match p3_first_recv with
         | Some e -> Alcotest.(check bool) "after 200" true Time.(e.Runner.time >= time 200)
@@ -179,7 +189,7 @@ let constraint_tests =
           (fun e ->
             if Pid.equal e.Runner.pid (pid 2) then
               Alcotest.(check bool) "after 50" true Time.(e.Runner.time >= time 50))
-          r.Runner.events);
+          (Runner.events r));
     test "freeze_all_except produces idle ticks when needed" (fun () ->
         let scheduler =
           Scheduler.constrained ~base:(Scheduler.fair ())
@@ -201,7 +211,7 @@ let constraint_tests =
             then
               Alcotest.(check bool) "no deliveries involving p4 early" true
                 (e.Runner.received = None || not (Pid.equal e.Runner.pid (pid 4))))
-          r.Runner.events);
+          (Runner.events r));
   ]
 
 (* ---------- runner semantics ---------- *)
@@ -223,14 +233,6 @@ let runner_tests =
         in
         Alcotest.(check bool) "stopped early" true r.Runner.stopped_early;
         Alcotest.(check bool) "before horizon" true Time.(r.Runner.end_time < time 500));
-    test "record_events:false skips the trace" (fun () ->
-        let r =
-          Runner.run ~record_events:false ~pattern:(Pattern.failure_free ~n)
-            ~detector:Perfect.canonical ~scheduler:(Scheduler.fair ())
-            ~horizon:(time 200) gossip
-        in
-        Alcotest.(check int) "no events" 0 (List.length r.Runner.events);
-        Alcotest.(check int) "outputs kept" 4 (List.length r.Runner.outputs));
     test "outputs_of and first_output" (fun () ->
         let r = run_gossip () in
         match Runner.first_output r (pid 2) with
@@ -247,7 +249,7 @@ let causal_tests =
   [
     test "heard_from starts as self" (fun () ->
         let r = run_gossip () in
-        let first = List.hd r.Runner.events in
+        let first = List.hd (Runner.events r) in
         Alcotest.(check bool) "self in hf" true
           (Pid.Set.mem first.Runner.pid first.Runner.heard_from));
     test "receivers absorb the sender's causal past" (fun () ->
@@ -261,7 +263,7 @@ let causal_tests =
                 true
                 (Pid.Set.mem src e.Runner.heard_from)
             | None -> ())
-          r.Runner.events);
+          (Runner.events r));
     test "gossip outputs causally include p1" (fun () ->
         let r = run_gossip () in
         List.iter
@@ -269,7 +271,7 @@ let causal_tests =
             if e.Runner.outputs <> [] then
               Alcotest.(check bool) "p1 in causal chain" true
                 (Pid.Set.mem (pid 1) e.Runner.heard_from))
-          r.Runner.events);
+          (Runner.events r));
     test "vector clocks grow along the run" (fun () ->
         let r = run_gossip () in
         let by_pid = Hashtbl.create 8 in
@@ -278,13 +280,13 @@ let causal_tests =
             let prev = Option.value ~default:Vclock.empty (Hashtbl.find_opt by_pid e.Runner.pid) in
             Alcotest.(check bool) "monotone" true (Vclock.leq prev e.Runner.vclock);
             Hashtbl.replace by_pid e.Runner.pid e.Runner.vclock)
-          r.Runner.events);
+          (Runner.events r));
     test "own step count matches own vclock component" (fun () ->
         let r = run_gossip () in
         let last_of p =
           List.fold_left
             (fun acc e -> if Pid.equal e.Runner.pid p then Some e else acc)
-            None r.Runner.events
+            None (Runner.events r)
         in
         List.iter
           (fun p ->
@@ -293,7 +295,7 @@ let causal_tests =
             | Some e ->
               let steps =
                 List.length
-                  (List.filter (fun ev -> Pid.equal ev.Runner.pid p) r.Runner.events)
+                  (List.filter (fun ev -> Pid.equal ev.Runner.pid p) (Runner.events r))
               in
               Alcotest.(check int)
                 (Format.asprintf "%a" Pid.pp p)
