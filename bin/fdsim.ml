@@ -46,6 +46,20 @@ let crash_conv =
   let print ppf (p, t) = Format.fprintf ppf "%d@%d" p t in
   Arg.conv (parse, print)
 
+(* Counts (--jobs, --seeds, --trials, --capacity), every --horizon and the
+   detectors' --period and --timeout (qos, gms, vsync) must be >= 1, and
+   --retries >= 0: cmdliner rejects anything else with its usage error,
+   before any work starts. *)
+let bounded_conv ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= min -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= %d, got %S" min s))
+  in
+  Arg.conv ~docv:"K" (parse, Format.pp_print_int)
+
+let count_conv = bounded_conv ~min:1
+
 let n_arg =
   Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
@@ -53,7 +67,8 @@ let seed_arg =
   Arg.(value & opt int 2002 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let horizon_arg =
-  Arg.(value & opt int 6000 & info [ "horizon" ] ~docv:"TICKS" ~doc:"Run length cap.")
+  Arg.(
+    value & opt count_conv 6000 & info [ "horizon" ] ~docv:"TICKS" ~doc:"Run length cap.")
 
 let crashes_arg =
   Arg.(
@@ -203,20 +218,6 @@ let print_run_header ~algo ~detector ~pattern =
 let exit_ok ok = if ok then 0 else 1
 
 (* ---------- fdsim check ---------- *)
-
-(* Counts (--jobs, --seeds, --trials, --capacity) and the detectors'
-   --period and --timeout (qos, gms, vsync) must be >= 1, and --retries
-   >= 0: cmdliner rejects anything else with its usage error, before any
-   work starts. *)
-let bounded_conv ~min =
-  let parse s =
-    match int_of_string_opt s with
-    | Some k when k >= min -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a count >= %d, got %S" min s))
-  in
-  Arg.conv ~docv:"K" (parse, Format.pp_print_int)
-
-let count_conv = bounded_conv ~min:1
 
 (* --jobs accepts a count or the literal "auto", which
    resolves to Domain.recommended_domain_count — the persistent pool
@@ -589,7 +590,7 @@ let reduce_cmd =
     (Cmd.info "reduce"
        ~doc:"Emulate a Perfect detector via the Section 4.3 / Section 5 reductions.")
     Term.(
-      const run $ n_arg $ seed_arg $ Arg.(value & opt int 4000 & info [ "horizon" ])
+      const run $ n_arg $ seed_arg $ Arg.(value & opt count_conv 4000 & info [ "horizon" ])
       $ crashes_arg $ impl $ detector_arg)
 
 (* ---------- fdsim qos ---------- *)
@@ -1050,7 +1051,7 @@ let qos_cmd =
           with the streaming observatory (bounded memory at any n).")
     Term.(
       const run $ n_arg $ seed_arg
-      $ Arg.(value & opt int 4000 & info [ "horizon" ])
+      $ Arg.(value & opt count_conv 4000 & info [ "horizon" ])
       $ crashes_arg $ model_arg $ loss $ churn $ impl_arg $ topology_arg
       $ retries_arg $ partition_arg $ adaptive $ period $ timeout
       $ json $ progress_arg $ check $ grid $ grid_ns $ grid_losses
@@ -1084,7 +1085,7 @@ let gms_cmd =
     (Cmd.info "gms" ~doc:"Run the group membership service (the practical P).")
     Term.(
       const run $ n_arg $ seed_arg
-      $ Arg.(value & opt int 4000 & info [ "horizon" ])
+      $ Arg.(value & opt count_conv 4000 & info [ "horizon" ])
       $ crashes_arg $ model_arg $ period $ timeout)
 
 (* ---------- fdsim paxos ---------- *)
@@ -1144,7 +1145,7 @@ let vsync_cmd =
     (Cmd.info "vsync" ~doc:"Run view-synchronous multicast (virtual synchrony).")
     Term.(
       const run $ n_arg $ seed_arg
-      $ Arg.(value & opt int 6000 & info [ "horizon" ])
+      $ Arg.(value & opt count_conv 6000 & info [ "horizon" ])
       $ crashes_arg $ model_arg $ period $ timeout)
 
 (* ---------- fdsim nbac ---------- *)
@@ -1684,7 +1685,9 @@ let metrics_cmd =
       }
     in
     let zoo_partitions =
-      [ Partition.make ~starts:(horizon / 8) ~heals:(horizon / 4)
+      (* heals at horizon / 4, or one tick after it starts on a short run *)
+      let starts = horizon / 8 in
+      [ Partition.make ~starts ~heals:(Stdlib.max (starts + 1) (horizon / 4))
           ~island:(Partition.island_of_size ~n ~k:1) ]
     in
     let zoo_est =
@@ -1771,7 +1774,7 @@ let metrics_cmd =
           dump the populated metrics registry.")
     Term.(
       const run $ n_arg $ seed_arg
-      $ Arg.(value & opt int 4000 & info [ "horizon" ])
+      $ Arg.(value & opt count_conv 4000 & info [ "horizon" ])
       $ crashes_arg $ model_arg $ detector_arg $ json)
 
 (* ---------- fdsim campaign ---------- *)

@@ -38,8 +38,6 @@ let init ~n ~self ~proposal =
 
 let decision st = match st.phase with Decided v -> Some v | Rounds _ | Collect_final -> None
 
-let others ~n ~self = List.filter (fun p -> not (Pid.equal p self)) (Pid.all ~n)
-
 (* Shape-canonical insertion: the explorer's canonical encoding marshals
    the map's internal tree, whose shape depends on insertion order.
    Message logs grow in arrival order — schedule-dependent — so every
@@ -47,23 +45,34 @@ let others ~n ~self = List.filter (fun p -> not (Pid.equal p self)) (Pid.all ~n)
    pure function of the binding set.  Two states that received the same
    messages in different orders then encode identically (more dedup), and
    a pid-renamed state byte-matches the twin its renaming names (the
-   property the symmetry reduction rests on). *)
+   property the symmetry reduction rests on).  The maps given here are
+   canonical already, so two insertions need no rebuild: one that replaces
+   a bound key's value keeps the tree's shape, and one above every bound
+   key is the last step of the ascending fold. *)
 let canonical_add p v m =
-  Pid.Map.bindings (Pid.Map.add p v m)
-  |> List.fold_left (fun acc (k, v) -> Pid.Map.add k v acc) Pid.Map.empty
+  if
+    Pid.Map.is_empty m || Pid.Map.mem p m
+    || Pid.compare p (fst (Pid.Map.max_binding m)) > 0
+  then Pid.Map.add p v m
+  else
+    Pid.Map.bindings (Pid.Map.add p v m)
+    |> List.fold_left (fun acc (k, v) -> Pid.Map.add k v acc) Pid.Map.empty
 
 let canonical_add_int r v m =
-  Int_map.bindings (Int_map.add r v m)
-  |> List.fold_left (fun acc (k, v) -> Int_map.add k v acc) Int_map.empty
+  if Int_map.is_empty m || Int_map.mem r m || r > fst (Int_map.max_binding m) then
+    Int_map.add r v m
+  else
+    Int_map.bindings (Int_map.add r v m)
+    |> List.fold_left (fun acc (k, v) -> Int_map.add k v acc) Int_map.empty
+
+(* The deltas received for round [r], by sender. *)
+let round_deltas r st =
+  match Int_map.find r st.round_msgs with m -> m | exception Not_found -> Pid.Map.empty
 
 let record_msg st (e : _ Model.envelope) =
   match e.Model.payload with
   | Round { round; delta } ->
-    let per_round =
-      match Int_map.find_opt round st.round_msgs with
-      | None -> Pid.Map.empty
-      | Some m -> m
-    in
+    let per_round = round_deltas round st in
     {
       st with
       round_msgs =
@@ -77,9 +86,18 @@ let record_msg st (e : _ Model.envelope) =
 let heard_or_suspected ~received suspects q =
   Pid.Map.mem q received || Pid.Set.mem q suspects
 
+(* Whether every process but [self], from index [i] on, is heard or
+   suspected: a loop over i..n that allocates nothing. *)
+let rec others_heard ~n ~self ~received suspects i =
+  i > n
+  || (i = Pid.to_int self || heard_or_suspected ~received suspects (Pid.of_int i))
+     && others_heard ~n ~self ~received suspects (i + 1)
+
 (* Merge the deltas received in a completed round: adopt a value for every
    still-unknown component, and remember the newly learned components as the
-   next delta. *)
+   next delta.  The delta starts as the view with every value erased: a view
+   binds every pid, inserted in ascending order, so that is the tree of
+   [empty_vector ~n], built without inserting. *)
 let merge_round ~n st msgs =
   let learn (view, delta) p =
     match Pid.Map.find p view with
@@ -97,7 +115,7 @@ let merge_round ~n st msgs =
       | None -> (view, delta)
       | Some v -> (Pid.Map.add p (Some v) view, Pid.Map.add p (Some v) delta))
   in
-  List.fold_left learn (st.view, empty_vector ~n) (Pid.all ~n)
+  List.fold_left learn (st.view, Pid.Map.map (fun _ -> None) st.view) (Pid.all ~n)
 
 (* Pointwise intersection of the final vectors (own view included): a
    component survives only if every collected vector knows it. *)
@@ -128,12 +146,8 @@ let rec progress ~n ~self suspects st sends outputs =
           sends @ Model.send_all ~n ~but:self (Round { round = r; delta = st.delta }) )
       else (st, sends)
     in
-    let received =
-      match Int_map.find_opt r st.round_msgs with None -> Pid.Map.empty | Some m -> m
-    in
-    let complete =
-      List.for_all (heard_or_suspected ~received suspects) (others ~n ~self)
-    in
+    let received = round_deltas r st in
+    let complete = others_heard ~n ~self ~received suspects 1 in
     if not complete then (st, sends, outputs)
     else begin
       let view, delta = merge_round ~n st received in
@@ -147,11 +161,7 @@ let rec progress ~n ~self suspects st sends outputs =
           sends @ Model.send_all ~n ~but:self (Final { view = st.view }) )
       else (st, sends)
     in
-    let complete =
-      List.for_all
-        (heard_or_suspected ~received:st.final_msgs suspects)
-        (others ~n ~self)
-    in
+    let complete = others_heard ~n ~self ~received:st.final_msgs suspects 1 in
     if not complete then (st, sends, outputs)
     else begin
       let final_view = intersect ~n st.view st.final_msgs in

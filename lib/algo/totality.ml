@@ -10,7 +10,7 @@ let pp_violation ppf v =
 
 let check ?(is_decision = fun _ -> true) (r : _ Runner.result) =
   let decision_event (e : _ Runner.event) = List.exists is_decision e.Runner.outputs in
-  Runner.events r
+  Runner.output_events r
   |> List.filter_map (fun (e : _ Runner.event) ->
          if not (decision_event e) then None
          else begin

@@ -26,8 +26,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check :
   ?is_decision:('o -> bool) -> ('s, 'o) Runner.result -> violation list
-(** Scans every event ({!Rlfd_sim.Runner.events}) that emits an output
-    accepted by [is_decision] (default: all outputs).  Empty result = the
+(** Scans every event that emits an output accepted by [is_decision]
+    (default: all outputs), reading only the steps that output
+    ({!Rlfd_sim.Runner.output_events}).  Empty result = the
     run is total. *)
 
 val is_total : ?is_decision:('o -> bool) -> ('s, 'o) Runner.result -> bool

@@ -30,9 +30,17 @@ let is_alive f p t = not (is_crashed f p t)
 let fold_processes f acc g =
   List.fold_left (fun acc p -> g acc p) acc (processes f)
 
+(* A loop over the crash array, not a fold over [Pid.all]: a detector
+   queries this on every step.  It adds the pids in ascending order, as the
+   fold does, so the set's tree is the same. *)
 let crashed_by f t =
-  fold_processes f Pid.Set.empty (fun acc p ->
-      if is_crashed f p t then Pid.Set.add p acc else acc)
+  let crashed = ref Pid.Set.empty in
+  for i = 0 to f.size - 1 do
+    match f.crash.(i) with
+    | Some ct when Time.(ct <= t) -> crashed := Pid.Set.add (Pid.of_int (i + 1)) !crashed
+    | Some _ | None -> ()
+  done;
+  !crashed
 
 let alive_at f t =
   fold_processes f Pid.Set.empty (fun acc p ->

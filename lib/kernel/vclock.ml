@@ -22,14 +22,23 @@ let tick vc p =
 
 let singleton p = tick empty p
 
-let leq a b =
-  let rec from i = i >= Array.length a || (a.(i) <= at b i && from (i + 1)) in
-  from 0
+(* [a] and [b] compared from component [i] on: a loop that allocates
+   nothing, since [merge] compares on every received message. *)
+let rec leq_from a b i =
+  i >= Array.length a || (a.(i) <= at b i && leq_from a b (i + 1))
+
+let leq a b = leq_from a b 0
 
 let merge a b =
   if leq b a then a
   else if leq a b then b
-  else Array.init (imax (Array.length a) (Array.length b)) (fun i -> imax (at a i) (at b i))
+  else begin
+    let v = Array.make (imax (Array.length a) (Array.length b)) 0 in
+    for i = 0 to Array.length v - 1 do
+      v.(i) <- imax (at a i) (at b i)
+    done;
+    v
+  end
 
 let equal a b = leq a b && leq b a
 

@@ -6,7 +6,14 @@
     every message to a correct process eventually received.  The one
     buffer of the layer: {!Runner.step} takes its messages from it and puts
     its sends into it, whether {!Runner.run} or {!Replay.execute} drives
-    the step. *)
+    the step.
+
+    The buffer keeps one newest-first queue per destination.  {!add} is
+    O(1); {!pending} reverses one process's queue; {!remove} scans the
+    queues for the id without allocating, then rebuilds only the queue
+    that holds it; {!iter} merges the queues in id order.  A short
+    consensus run keeps a few messages per queue, so each step's buffer
+    work is a few list cells, whatever the other queues hold. *)
 
 open Rlfd_kernel
 

@@ -25,46 +25,51 @@ type ('s, 'm, 'd, 'o) transition = {
   sent_ids : Buffer.id list;
 }
 
+(* The ids of a step's sends, drawn in order.  A process crashed by now
+   never steps again, so a message to it is never received (Section 2): it
+   gets its id, and is not stored. *)
+let rec put_in_transit ~pattern ~time buffer ~src ~hf ~vc = function
+  | [] -> []
+  | (dst, payload) :: rest ->
+    let id =
+      if Pattern.is_crashed pattern dst time then Buffer.skip buffer
+      else Buffer.add buffer { Model.src; dst; payload = { payload; hf; vc } }
+    in
+    id :: put_in_transit ~pattern ~time buffer ~src ~hf ~vc rest
+
 let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
   if Pattern.is_crashed pattern pid time then
     invalid_arg "Runner.step: a crashed process stepped";
   let i = Pid.to_int pid - 1 in
   let received =
-    Option.map
-      (fun id ->
-        match Buffer.remove c.buffer id with
-        | None -> invalid_arg "Runner.step: a consumed message was delivered"
-        | Some e ->
-          if not (Pid.equal e.Model.dst pid) then
-            invalid_arg "Runner.step: a message was misdelivered";
-          let hf = e.Model.payload.hf in
-          (* Keep the set when the message adds no one: most steps' sets
-             are then shared, not copied. *)
-          if not (Pid.Set.subset hf c.heard_from.(i)) then
-            c.heard_from.(i) <- Pid.Set.union c.heard_from.(i) hf;
-          c.vclocks.(i) <- Vclock.merge c.vclocks.(i) e.Model.payload.vc;
-          e)
-      receive
+    match receive with
+    | None -> None
+    | Some id -> (
+      match Buffer.remove c.buffer id with
+      | None -> invalid_arg "Runner.step: a consumed message was delivered"
+      | Some e as received ->
+        if not (Pid.equal e.Model.dst pid) then
+          invalid_arg "Runner.step: a message was misdelivered";
+        let hf = e.Model.payload.hf in
+        (* Keep the set when the message adds no one: most steps' sets
+           are then shared, not copied. *)
+        if not (Pid.Set.subset hf c.heard_from.(i)) then
+          c.heard_from.(i) <- Pid.Set.union c.heard_from.(i) hf;
+        c.vclocks.(i) <- Vclock.merge c.vclocks.(i) e.Model.payload.vc;
+        received)
   in
   c.vclocks.(i) <- Vclock.tick c.vclocks.(i) pid;
   let seen = Detector.query detector pattern pid time in
   let plain =
-    Option.map
-      (fun (e : _ Model.envelope) -> { e with Model.payload = e.Model.payload.payload })
-      received
+    match received with
+    | None -> None
+    | Some e -> Some { e with Model.payload = e.Model.payload.payload }
   in
   let effects = algo.step ~n:(Array.length c.states) ~self:pid c.states.(i) plain seen in
   c.states.(i) <- effects.Model.state;
-  (* A process crashed by now never steps again, so a message to it is
-     never received (Section 2): it gets its id, and is not stored. *)
   let sent_ids =
-    List.map
-      (fun (dst, payload) ->
-        if Pattern.is_crashed pattern dst time then Buffer.skip c.buffer
-        else
-          let tagged = { payload; hf = c.heard_from.(i); vc = c.vclocks.(i) } in
-          Buffer.add c.buffer { Model.src = pid; dst; payload = tagged })
-      effects.Model.sends
+    put_in_transit ~pattern ~time c.buffer ~src:pid ~hf:c.heard_from.(i)
+      ~vc:c.vclocks.(i) effects.Model.sends
   in
   { received; seen; effects; sent_ids }
 
@@ -111,24 +116,37 @@ type ('s, 'o) result = {
   stopped_early : bool;
 }
 
-let events r =
+(* Step [k] of the log, as an event. *)
+let event_at l k =
+  let first = l.first_sent.(k) in
+  let last =
+    if k + 1 < Array.length l.times then l.first_sent.(k + 1) else Array.length l.dsts
+  in
+  let sent_ids = List.init (last - first) (fun j -> first + j) in
+  {
+    time = l.times.(k);
+    pid = l.pids.(k);
+    received = (if l.senders.(k) = 0 then None else Some (Pid.of_int l.senders.(k)));
+    received_id = (if l.received_ids.(k) < 0 then None else Some l.received_ids.(k));
+    sent_to = List.map (fun id -> l.dsts.(id)) sent_ids;
+    sent_ids;
+    outputs = l.step_outputs.(k);
+    heard_from = l.heard.(k);
+    vclock = l.clocks.(k);
+  }
+
+let events r = List.init (Array.length r.log.times) (event_at r.log)
+
+let output_events r =
   let l = r.log in
-  let steps = Array.length l.times in
-  List.init steps (fun k ->
-      let first = l.first_sent.(k) in
-      let last = if k + 1 < steps then l.first_sent.(k + 1) else Array.length l.dsts in
-      let sent_ids = List.init (last - first) (fun j -> first + j) in
-      {
-        time = l.times.(k);
-        pid = l.pids.(k);
-        received = (if l.senders.(k) = 0 then None else Some (Pid.of_int l.senders.(k)));
-        received_id = (if l.received_ids.(k) < 0 then None else Some l.received_ids.(k));
-        sent_to = List.map (fun id -> l.dsts.(id)) sent_ids;
-        sent_ids;
-        outputs = l.step_outputs.(k);
-        heard_from = l.heard.(k);
-        vclock = l.clocks.(k);
-      })
+  let rec back k acc =
+    if k < 0 then acc
+    else
+      match l.step_outputs.(k) with
+      | [] -> back (k - 1) acc
+      | _ :: _ -> back (k - 1) (event_at l k :: acc)
+  in
+  back (Array.length l.times - 1) []
 
 (* A growable array: [data.(0 .. len - 1)] are the values pushed. *)
 module Column = struct
@@ -153,10 +171,10 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
     (algo : _ Model.t) =
   let n = Pattern.n pattern in
   let tracing = not (Rlfd_obs.Trace.is_null sink) in
-  let mincr ?by name =
+  let mincr name by =
     match metrics with
     | None -> ()
-    | Some m -> Rlfd_obs.Metrics.incr ?by m name
+    | Some m -> Rlfd_obs.Metrics.incr ~by m name
   in
   let c = initial ~n algo in
   let times = Column.create Time.zero and pids = Column.create (Pid.of_int 1) in
@@ -168,25 +186,30 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
   let steps = ref 0 and idle = ref 0 and sent = ref 0 and delivered = ref 0 in
   let stopped = ref false in
   let pending = Buffer.pending c.buffer in
+  let steps_of p = Vclock.get c.vclocks.(Pid.to_int p - 1) p in
+  let push_dst (dst, _) = Column.push dsts dst in
+  (* The alive list changes only at crash times: it is rebuilt when the
+     clock reaches [next_crash], the earliest crash time after the last
+     rebuild (the horizon if there is none). *)
+  let alive = ref [] and next_crash = ref Time.zero in
   let t = ref Time.zero in
   while Time.(!t < horizon) && not !stopped do
     let now = !t in
-    let alive =
-      List.filter (fun p -> Pattern.is_alive pattern p now) (Pid.all ~n)
-    in
-    let view =
-      {
-        Scheduler.n;
-        time = now;
-        alive;
-        pending;
-        steps_of = (fun p -> Vclock.get c.vclocks.(Pid.to_int p - 1) p);
-      }
-    in
+    if Time.(now >= !next_crash) then begin
+      alive := List.filter (fun p -> Pattern.is_alive pattern p now) (Pid.all ~n);
+      next_crash :=
+        List.fold_left
+          (fun next p ->
+            match Pattern.crash_time pattern p with
+            | Some ct when Time.(ct > now) -> Time.min ct next
+            | Some _ | None -> next)
+          horizon (Pid.all ~n)
+    end;
+    let view = { Scheduler.n; time = now; alive = !alive; pending; steps_of } in
     (match Scheduler.choose scheduler view with
     | Scheduler.Idle ->
       incr idle;
-      mincr "idle_ticks"
+      mincr "idle_ticks" 1
     | Scheduler.Step { pid; receive } ->
       let s = step ~pattern ~detector algo c ~time:now ~pid ~receive in
       let effects = s.effects in
@@ -201,19 +224,19 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
         Column.push senders (Pid.to_int e.Model.src);
         Column.push received_ids (Option.get receive);
         incr delivered;
-        mincr "messages_delivered");
+        mincr "messages_delivered" 1);
       (* The buffer is this run's own, so its ids are the sends so far. *)
       Column.push first_sent !sent;
-      List.iter (fun (dst, _) -> Column.push dsts dst) effects.Model.sends;
+      List.iter push_dst effects.Model.sends;
       Column.push step_outputs effects.Model.outputs;
       Column.push heard c.heard_from.(i);
       Column.push clocks c.vclocks.(i);
       sent := !sent + List.length s.sent_ids;
       List.iter (fun o -> outputs := (now, pid, o) :: !outputs) effects.Model.outputs;
       incr steps;
-      mincr "steps";
-      mincr ~by:(List.length effects.Model.sends) "messages_sent";
-      mincr ~by:(List.length effects.Model.outputs) "outputs";
+      mincr "steps" 1;
+      mincr "messages_sent" (List.length effects.Model.sends);
+      mincr "outputs" (List.length effects.Model.outputs);
       if tracing then
         Rlfd_obs.Trace.(
           emit sink
@@ -229,7 +252,9 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
                  outputs = List.map pp_output effects.Model.outputs;
                  seen = Option.map (fun f -> f s.seen) pp_seen;
                }));
-      if effects.Model.outputs <> [] && until !outputs then stopped := true);
+      (match effects.Model.outputs with
+      | [] -> ()
+      | _ :: _ -> if until !outputs then stopped := true));
     t := Time.succ !t
   done;
   let final_states =
@@ -273,8 +298,9 @@ let outputs_of r pid =
 let first_output r pid =
   match outputs_of r pid with [] -> None | x :: _ -> Some x
 
-let stop_when_all_correct_output pattern outputs =
+let stop_when_all_correct_output pattern =
   let correct = Pattern.correct pattern in
-  Pid.Set.for_all
-    (fun p -> List.exists (fun (_, q, _) -> Pid.equal p q) outputs)
-    correct
+  fun outputs ->
+    Pid.Set.for_all
+      (fun p -> List.exists (fun (_, q, _) -> Pid.equal p q) outputs)
+      correct

@@ -112,6 +112,11 @@ val events : ('s, 'o) result -> 'o event list
 (** The run's steps, chronological, built afresh from the log on each
     call. *)
 
+val output_events : ('s, 'o) result -> 'o event list
+(** The steps of {!events} that emitted outputs, chronological.  The log's
+    other steps are skipped, not built, so a checker of decisions builds a
+    handful of events however long the run. *)
+
 val run :
   ?until:((Time.t * Pid.t * 'o) list -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
@@ -146,4 +151,7 @@ val first_output : ('s, 'o) result -> Pid.t -> (Time.t * 'o) option
 (** Earliest output of one process, if any. *)
 
 val stop_when_all_correct_output : Pattern.t -> (Time.t * Pid.t * 'o) list -> bool
-(** Ready-made [until]: stop once every correct process has output. *)
+(** Ready-made [until]: stop once every correct process has output.
+    [stop_when_all_correct_output pattern] computes the pattern's correct
+    set once, when partially applied, so pass it to {!run} that way; the
+    run then calls it on each step that outputs. *)

@@ -380,6 +380,77 @@ let run_spec_tests =
           report.Engine.outcomes);
   ]
 
+(* ---------- a recorded campaign grid ---------- *)
+
+(* The job of [fdsim campaign] at n = 5: the 8 pattern families x {P,
+   P-delayed, S} x {fair, random} x seeds {1, 2}, 96 short ct-strong runs
+   to decision.  A line holds a job's counts, its totality violations and
+   the MD5 of its run artifact, which carries every choice with its
+   buffer id and the marshalled final states; so it pins the schedule,
+   the buffer's pending order and ct-strong's map shapes.
+   [fixtures/campaign_grid.txt] holds these lines as computed before the
+   per-destination buffer and the fast paths of the alive list,
+   [Pattern.crashed_by], ct-strong and [Totality.check]. *)
+let grid_spec () =
+  Spec.make ~name:"grid"
+    ~axes:
+      [ ("family",
+         List.map (fun f -> f.Rlfd_fd.Pattern.Family.name) Rlfd_fd.Pattern.Family.all);
+        ("fd", [ "P"; "P-delayed"; "S" ]); ("sched", [ "fair"; "random" ]) ]
+    ~seeds:[ 1; 2 ] ()
+
+let grid_line (job : Spec.job) =
+  let open Rlfd_kernel in
+  let open Rlfd_fd in
+  let open Rlfd_sim in
+  let n = 5 and horizon = 6000 in
+  let proposals p = 100 + Pid.to_int p in
+  let axis = Spec.value job and seed = job.Spec.seed in
+  let family =
+    List.find (fun f -> f.Pattern.Family.name = axis "family") Pattern.Family.all
+  in
+  let detector =
+    match axis "fd" with
+    | "P" -> Perfect.canonical
+    | "P-delayed" -> Perfect.delayed ~lag:10
+    | _ -> Strong.realistic
+  in
+  let scheduler =
+    if axis "sched" = "fair" then Scheduler.fair ()
+    else Scheduler.random ~seed ~lambda_bias:0.3
+  in
+  let pattern =
+    Pattern.Family.generate family ~n ~horizon:(Time.of_int 300)
+      (Rng.derive ~seed ~salts:[ 0x7A ])
+  in
+  let r =
+    Runner.run ~pattern ~detector ~scheduler ~horizon:(Time.of_int horizon)
+      ~until:(Runner.stop_when_all_correct_output pattern)
+      (Rlfd_algo.Ct_strong.automaton ~proposals)
+  in
+  let artifact =
+    Replay.runner_artifact ~scope:(Json.String (Spec.label job)) ~queries:[] r
+  in
+  Printf.sprintf "%d steps=%d sent=%d delivered=%d end=%d violations=%d md5=%s"
+    job.Spec.index r.Runner.steps r.Runner.sent r.Runner.delivered
+    (Time.to_int r.Runner.end_time)
+    (List.length (Rlfd_algo.Totality.check r))
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (Rlfd_obs.Recorder.to_lines artifact))))
+
+let grid_tests =
+  [
+    test "the campaign grid reproduces its recorded lines" (fun () ->
+        let recorded =
+          String.split_on_char '\n'
+            (String.trim (read_file (Filename.concat "fixtures" "campaign_grid.txt")))
+        in
+        Alcotest.(check int) "96 jobs" 96 (List.length recorded);
+        Alcotest.(check (list string))
+          "every job's counts and artifact digest" recorded
+          (List.map grid_line (Spec.jobs (grid_spec ()))));
+  ]
+
 (* ---------- timeline collection ---------- *)
 
 module Timeline = Rlfd_obs.Timeline
@@ -573,6 +644,7 @@ let () =
       suite "engine" engine_tests;
       suite "resume" resume_tests;
       suite "run-spec" run_spec_tests;
+      suite "grid" grid_tests;
       suite "timeline" timeline_tests;
       suite "pool" pool_tests;
     ]

@@ -4,6 +4,48 @@ open Helpers
 
 let n = 5
 
+(* [crashed_by] as a fold over [Pid.all]: the reference its loop over the
+   crash array must match, as a set under [=] and in its [Marshal] bytes
+   (the tree of a set depends on the order of its insertions). *)
+let crashed_by_reference f t =
+  List.fold_left
+    (fun acc p -> if Pattern.is_crashed f p t then Pid.Set.add p acc else acc)
+    Pid.Set.empty (Pattern.processes f)
+
+let arb_small_pattern =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n ->
+      list_repeat n (opt (int_bound 20)) >|= fun times ->
+      Pattern.make ~n
+        (List.concat
+           (List.mapi
+              (fun i -> function None -> [] | Some t -> [ (pid (i + 1), time t) ])
+              times)))
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Pattern.pp) gen
+
+let crashed_by_oracle =
+  qtest ~count:300 "crashed_by agrees with the fold over Pid.all, bytes included"
+    arb_small_pattern (fun f ->
+      let ticks =
+        0 :: 100
+        :: List.concat_map
+             (fun p ->
+               match Pattern.crash_time f p with
+               | None -> []
+               | Some ct ->
+                 let ct = Time.to_int ct in
+                 List.filter (fun t -> t >= 0) [ ct - 1; ct; ct + 1 ])
+             (Pattern.processes f)
+      in
+      List.for_all
+        (fun t ->
+          let fast = Pattern.crashed_by f (time t)
+          and slow = crashed_by_reference f (time t) in
+          fast = slow && Marshal.to_string fast [] = Marshal.to_string slow [])
+        ticks)
+
 let basic_tests =
   [
     test "failure-free has everyone correct" (fun () ->
@@ -42,6 +84,7 @@ let basic_tests =
         Alcotest.(check bool) "equal" true (Pattern.equal a b);
         let c = pattern ~n [ (1, 3) ] in
         Alcotest.(check bool) "not equal" false (Pattern.equal a c));
+    crashed_by_oracle;
   ]
 
 let prefix_tests =

@@ -46,11 +46,18 @@ let run_gossip ?(pattern = Pattern.failure_free ~n) ?(scheduler = Scheduler.fair
    walks every message in id order, which is the order of [add].  A [skip]
    draws the next id and stores nothing, so ids count adds and skips
    together.  The order is part of the results: [Scheduler.random] picks
-   by position in [pending] and [fair] takes its head. *)
+   by position in [pending] and [fair] takes its head.  Each case sends
+   to one to three pids drawn from 1..8, in any order, and checks
+   [pending] for all eight: destinations first addressed out of order,
+   and pids never addressed. *)
 let buffer_model_test =
   qtest ~count:300 "add/remove/pending/iter agree with a list model"
-    QCheck.(small_list (pair (int_bound 2) (int_bound 31)))
-    (fun ops ->
+    QCheck.(
+      pair
+        (pair (int_bound 7) (list_of_size Gen.(0 -- 2) (int_bound 7)))
+        (small_list (triple (int_bound 2) (int_bound 31) small_nat)))
+    (fun ((first, others), ops) ->
+      let dsts = first :: others in
       let b = Buffer.create ~dst:fst in
       let model = ref [] (* (id, (dst, k)), oldest first *) in
       let next = ref 0 in
@@ -59,11 +66,11 @@ let buffer_model_test =
         id = !next - 1
       in
       List.for_all
-        (fun (op, k) ->
+        (fun (op, k, d) ->
           let op_ok =
             match op with
             | 0 ->
-              let m = (pid ((k mod 4) + 1), k) in
+              let m = (pid (List.nth dsts (d mod List.length dsts) + 1), k) in
               let id = Buffer.add b m in
               model := !model @ [ (id, m) ];
               fresh id
@@ -81,7 +88,7 @@ let buffer_model_test =
                (fun p ->
                  Buffer.pending b p
                  = List.filter (fun (_, (dst, _)) -> Pid.equal dst p) !model)
-               (Pid.all ~n:4))
+               (Pid.all ~n:8))
         ops)
 
 let buffer_tests =
@@ -216,6 +223,50 @@ let constraint_tests =
 
 (* ---------- runner semantics ---------- *)
 
+(* The Runner keeps its alive list from one crash time to the next.  A
+   constraint that blocks nothing records the view of every tick on which
+   someone is alive and checks its list against the pattern, under [fair]
+   and [random].  The ticks it never sees must be exactly those on which
+   everyone has crashed, which the Runner counts as idle. *)
+let alive_view_test =
+  test "the scheduler sees the pattern's alive list at every tick" (fun () ->
+      let horizon = 60 in
+      let ticks = List.init horizon Fun.id in
+      let alive_at f t = List.filter (fun p -> Pattern.is_alive f p t) (Pid.all ~n) in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun base ->
+              let seen = Hashtbl.create 64 in
+              let record =
+                {
+                  Scheduler.blocks_step =
+                    (fun view _ ->
+                      let t = view.Scheduler.time in
+                      if view.Scheduler.alive <> alive_at f t then
+                        Alcotest.failf "%a, t=%d: alive list differs" Pattern.pp f
+                          (Time.to_int t);
+                      Hashtbl.replace seen (Time.to_int t) ();
+                      false);
+                  blocks_delivery = (fun _ _ -> false);
+                }
+              in
+              let scheduler = Scheduler.constrained ~base:(base ()) [ record ] in
+              let r = run_gossip ~pattern:f ~scheduler ~horizon () in
+              let empty = List.filter (fun t -> alive_at f (time t) = []) ticks in
+              Alcotest.(check (list int))
+                (Format.asprintf "%a: unseen ticks" Pattern.pp f)
+                empty
+                (List.filter (fun t -> not (Hashtbl.mem seen t)) ticks);
+              Alcotest.(check int) "idle ticks" (List.length empty) r.Runner.idle_ticks)
+            [ (fun () -> Scheduler.fair ());
+              (fun () -> Scheduler.random ~seed:3 ~lambda_bias:0.3) ])
+        [ pattern ~n [ (2, 0) ];
+          pattern ~n [ (1, 0); (3, 0) ];
+          pattern ~n [ (1, 10); (3, 10); (4, 25) ];
+          pattern ~n [ (4, horizon - 1) ];
+          pattern ~n [ (1, 0); (2, 12); (3, 12); (4, 30) ] ])
+
 let runner_tests =
   [
     test "runs are deterministic" (fun () ->
@@ -241,6 +292,7 @@ let runner_tests =
     test "final states cover all processes" (fun () ->
         let r = run_gossip ~pattern:(pattern ~n [ (3, 10) ]) () in
         Alcotest.(check int) "n states" n (Pid.Map.cardinal r.Runner.final_states));
+    alive_view_test;
   ]
 
 (* ---------- causal tracking ---------- *)

@@ -87,6 +87,46 @@ let non_realistic_tests =
         | [] -> Alcotest.fail "expected violations");
   ]
 
+(* [Totality.check] as a filter over every event of the run: the reference
+   its scan of the output steps must match, violation for violation. *)
+let check_reference ?(is_decision = fun _ -> true) (r : _ Runner.result) =
+  Runner.events r
+  |> List.filter_map (fun (e : _ Runner.event) ->
+         if not (List.exists is_decision e.Runner.outputs) then None
+         else
+           let alive = Pattern.alive_at r.Runner.pattern e.Runner.time in
+           let missing = Pid.Set.diff alive e.Runner.heard_from in
+           if Pid.Set.is_empty missing then None
+           else Some { Totality.time = e.Runner.time; pid = e.Runner.pid; missing })
+
+let oracle_tests =
+  [
+    test "check agrees with a filter over every event" (fun () ->
+        let detectors =
+          [ Perfect.canonical; Strong.realistic; Strong.clairvoyant ]
+        in
+        let violating = ref 0 and total = ref 0 in
+        for seed = 0 to 47 do
+          let family = List.nth Pattern.Family.all (seed mod 8) in
+          let pattern =
+            Pattern.Family.generate family ~n ~horizon:(time 150)
+              (Rng.derive ~seed ~salts:[ 0x707 ])
+          in
+          let detector = List.nth detectors (seed mod 3) in
+          let scheduler = if seed mod 2 = 0 then `Fair else `Random seed in
+          let r = run ~scheduler detector pattern in
+          let vs = Totality.check r in
+          if vs = [] then incr total else incr violating;
+          let label = Format.asprintf "seed %d, %a" seed Pattern.pp pattern in
+          Alcotest.(check bool) label true (vs = check_reference r);
+          let is_decision v = v mod 2 = 1 in
+          Alcotest.(check bool) (label ^ ", odd decisions only") true
+            (Totality.check ~is_decision r = check_reference ~is_decision r)
+        done;
+        Alcotest.(check bool) "some runs violate totality" true (!violating > 0);
+        Alcotest.(check bool) "some runs are total" true (!total > 0));
+  ]
+
 (* The R1/R2/R3 construction from the Lemma 4.1 proof, made concrete:
    if p_j is never consulted, the adversary can crash everyone else right
    after the decision and force p_j to decide alone - possibly differently.
@@ -156,5 +196,6 @@ let () =
     [
       suite "realistic-is-total" totality_tests;
       suite "non-realistic-escapes" non_realistic_tests;
+      suite "oracle" oracle_tests;
       suite "lemma-4.1-construction" proof_construction_tests;
     ]
