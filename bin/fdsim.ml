@@ -46,10 +46,11 @@ let crash_conv =
   let print ppf (p, t) = Format.fprintf ppf "%d@%d" p t in
   Arg.conv (parse, print)
 
-(* Counts (--jobs, --seeds, --trials, --capacity), every --horizon and the
-   detectors' --period and --timeout (qos, gms, vsync) must be >= 1, and
-   --retries >= 0: cmdliner rejects anything else with its usage error,
-   before any work starts. *)
+(* Counts (--jobs, --seeds, --trials, --capacity, --samples, --max-nodes,
+   --width), trb's --sender, every --horizon and the detectors' --period
+   and --timeout (qos, gms, vsync) must be >= 1, and --retries >= 0:
+   cmdliner rejects anything else with its usage error, before any work
+   starts. *)
 let bounded_conv ~min =
   let parse s =
     match int_of_string_opt s with
@@ -281,7 +282,9 @@ let survey_cmd =
     exit_ok (Hierarchy.collapse_holds rows)
   in
   let samples =
-    Arg.(value & opt int 25 & info [ "samples" ] ~docv:"K" ~doc:"Sampled patterns/pairs.")
+    Arg.(
+      value & opt count_conv 25
+      & info [ "samples" ] ~docv:"K" ~doc:"Sampled patterns/pairs.")
   in
   Cmd.v
     (Cmd.info "survey" ~doc:"Classify the detector zoo: realism and class membership.")
@@ -488,6 +491,10 @@ let run_cmd =
 let trb_cmd =
   let run n seed horizon crashes sender value fd trace trace_out =
     let pattern = pattern_of ~n crashes in
+    if sender > n then begin
+      Format.eprintf "fdsim: --sender %d exceeds n = %d@." sender n;
+      exit 2
+    end;
     let detector = make_detector ~seed fd in
     let sink, mem, close_trace = trace_sink ~trace ~trace_out in
     let r =
@@ -515,7 +522,9 @@ let trb_cmd =
     exit_ok ok
   in
   let sender =
-    Arg.(value & opt int 1 & info [ "sender" ] ~docv:"PID" ~doc:"Broadcast sender.")
+    Arg.(
+      value & opt count_conv 1
+      & info [ "sender" ] ~docv:"PID" ~doc:"Broadcast sender, 1..n.")
   in
   let value =
     Arg.(value & opt int 4242 & info [ "value" ] ~docv:"V" ~doc:"Broadcast value.")
@@ -1341,7 +1350,9 @@ let explore_cmd =
     Arg.(value & opt int 9 & info [ "max-steps" ] ~docv:"K" ~doc:"Depth bound.")
   in
   let max_nodes =
-    Arg.(value & opt int 2_000_000 & info [ "max-nodes" ] ~docv:"K" ~doc:"Node budget.")
+    Arg.(
+      value & opt count_conv 2_000_000
+      & info [ "max-nodes" ] ~docv:"K" ~doc:"Node budget.")
   in
   let uniform =
     Arg.(
@@ -2096,7 +2107,7 @@ let profile_cmd =
   in
   let width =
     Arg.(
-      value & opt int 64
+      value & opt count_conv 64
       & info [ "width" ] ~docv:"COLS" ~doc:"Gantt row width in cells.")
   in
   Cmd.v

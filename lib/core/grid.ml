@@ -16,13 +16,11 @@ let pp_cell ppf c =
 
 let pass_rate c = if c.runs = 0 then 1.0 else float_of_int c.passes /. float_of_int c.runs
 
-let run ?(horizon = Time.of_int 6000) ?crash_horizon ~n ~seeds ~detectors
-    ~environments ~judge automaton =
-  let crash_horizon =
-    match crash_horizon with
-    | Some t -> t
-    | None -> Time.of_int (Stdlib.min 300 (Time.to_int horizon / 4))
-  in
+let horizon = Time.of_int 6000
+
+let crash_horizon = Time.of_int (Stdlib.min 300 (Time.to_int horizon / 4))
+
+let run ~n ~seeds ~detectors ~environments ~judge automaton =
   List.concat_map
     (fun (detector_name, detector) ->
       List.map

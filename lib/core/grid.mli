@@ -23,8 +23,6 @@ val pp_cell : Format.formatter -> cell -> unit
 val pass_rate : cell -> float
 
 val run :
-  ?horizon:Time.t ->
-  ?crash_horizon:Time.t ->
   n:int ->
   seeds:int list ->
   detectors:(string * Detector.suspicions Detector.t) list ->
@@ -34,7 +32,8 @@ val run :
   cell list
 (** One cell per (detector, environment); each cell aggregates one run per
     seed (even seeds use the fair scheduler, odd seeds a seeded random
-    one).  [horizon] defaults to 6000 ticks, [crash_horizon] (the latest
-    sampled crash) to a quarter of it, capped at 300. *)
+    one).  Every run lasts at most 6000 ticks, stopping once every correct
+    process has output, and its pattern's crashes fall before tick 300:
+    [min 300 (6000 / 4)]. *)
 
 val to_table : title:string -> cell list -> Table.t

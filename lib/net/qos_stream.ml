@@ -365,7 +365,7 @@ let to_report (t : t) ~end_time =
         accurate = false_episodes = 0;
       }
 
-let agrees ?(eps = 1e-6) summary (report : Qos.report) =
+let agrees summary (report : Qos.report) =
   let ( let* ) r f = Result.bind r f in
   let check_int name streaming posthoc =
     if streaming = posthoc then Ok ()
@@ -384,7 +384,7 @@ let agrees ?(eps = 1e-6) summary (report : Qos.report) =
     if samples = [] then Ok ()
     else
       let close a b =
-        Float.abs (a -. b) <= eps *. Float.max 1. (Float.abs b)
+        Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs b)
       in
       if not (close (Sketch.sum sketch) (Stats.sum samples)) then
         Error

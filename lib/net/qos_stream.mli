@@ -105,12 +105,13 @@ val to_report : t -> end_time:int -> Qos.report option
     estimator was created with [~retain_samples:true].  [messages] is
     the delivered count, as in {!Qos.analyze}. *)
 
-val agrees : ?eps:float -> summary -> Qos.report -> (unit, string) result
+val agrees : summary -> Qos.report -> (unit, string) result
 (** The streaming-vs-post-hoc cross-check: pair counts, episode counts,
     flags, message counts, and the count/sum/min/max of both sketches
-    against the report's raw lists (sums within [eps], default 1e-6
-    relative).  [Error] names the first disagreeing field with both
-    values — what [fdsim qos --check] and the CI smoke prints. *)
+    against the report's raw lists (sum, min and max within 1e-6
+    relative: [|a - b| <= 1e-6 * max 1 |b|]).  [Error] names the first
+    disagreeing field with both values — what [fdsim qos --check] and the
+    CI smoke prints. *)
 
 val observe : Rlfd_obs.Metrics.t -> summary -> unit
 (** Land the summary in a registry under the same names {!Qos.observe}

@@ -1,12 +1,11 @@
 open Rlfd_kernel
 open Rlfd_fd
 
-type 'm tagged = { payload : 'm; hf : Pid.Set.t; vc : Vclock.t }
+type 'm tagged = { payload : 'm; hf : Pid.Set.t }
 
 type ('s, 'm) config = {
   states : 's array;
   heard_from : Pid.Set.t array;
-  vclocks : Vclock.t array;
   buffer : 'm tagged Model.envelope Buffer.t;
 }
 
@@ -14,7 +13,6 @@ let initial ~n (algo : _ Model.t) =
   {
     states = Array.of_list (List.map (fun p -> algo.initial ~n p) (Pid.all ~n));
     heard_from = Array.of_list (List.map Pid.Set.singleton (Pid.all ~n));
-    vclocks = Array.make n Vclock.empty;
     buffer = Buffer.create ~dst:(fun e -> e.Model.dst);
   }
 
@@ -28,14 +26,14 @@ type ('s, 'm, 'd, 'o) transition = {
 (* The ids of a step's sends, drawn in order.  A process crashed by now
    never steps again, so a message to it is never received (Section 2): it
    gets its id, and is not stored. *)
-let rec put_in_transit ~pattern ~time buffer ~src ~hf ~vc = function
+let rec put_in_transit ~pattern ~time buffer ~src ~hf = function
   | [] -> []
   | (dst, payload) :: rest ->
     let id =
       if Pattern.is_crashed pattern dst time then Buffer.skip buffer
-      else Buffer.add buffer { Model.src; dst; payload = { payload; hf; vc } }
+      else Buffer.add buffer { Model.src; dst; payload = { payload; hf } }
     in
-    id :: put_in_transit ~pattern ~time buffer ~src ~hf ~vc rest
+    id :: put_in_transit ~pattern ~time buffer ~src ~hf rest
 
 let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
   if Pattern.is_crashed pattern pid time then
@@ -55,10 +53,8 @@ let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
            are then shared, not copied. *)
         if not (Pid.Set.subset hf c.heard_from.(i)) then
           c.heard_from.(i) <- Pid.Set.union c.heard_from.(i) hf;
-        c.vclocks.(i) <- Vclock.merge c.vclocks.(i) e.Model.payload.vc;
         received)
   in
-  c.vclocks.(i) <- Vclock.tick c.vclocks.(i) pid;
   let seen = Detector.query detector pattern pid time in
   let plain =
     match received with
@@ -69,7 +65,7 @@ let step ~pattern ~detector (algo : _ Model.t) c ~time ~pid ~receive =
   c.states.(i) <- effects.Model.state;
   let sent_ids =
     put_in_transit ~pattern ~time c.buffer ~src:pid ~hf:c.heard_from.(i)
-      ~vc:c.vclocks.(i) effects.Model.sends
+      effects.Model.sends
   in
   { received; seen; effects; sent_ids }
 
@@ -82,7 +78,6 @@ type 'o event = {
   sent_ids : Buffer.id list;
   outputs : 'o list;
   heard_from : Pid.Set.t;
-  vclock : Vclock.t;
 }
 
 (* Step [k] of a run, one column each: a lambda step has sender 0 and
@@ -97,7 +92,6 @@ type 'o log = {
   first_sent : int array;
   step_outputs : 'o list array;
   heard : Pid.Set.t array;
-  clocks : Vclock.t array;
   dsts : Pid.t array;
 }
 
@@ -132,7 +126,6 @@ let event_at l k =
     sent_ids;
     outputs = l.step_outputs.(k);
     heard_from = l.heard.(k);
-    vclock = l.clocks.(k);
   }
 
 let events r = List.init (Array.length r.log.times) (event_at r.log)
@@ -180,13 +173,11 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
   let times = Column.create Time.zero and pids = Column.create (Pid.of_int 1) in
   let senders = Column.create 0 and received_ids = Column.create 0 in
   let first_sent = Column.create 0 and step_outputs = Column.create [] in
-  let heard = Column.create Pid.Set.empty and clocks = Column.create Vclock.empty in
-  let dsts = Column.create (Pid.of_int 1) in
+  let heard = Column.create Pid.Set.empty and dsts = Column.create (Pid.of_int 1) in
   let outputs = ref [] in
   let steps = ref 0 and idle = ref 0 and sent = ref 0 and delivered = ref 0 in
   let stopped = ref false in
   let pending = Buffer.pending c.buffer in
-  let steps_of p = Vclock.get c.vclocks.(Pid.to_int p - 1) p in
   let push_dst (dst, _) = Column.push dsts dst in
   (* The alive list changes only at crash times: it is rebuilt when the
      clock reaches [next_crash], the earliest crash time after the last
@@ -205,7 +196,7 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
             | Some _ | None -> next)
           horizon (Pid.all ~n)
     end;
-    let view = { Scheduler.n; time = now; alive = !alive; pending; steps_of } in
+    let view = { Scheduler.time = now; alive = !alive; pending } in
     (match Scheduler.choose scheduler view with
     | Scheduler.Idle ->
       incr idle;
@@ -230,7 +221,6 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
       List.iter push_dst effects.Model.sends;
       Column.push step_outputs effects.Model.outputs;
       Column.push heard c.heard_from.(i);
-      Column.push clocks c.vclocks.(i);
       sent := !sent + List.length s.sent_ids;
       List.iter (fun o -> outputs := (now, pid, o) :: !outputs) effects.Model.outputs;
       incr steps;
@@ -271,7 +261,6 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
       first_sent = Column.contents first_sent;
       step_outputs = Column.contents step_outputs;
       heard = Column.contents heard;
-      clocks = Column.contents clocks;
       dsts = Column.contents dsts;
     }
   in

@@ -9,20 +9,20 @@
     buffered message destined to it, and the detector value seen is
     [H(p, t)] for the step's own time.
 
-    The step transparently tags every message with the sender's
-    heard-from set and vector clock, so the {e causal chain} of every event
-    is available afterwards — this is what the totality checker (Lemma 4.1)
-    and the alive-tagging reduction (Section 4.3) consume. *)
+    The step tags every message with the sender's heard-from set, so the
+    processes in each event's {e causal chain} are known afterwards: the
+    totality checker of Lemma 4.1 reads them, and nothing else does. *)
 
 open Rlfd_kernel
 open Rlfd_fd
 
-(** Causal metadata carried by every in-flight message. *)
-type 'm tagged = { payload : 'm; hf : Pid.Set.t; vc : Vclock.t }
+(** An in-flight message with the sender's heard-from set at the step
+    that sent it. *)
+type 'm tagged = { payload : 'm; hf : Pid.Set.t }
 
 (** {1 The step} *)
 
-(** A configuration: every process's state, causal metadata and the
+(** A configuration: every process's state and heard-from set, and the
     messages in transit.  Arrays are indexed by [Pid.to_int p - 1]; the
     step updates them in place.  The buffer holds only messages a process
     can still receive: a message sent to a process already crashed at the
@@ -32,13 +32,12 @@ type 'm tagged = { payload : 'm; hf : Pid.Set.t; vc : Vclock.t }
 type ('s, 'm) config = {
   states : 's array;
   heard_from : Pid.Set.t array;  (** as in {!event}, after the last step *)
-  vclocks : Vclock.t array;
   buffer : 'm tagged Model.envelope Buffer.t;
 }
 
 val initial : n:int -> ('s, 'm, 'd, 'o) Model.t -> ('s, 'm) config
 (** The initial configuration: initial states, each process heard only
-    from itself, empty clocks and an empty buffer. *)
+    from itself, and an empty buffer. *)
 
 (** What one step did. *)
 type ('s, 'm, 'd, 'o) transition = {
@@ -59,11 +58,13 @@ val step :
   ('s, 'm, 'd, 'o) transition
 (** [step ~pattern ~detector algo c ~time ~pid ~receive] is process
     [pid]'s step at [time]: it removes the message [receive] from the
-    buffer ([None] = the null message), queries the detector at [time],
-    applies the automaton and puts in transit the sends to processes not
-    crashed by [time].  The sends get consecutive ids.  Raises
-    [Invalid_argument] if [pid] has crashed by [time], if the message was
-    already consumed, or if it is destined to another process. *)
+    buffer ([None] = the null message) and adds the message's tag to
+    [pid]'s heard-from set, queries the detector at [time], applies the
+    automaton and puts in transit the sends to processes not crashed by
+    [time], each tagged with that updated set.  The sends get consecutive
+    ids.  Raises [Invalid_argument] if [pid] has crashed by [time], if the
+    message was already consumed, or if it is destined to another
+    process. *)
 
 (** {1 Runs} *)
 
@@ -81,7 +82,6 @@ type 'o event = {
   heard_from : Pid.Set.t;
       (** processes having a message in this event's causal chain (includes
           the stepping process itself) *)
-  vclock : Vclock.t;
 }
 
 type 'o log

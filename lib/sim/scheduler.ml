@@ -1,11 +1,9 @@
 open Rlfd_kernel
 
 type 'm view = {
-  n : int;
   time : Time.t;
   alive : Pid.t list;
   pending : Pid.t -> (Buffer.id * 'm Model.envelope) list;
-  steps_of : Pid.t -> int;
 }
 
 type action = Step of { pid : Pid.t; receive : Buffer.id option } | Idle

@@ -13,11 +13,9 @@ open Rlfd_kernel
 
 (** What a scheduler sees when making a choice. *)
 type 'm view = {
-  n : int;  (** number of processes *)
   time : Time.t;  (** the tick being scheduled *)
   alive : Pid.t list; (** processes allowed to step now, ascending *)
   pending : Pid.t -> (Buffer.id * 'm Model.envelope) list; (** oldest first *)
-  steps_of : Pid.t -> int;  (** steps the process has taken so far *)
 }
 
 type action =

@@ -31,7 +31,7 @@ let guard_scope crashes =
   let send dst =
     Buffer.add c.Runner.buffer
       { Model.src = pid 1; dst = pid dst;
-        payload = { Runner.payload = 0; hf = Pid.Set.empty; vc = Vclock.empty } }
+        payload = { Runner.payload = 0; hf = Pid.Set.empty } }
   in
   let consumed = send 2 in
   let to_p3 = send 3 in

@@ -262,116 +262,6 @@ let pqueue_tests =
          List.for_all step (ops @ List.map (fun _ -> None) ops)));
   ]
 
-(* ---------- Vclock ---------- *)
-
-(* The map-based clock that the array clock replaced, kept as its oracle. *)
-module Map_clock = struct
-  let get vc p = match Pid.Map.find_opt p vc with None -> 0 | Some k -> k
-
-  let tick vc p = Pid.Map.add p (get vc p + 1) vc
-
-  let merge a b = Pid.Map.union (fun _ x y -> Some (Stdlib.max x y)) a b
-
-  let leq a b = Pid.Map.for_all (fun p k -> k <= get b p) a
-
-  let equal a b = leq a b && leq b a
-
-  let concurrent a b = (not (leq a b)) && not (leq b a)
-
-  let support vc =
-    Pid.Map.fold
-      (fun p k acc -> if k > 0 then Pid.Set.add p acc else acc)
-      vc Pid.Set.empty
-end
-
-(* Four clock slots, each held both ways, under random ticks ([true]: tick
-   slot [a] at [p]) and merges ([false]: slot [a] becomes [a] merged with
-   [b]); after every operation the two must answer every query alike. *)
-let vclock_oracle_test =
-  qtest ~count:300 "array clocks agree with a Pid.Map reference"
-    QCheck.(small_list (quad bool (int_bound 3) (int_bound 3) (int_range 1 8)))
-    (fun ops ->
-      let clocks = Array.make 4 Vclock.empty and refs = Array.make 4 Pid.Map.empty in
-      let agree () =
-        let ps = Pid.all ~n:8 in
-        List.for_all
-          (fun i ->
-            List.for_all (fun p -> Vclock.get clocks.(i) p = Map_clock.get refs.(i) p) ps
-            && Pid.Set.equal (Vclock.support clocks.(i)) (Map_clock.support refs.(i))
-            && List.for_all
-                 (fun j ->
-                   let a = clocks.(i) and b = clocks.(j) in
-                   let ra = refs.(i) and rb = refs.(j) in
-                   Vclock.leq a b = Map_clock.leq ra rb
-                   && Vclock.equal a b = Map_clock.equal ra rb
-                   && Vclock.concurrent a b = Map_clock.concurrent ra rb)
-                 [ 0; 1; 2; 3 ])
-          [ 0; 1; 2; 3 ]
-      in
-      List.for_all
-        (fun (tick, a, b, p) ->
-          if tick then begin
-            clocks.(a) <- Vclock.tick clocks.(a) (pid p);
-            refs.(a) <- Map_clock.tick refs.(a) (pid p)
-          end
-          else begin
-            clocks.(a) <- Vclock.merge clocks.(a) clocks.(b);
-            refs.(a) <- Map_clock.merge refs.(a) refs.(b)
-          end;
-          agree ())
-        ops)
-
-let vclock_tests =
-  [
-    test "empty has zero everywhere" (fun () ->
-        Alcotest.(check int) "zero" 0 (Vclock.get Vclock.empty (pid 3)));
-    test "tick increments" (fun () ->
-        let vc = Vclock.tick (Vclock.tick Vclock.empty (pid 2)) (pid 2) in
-        Alcotest.(check int) "two" 2 (Vclock.get vc (pid 2)));
-    test "merge takes max" (fun () ->
-        let a = Vclock.tick (Vclock.tick Vclock.empty (pid 1)) (pid 1) in
-        let b = Vclock.tick Vclock.empty (pid 2) in
-        let m = Vclock.merge a b in
-        Alcotest.(check int) "p1" 2 (Vclock.get m (pid 1));
-        Alcotest.(check int) "p2" 1 (Vclock.get m (pid 2)));
-    test "leq reflexive" (fun () ->
-        let a = Vclock.tick Vclock.empty (pid 1) in
-        Alcotest.(check bool) "a <= a" true (Vclock.leq a a));
-    test "concurrent clocks" (fun () ->
-        let a = Vclock.tick Vclock.empty (pid 1) in
-        let b = Vclock.tick Vclock.empty (pid 2) in
-        Alcotest.(check bool) "concurrent" true (Vclock.concurrent a b));
-    test "merge dominates both" (fun () ->
-        let a = Vclock.tick Vclock.empty (pid 1) in
-        let b = Vclock.tick Vclock.empty (pid 2) in
-        let m = Vclock.merge a b in
-        Alcotest.(check bool) "a <= m" true (Vclock.leq a m);
-        Alcotest.(check bool) "b <= m" true (Vclock.leq b m));
-    qtest "merge is commutative" QCheck.(pair (list (int_range 1 6)) (list (int_range 1 6)))
-      (fun (xs, ys) ->
-        let clock = List.fold_left (fun vc i -> Vclock.tick vc (pid i)) Vclock.empty in
-        let a = clock xs and b = clock ys in
-        Vclock.equal (Vclock.merge a b) (Vclock.merge b a));
-    qtest "merge is associative" QCheck.(triple (list (int_range 1 6)) (list (int_range 1 6)) (list (int_range 1 6)))
-      (fun (xs, ys, zs) ->
-        let clock = List.fold_left (fun vc i -> Vclock.tick vc (pid i)) Vclock.empty in
-        let a = clock xs and b = clock ys and c = clock zs in
-        Vclock.equal (Vclock.merge a (Vclock.merge b c)) (Vclock.merge (Vclock.merge a b) c));
-    qtest "merge is idempotent" QCheck.(list (int_range 1 6)) (fun xs ->
-        let a = List.fold_left (fun vc i -> Vclock.tick vc (pid i)) Vclock.empty xs in
-        Vclock.equal (Vclock.merge a a) a);
-    qtest "leq is antisymmetric up to equality" QCheck.(pair (list (int_range 1 6)) (list (int_range 1 6)))
-      (fun (xs, ys) ->
-        let clock = List.fold_left (fun vc i -> Vclock.tick vc (pid i)) Vclock.empty in
-        let a = clock xs and b = clock ys in
-        (not (Vclock.leq a b && Vclock.leq b a)) || Vclock.equal a b);
-    test "support lists contributors" (fun () ->
-        let vc = Vclock.merge (Vclock.singleton (pid 1)) (Vclock.singleton (pid 4)) in
-        Alcotest.(check string) "support" "{p1,p4}"
-          (Format.asprintf "%a" Pid.Set.pp (Vclock.support vc)));
-    vclock_oracle_test;
-  ]
-
 (* ---------- Stats ---------- *)
 
 let stats_tests =
@@ -597,7 +487,6 @@ let () =
       suite "time" time_tests;
       suite "rng" rng_tests;
       suite "pqueue" pqueue_tests;
-      suite "vclock" vclock_tests;
       suite "stats" stats_tests;
       suite "table" table_tests;
       suite "hashing" hashing_tests;

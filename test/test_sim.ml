@@ -297,6 +297,77 @@ let runner_tests =
 
 (* ---------- causal tracking ---------- *)
 
+(* Whether every event's heard-from set is its own pid plus the pid of
+   every step that happened before it.  Those steps are found from
+   scratch, by walking back over the run's events: from a step to its
+   process's previous step, and to the step whose [sent_ids] hold the id
+   it received. *)
+let heard_from_is_causal_past (events : _ Runner.event list) =
+  let ev = Array.of_list events in
+  let sender = Hashtbl.create 256 and last = Hashtbl.create 8 in
+  let edges =
+    Array.mapi
+      (fun k (e : _ Runner.event) ->
+        let earlier = Option.to_list (Hashtbl.find_opt last e.Runner.pid) in
+        Hashtbl.replace last e.Runner.pid k;
+        List.iter (fun id -> Hashtbl.replace sender id k) e.Runner.sent_ids;
+        match e.Runner.received_id with
+        | None -> earlier
+        | Some id -> Hashtbl.find sender id :: earlier)
+      ev
+  in
+  let past k =
+    let seen = Array.make (Array.length ev) false in
+    let rec walk acc j =
+      if seen.(j) then acc
+      else begin
+        seen.(j) <- true;
+        List.fold_left walk (Pid.Set.add ev.(j).Runner.pid acc) edges.(j)
+      end
+    in
+    walk Pid.Set.empty k
+  in
+  Seq.for_all
+    (fun (k, e) -> Pid.Set.equal (past k) e.Runner.heard_from)
+    (Array.to_seqi ev)
+
+(* Random patterns of up to five processes, each crashing before t = 60
+   or never, under [fair] or [random] ([None] or a seed): ct-strong,
+   stopped once every correct process decides, or T(D->P) over it for
+   300 ticks, with P or the realistic S. *)
+let heard_from_oracle_test =
+  qtest ~count:80 "heard_from is the pids of every step that happened before"
+    QCheck.(
+      quad (int_range 1 5)
+        (list_of_size (Gen.return 5) (option (int_bound 59)))
+        (pair bool bool) (option small_nat))
+    (fun (n, crash_times, (tdp, strong), seed) ->
+      let pattern =
+        pattern ~n
+          (List.filteri (fun i _ -> i < n) crash_times
+          |> List.mapi (fun i t -> Option.map (fun t -> (i + 1, t)) t)
+          |> List.filter_map Fun.id)
+      in
+      let detector = if strong then Strong.realistic else Perfect.canonical in
+      let scheduler () =
+        match seed with
+        | None -> Scheduler.fair ()
+        | Some seed -> Scheduler.random ~seed ~lambda_bias:0.3
+      in
+      if tdp then
+        heard_from_is_causal_past
+          (Runner.events
+             (Runner.run ~pattern ~detector ~scheduler:(scheduler ())
+                ~horizon:(time 300)
+                Rlfd_reduction.Consensus_to_p.(automaton ~impl:ct_strong_impl)))
+      else
+        heard_from_is_causal_past
+          (Runner.events
+             (Runner.run ~pattern ~detector ~scheduler:(scheduler ())
+                ~horizon:(time 1000)
+                ~until:(Runner.stop_when_all_correct_output pattern)
+                (Rlfd_algo.Ct_strong.automaton ~proposals))))
+
 let causal_tests =
   [
     test "heard_from starts as self" (fun () ->
@@ -324,36 +395,7 @@ let causal_tests =
               Alcotest.(check bool) "p1 in causal chain" true
                 (Pid.Set.mem (pid 1) e.Runner.heard_from))
           (Runner.events r));
-    test "vector clocks grow along the run" (fun () ->
-        let r = run_gossip () in
-        let by_pid = Hashtbl.create 8 in
-        List.iter
-          (fun e ->
-            let prev = Option.value ~default:Vclock.empty (Hashtbl.find_opt by_pid e.Runner.pid) in
-            Alcotest.(check bool) "monotone" true (Vclock.leq prev e.Runner.vclock);
-            Hashtbl.replace by_pid e.Runner.pid e.Runner.vclock)
-          (Runner.events r));
-    test "own step count matches own vclock component" (fun () ->
-        let r = run_gossip () in
-        let last_of p =
-          List.fold_left
-            (fun acc e -> if Pid.equal e.Runner.pid p then Some e else acc)
-            None (Runner.events r)
-        in
-        List.iter
-          (fun p ->
-            match last_of p with
-            | None -> ()
-            | Some e ->
-              let steps =
-                List.length
-                  (List.filter (fun ev -> Pid.equal ev.Runner.pid p) (Runner.events r))
-              in
-              Alcotest.(check int)
-                (Format.asprintf "%a" Pid.pp p)
-                steps
-                (Vclock.get e.Runner.vclock p))
-          (Pid.all ~n));
+    heard_from_oracle_test;
   ]
 
 let () =
