@@ -13,9 +13,11 @@ let of_int i = mix64 (Int64.of_int i)
    intermediate allocates), and 63 bits of fingerprint keep collision
    probability irrelevant at explorer scales — exactness never rests on
    the hash anyway (tables confirm full keys).  Constants are the
-   SplitMix64 / golden-ratio ones truncated to fit OCaml's int. *)
+   SplitMix64 / golden-ratio ones truncated to fit OCaml's int.  The two
+   mixers are inlined: the explorer's fingerprint pass runs three
+   [combine_int]s per symmetry lane on every visited-set probe. *)
 
-let mix_int z =
+let[@inline] mix_int z =
   let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   z lxor (z lsr 31)
@@ -29,7 +31,7 @@ let of_string_int s =
   done;
   mix_int !h
 
-let combine_int acc h = mix_int ((acc * 0x1E3779B97F4A7C15) + h)
+let[@inline] combine_int acc h = mix_int ((acc * 0x1E3779B97F4A7C15) + h)
 
 let of_string s = Int64.of_int (of_string_int s)
 

@@ -143,19 +143,33 @@ module Memo = struct
 end
 
 (* The intern tables of one walk.  Entries and ids are table-local, and
-   [c_step] is keyed by those ids. *)
+   [c_step] and [c_terms] are keyed by those ids. *)
 type ('s, 'm, 'o) cache = {
   c_state : 's Intern.t;
   c_msg : (Pid.t * Pid.t * 'm) Intern.t;
   c_out : (Pid.t * 'o) Intern.t;
   c_step : ('s, 'm, 'o) memo_step Memo.t;
+  mutable c_terms : int array array;
+      (* slot [state id * n + i]: the lane terms of that state held by
+         p_(i+1), [combine_int grp.(k).(i) (hs.(k))]; [||] until first use *)
   mutable sc_mids : int array; (* key-packing scratch, grown on demand *)
   mutable sc_oids : int array;
+  mutable sc_keys : Bytes.t array; (* reused key buffers, by length in words *)
 }
 
 (* A schedule choice: which process steps, and which pending message (by
    buffer id, with its sender) it receives — [None] is the null message. *)
 type choice = Pid.t * (int * Pid.t) option
+
+(* A slept choice: the choice, its path-independent descriptor, and the
+   intern entry of the message it receives ([None] for a lambda step, or
+   with encodings off), through which the descriptor is renamed into the
+   orbit representative's pid space. *)
+type 'm sleeper = {
+  choice : choice;
+  desc : int;
+  sment : (Pid.t * Pid.t * 'm) Intern.entry option;
+}
 
 let same_choice ((p : Pid.t), ra) ((q : Pid.t), rb) =
   Pid.equal p q
@@ -199,6 +213,24 @@ let isort (a : int array) len =
     done;
     a.(!j + 1) <- x
   done
+
+(* Whole-vector lane updates: [a.(k) <- a.(k) + b.(k)] (resp. [-]) over
+   [a]'s lanes. *)
+let vadd (a : int array) (b : int array) =
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- a.(k) + b.(k)
+  done
+
+let vsub (a : int array) (b : int array) =
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- a.(k) - b.(k)
+  done
+
+(* Lane [k]'s fingerprint, [s0] being the mixed (clamped) step count. *)
+let[@inline] lane_fp s0 (ls : int array) (lm : int array) (lo : int array) k =
+  Hashing.combine_int (Hashing.combine_int (Hashing.combine_int s0 ls.(k)) lm.(k)) lo.(k)
+
+let grow a fill = Array.append a (Array.make (Array.length a) fill)
 
 (* Fixed-width little-endian int in a key buffer (ids and counts are far
    below 2^31). *)
@@ -318,11 +350,10 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
      flight-recorder schedule; process-state encodings only for dedup. *)
   let enc_on = red.canon || capture in
   let started_at = Rlfd_obs.Profile.now () in
-  (* the phase clock runs only under a live timeline *)
-  let clk =
-    if Rlfd_obs.Timeline.is_null timeline then fun () -> 0.
-    else Rlfd_obs.Profile.now
-  in
+  (* the phase clock runs only under a live timeline, and only then are
+     the (boxed) phase accumulators written *)
+  let timed = not (Rlfd_obs.Timeline.is_null timeline) in
+  let clk = if timed then Rlfd_obs.Profile.now else fun () -> 0. in
   (* --- scope precomputation: views, aliveness, stability, deaths ---
      Detector views and crash events are pure functions of (process, tick);
      querying them once per scope instead of once per explored edge removes
@@ -391,56 +422,99 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         a)
       grp
   in
+  (* [compose j k]: the index of "rename by grp.(k), then by grp.(j)", the
+     multiplication table the intern tables build orbits from.  A row is
+     built on its first use (an orbit needs one per distinct member), so
+     the table never outgrows the lanes of the entries that needed it. *)
+  let compose =
+    let code img = Array.fold_left (fun c i -> (c * (n + 1)) + i) 0 img in
+    let index = Hashtbl.create g_order in
+    Array.iteri (fun k img -> Hashtbl.replace index (code img) k) grp;
+    let rows = Array.make g_order [||] and img = Array.make n 0 in
+    fun j k ->
+      if Array.length rows.(k) = 0 then
+        rows.(k) <-
+          Array.init g_order (fun j ->
+              for i = 0 to n - 1 do
+                img.(i) <- grp.(j).(grp.(k).(i) - 1)
+              done;
+              match Hashtbl.find_opt index (code img) with
+              | Some c -> c
+              | None -> invalid_arg "Explore: the symmetry group is not closed");
+      rows.(k).(j)
+  in
   (* Lane counts: state/message lanes exist per group element only when
      orbits are actually merged; output lanes whenever a spec is present
      (the decision quotient needs renamed outputs even without orbit
      merging). *)
   let sm_lanes = if red.orbit_merge then g_order else 1 in
   let out_lanes = match red.spec with None -> 1 | Some _ -> g_order in
-  let renamings =
+  let rename_state, rename_msg, rename_out =
     match red.spec with
-    | None -> None
+    | None -> ((fun _ s -> s), (fun _ m -> m), fun _ o -> o)
     | Some spec ->
-      Some
-        (Array.init g_order (fun k ->
-             let pi = g_arr.(k) in
-             (Symmetry.apply pi, spec.value_map pi)))
+      let rens =
+        Array.init g_order (fun k ->
+            let pi = g_arr.(k) in
+            (Symmetry.apply pi, spec.value_map pi))
+      in
+      ( (fun k s ->
+          let pid, value = rens.(k) in
+          spec.renamer.Symmetry.rename_state ~pid ~value s),
+        (fun k (src, dst, m) ->
+          let pid, value = rens.(k) in
+          (pid src, pid dst, spec.renamer.Symmetry.rename_msg ~pid ~value m)),
+        fun k (p, o) ->
+          let pid, value = rens.(k) in
+          (pid p, value o) )
+  in
+  let table order rename =
+    Intern.create ~group:{ Intern.order; rename; compose } ~encode:Canon.encode_value ()
   in
   let cache =
-    match (red.spec, renamings) with
-    | Some spec, Some rens ->
-      {
-        c_state =
-          Intern.create ~nlanes:sm_lanes
-            ~rename:(fun k s ->
-              let pid, value = rens.(k) in
-              spec.renamer.Symmetry.rename_state ~pid ~value s)
-            ~encode:Canon.encode_value ();
-        c_msg =
-          Intern.create ~nlanes:sm_lanes
-            ~rename:(fun k (src, dst, m) ->
-              let pid, value = rens.(k) in
-              (pid src, pid dst, spec.renamer.Symmetry.rename_msg ~pid ~value m))
-            ~encode:Canon.encode_value ();
-        c_out =
-          Intern.create ~nlanes:out_lanes
-            ~rename:(fun k (p, o) ->
-              let pid, value = rens.(k) in
-              (pid p, value o))
-            ~encode:Canon.encode_value ();
-        c_step = Memo.create ();
-        sc_mids = Array.make 32 0;
-        sc_oids = Array.make 32 0;
-      }
-    | _ ->
-      {
-        c_state = Intern.create ~encode:Canon.encode_value ();
-        c_msg = Intern.create ~encode:Canon.encode_value ();
-        c_out = Intern.create ~encode:Canon.encode_value ();
-        c_step = Memo.create ();
-        sc_mids = Array.make 32 0;
-        sc_oids = Array.make 32 0;
-      }
+    {
+      c_state = table sm_lanes rename_state;
+      c_msg = table sm_lanes rename_msg;
+      c_out = table out_lanes rename_out;
+      c_step = Memo.create ();
+      c_terms = Array.make 256 [||];
+      sc_mids = Array.make 32 0;
+      sc_oids = Array.make 32 0;
+      sc_keys = Array.make 64 Bytes.empty;
+    }
+  in
+  (* Interning, audited under [paranoid]: every new orbit's lanes are
+     re-derived by renaming each member directly. *)
+  let intern tbl rename v =
+    let before = Intern.length tbl in
+    let e = Intern.intern tbl v in
+    if paranoid && Intern.length tbl > before then
+      for j0 = 0 to Array.length (Intern.hs e) - 1 do
+        let m = Intern.ren e j0 in
+        Array.iteri
+          (fun j hj ->
+            let r = Intern.ren m j in
+            if Intern.value r <> rename j (Intern.value m) || hj <> Intern.h r then
+              failwith "Explore: an interned orbit's lanes diverged from direct renaming")
+          (Intern.hs m)
+      done;
+    e
+  in
+  (* The lane terms of state [e] held by p_(i+1) (see [c_terms]); a hit
+     allocates nothing. *)
+  let s_terms e i =
+    let slot = (Intern.id e * n) + i in
+    while slot >= Array.length cache.c_terms do
+      cache.c_terms <- grow cache.c_terms [||]
+    done;
+    let v = cache.c_terms.(slot) in
+    if Array.length v > 0 then v
+    else begin
+      let hs = Intern.hs e in
+      let v = Array.init sm_lanes (fun k -> Hashing.combine_int grp.(k).(i) hs.(k)) in
+      cache.c_terms.(slot) <- v;
+      v
+    end
   in
   (* A message is part of the canonical state iff its destination can still
      receive it: the view canonicalizer erases messages to crashed
@@ -474,7 +548,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
   let root =
     let states = Array.init n (fun i -> algo.Model.initial ~n (Pid.of_int (i + 1))) in
     let s_ents =
-      if red.canon then Array.map (Intern.intern cache.c_state) states else [||]
+      if red.canon then Array.map (intern cache.c_state rename_state) states else [||]
     in
     {
       step_no = 0;
@@ -555,13 +629,13 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         List.fold_left
           (fun (buffer, next_id) (dst, payload) ->
             let ment =
-              if enc_on then Some (Intern.intern cache.c_msg (p, dst, payload))
+              if enc_on then Some (intern cache.c_msg rename_msg (p, dst, payload))
               else None
             in
             ({ mid = next_id; msrc = p; mdst = dst; payload; ment } :: buffer, next_id + 1))
           (buffer0, config.next_id) effects.Model.sends
       in
-      acc.t_expand <- acc.t_expand +. (clk () -. ta);
+      if timed then acc.t_expand <- acc.t_expand +. (clk () -. ta);
       ( {
           step_no = t';
           states = states';
@@ -591,11 +665,11 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
           in
           let r =
             {
-              r_ent = Intern.intern cache.c_state effects.Model.state;
+              r_ent = intern cache.c_state rename_state effects.Model.state;
               r_sends =
                 List.map
                   (fun (dst, payload) ->
-                    (dst, payload, Intern.intern cache.c_msg (p, dst, payload)))
+                    (dst, payload, intern cache.c_msg rename_msg (p, dst, payload)))
                   effects.Model.sends;
               r_outputs = effects.Model.outputs;
             }
@@ -608,12 +682,9 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
       let s_ents' = Array.copy config.s_ents in
       s_ents'.(i) <- e_new;
       let ls' = Array.copy config.ls in
+      let old_t = s_terms e_old i and new_t = s_terms e_new i in
       for k = 0 to sm_lanes - 1 do
-        let img = grp.(k).(i) in
-        ls'.(k) <-
-          ls'.(k)
-          - Hashing.combine_int img (Intern.h (Intern.ren e_old k))
-          + Hashing.combine_int img (Intern.h (Intern.ren e_new k))
+        ls'.(k) <- ls'.(k) - old_t.(k) + new_t.(k)
       done;
       let lm' = Array.copy config.lm in
       (match received with
@@ -621,35 +692,27 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
       | Some m ->
         (* the receiver is its destination and is alive now, so the
            message was counted: unconditionally subtract *)
-        let ment = Option.get m.ment in
-        for k = 0 to sm_lanes - 1 do
-          lm'.(k) <- lm'.(k) - Intern.h (Intern.ren ment k)
-        done);
+        vsub lm' (Intern.hs (Option.get m.ment)));
       if any_death.(t') then
         List.iter
           (fun m ->
-            if dies_at.(t').(Pid.to_int m.mdst - 1) then begin
-              let ment = Option.get m.ment in
-              for k = 0 to sm_lanes - 1 do
-                lm'.(k) <- lm'.(k) - Intern.h (Intern.ren ment k)
-              done
-            end)
+            if dies_at.(t').(Pid.to_int m.mdst - 1) then
+              vsub lm' (Intern.hs (Option.get m.ment)))
           buffer0;
       let buffer, next_id =
         List.fold_left
           (fun (buffer, next_id) (dst, payload, ment) ->
-            if alive.(t').(Pid.to_int dst - 1) then
-              for k = 0 to sm_lanes - 1 do
-                lm'.(k) <- lm'.(k) + Intern.h (Intern.ren ment k)
-              done;
+            if alive.(t').(Pid.to_int dst - 1) then vadd lm' (Intern.hs ment);
             ( { mid = next_id; msrc = p; mdst = dst; payload; ment = Some ment }
               :: buffer,
               next_id + 1 ))
           (buffer0, config.next_id) r.r_sends
       in
-      let tc = clk () in
-      acc.t_expand <- acc.t_expand +. (tb -. ta);
-      acc.t_hash <- acc.t_hash +. (tc -. tb);
+      if timed then begin
+        let tc = clk () in
+        acc.t_expand <- acc.t_expand +. (tb -. ta);
+        acc.t_hash <- acc.t_hash +. (tc -. tb)
+      end;
       ( {
           step_no = t';
           states = config.states;
@@ -673,14 +736,6 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
      are in bijection with distinct values, so key equality is exact state
      equality — the byte-exact confirmation the visited set performs on
      every fingerprint hit. *)
-  let fp_of config lo k =
-    Hashing.combine_int
-      (Hashing.combine_int
-         (Hashing.combine_int (Hashing.mix_int (clamp_step config.step_no)) config.ls.(k))
-         config.lm.(k))
-      lo.(k)
-  in
-  let grow a = Array.append a (Array.make (Array.length a) 0) in
   let pack config out_ents k =
     let t = config.step_no in
     let nm = ref 0 in
@@ -688,7 +743,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
       (fun m ->
         if counted t m then begin
           if !nm >= Array.length cache.sc_mids then
-            cache.sc_mids <- grow cache.sc_mids;
+            cache.sc_mids <- grow cache.sc_mids 0;
           cache.sc_mids.(!nm) <- Intern.id (Intern.ren (Option.get m.ment) k);
           incr nm
         end)
@@ -698,13 +753,19 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     let no = ref 0 in
     List.iter
       (fun e ->
-        if !no >= Array.length cache.sc_oids then cache.sc_oids <- grow cache.sc_oids;
+        if !no >= Array.length cache.sc_oids then cache.sc_oids <- grow cache.sc_oids 0;
         cache.sc_oids.(!no) <- Intern.id (Intern.ren e k);
         incr no)
       out_ents;
     let oids = cache.sc_oids in
     isort oids !no;
-    let b = Bytes.create (4 * (3 + n + !nm + !no)) in
+    let words = 3 + n + !nm + !no in
+    while words >= Array.length cache.sc_keys do
+      cache.sc_keys <- grow cache.sc_keys Bytes.empty
+    done;
+    if Bytes.length cache.sc_keys.(words) = 0 then
+      cache.sc_keys.(words) <- Bytes.create (4 * words);
+    let b = cache.sc_keys.(words) in
     put4 b 0 (clamp_step t);
     for q = 0 to n - 1 do
       put4 b (4 * (1 + q)) (Intern.id (Intern.ren config.s_ents.(inv.(k).(q) - 1) k))
@@ -719,17 +780,21 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     for idx = 0 to !no - 1 do
       put4 b (off + 4 * (1 + idx)) oids.(idx)
     done;
-    Bytes.unsafe_to_string b
+    b
   in
   (* Index (in [red.group]) of the representative's permutation, the
-     visited-set fingerprint, and the packed id-vector key. *)
+     visited-set fingerprint, and the packed id-vector key — in a reused
+     buffer, valid until the next call: copy it to keep it.  One pass over
+     the lanes, the step's mix computed once; ties go to the first lane. *)
   let encode config lo out_ents =
+    let s0 = Hashing.mix_int (clamp_step config.step_no) in
+    let ls = config.ls and lm = config.lm in
     let k =
       if (not red.orbit_merge) || g_order = 1 then 0
       else begin
-        let best = ref (fp_of config lo 0) and bi = ref 0 in
+        let best = ref (lane_fp s0 ls lm lo 0) and bi = ref 0 in
         for k = 1 to g_order - 1 do
-          let f = fp_of config lo k in
+          let f = lane_fp s0 ls lm lo k in
           if f < !best then begin
             best := f;
             bi := k
@@ -738,7 +803,53 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         !bi
       end
     in
-    (k, Int64.of_int (fp_of config lo k), pack config out_ents k)
+    (k, Int64.of_int (lane_fp s0 ls lm lo k), pack config out_ents k)
+  in
+  (* The [paranoid] oracle for one edge, independent of the fast paths
+     above: every lane from scratch, each lane's fingerprint with the
+     step's mix inside the loop, the first minimal lane, and that lane's
+     key built from sorted lists.  Raises unless the incremental lanes,
+     the orbit index and the packed key all agree. *)
+  let audit_edge config lo out_ents orbit key =
+    let t = config.step_no in
+    let ls = scratch_s_lanes config.s_ents
+    and lm = scratch_m_lanes t config.buffer
+    and lo_s = scratch_o_lanes out_ents in
+    if ls <> config.ls || lm <> config.lm || lo_s <> lo then
+      failwith "Explore: incremental fingerprint diverged from from-scratch recomputation";
+    let fp k =
+      Hashing.combine_int
+        (Hashing.combine_int
+           (Hashing.combine_int (Hashing.mix_int (clamp_step t)) ls.(k))
+           lm.(k))
+        lo_s.(k)
+    in
+    let slow = ref 0 in
+    for k = 1 to sm_lanes - 1 do
+      if fp k < fp !slow then slow := k
+    done;
+    let k = !slow in
+    let ids = List.sort Int.compare in
+    let ints =
+      (clamp_step t
+       :: List.init n (fun q -> Intern.id (Intern.ren config.s_ents.(inv.(k).(q) - 1) k)))
+      @ (let mids =
+           ids
+             (List.filter_map
+                (fun m ->
+                  if counted t m then Some (Intern.id (Intern.ren (Option.get m.ment) k))
+                  else None)
+                config.buffer)
+         in
+         List.length mids :: mids)
+      @
+      let oids = ids (List.map (fun e -> Intern.id (Intern.ren e k)) out_ents) in
+      List.length oids :: oids
+    in
+    let b = Bytes.create (4 * List.length ints) in
+    List.iteri (fun j v -> put4 b (4 * j) v) ints;
+    if k <> orbit || not (Bytes.equal b key) then
+      failwith "Explore: orbit representative or key diverged from the from-scratch choice"
   in
   (* Decision states: the multiset of outputs emitted so far.  Under
      symmetry the recorded multiset is its orbit representative, so the
@@ -777,35 +888,37 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
   in
   let sleeping = red.por || red.por_lambda in
   let lambda_tag = 0x6C616D62 in
-  (* A path-independent descriptor for a slept choice: the process plus the
-     fingerprint of the received message (a tag for lambda), so sleep sets
-     reached along different paths compare meaningfully.  The explored
-     child's message was already extracted by [apply], so the descriptor
-     comes straight off it — no buffer search. *)
-  let descriptor p received =
-    match received with
-    | None -> Hashing.combine_int (Pid.to_int p) lambda_tag
-    | Some { ment = Some e; _ } -> Hashing.combine_int (Pid.to_int p) (Intern.h e)
-    | Some { ment = None; _ } -> Hashing.combine_int (Pid.to_int p) 0
+  (* The sleep entry of an explored choice, with its path-independent
+     descriptor: the process plus the fingerprint of the received message
+     (a tag for lambda), so sleep sets reached along different paths
+     compare meaningfully.  The explored child's message was already
+     extracted by [apply], so the descriptor and the message's entry come
+     straight off it — no buffer search. *)
+  let sleeper ((p, _) as choice) received =
+    let sment = Option.bind received (fun m -> m.ment) in
+    let h =
+      match (received, sment) with
+      | None, _ -> lambda_tag
+      | Some _, Some e -> Intern.h e
+      | Some _, None -> 0
+    in
+    { choice; desc = Hashing.combine_int (Pid.to_int p) h; sment }
   in
   (* The same descriptor pushed through the orbit-representative renaming:
      sleep sets stored with a canonical state must be named in the {e
      representative's} pid space, so that two branches whose states merge
      only up to a permutation still compare their sleep sets meaningfully.
      For the identity orbit the concrete descriptor is already in rep
-     space. *)
-  let rep_descriptor ~orbit config ((p, receive) : choice) concrete =
-    if orbit = 0 then concrete
+     space; the received message's lanes come off the entry the sleeper
+     carries. *)
+  let rep_descriptor ~orbit b =
+    if orbit = 0 then b.desc
     else
-      match receive with
-      | None -> Hashing.combine_int grp.(orbit).(Pid.to_int p - 1) lambda_tag
-      | Some (id, _) -> (
-        match List.find_opt (fun m -> m.mid = id) config.buffer with
-        | Some { ment = Some e; _ } ->
-          Hashing.combine_int
-            grp.(orbit).(Pid.to_int p - 1)
-            (Intern.h (Intern.ren e orbit))
-        | _ -> concrete)
+      let img = grp.(orbit).(Pid.to_int (fst b.choice) - 1) in
+      match (snd b.choice, b.sment) with
+      | None, _ -> Hashing.combine_int img lambda_tag
+      | Some _, Some e -> Hashing.combine_int img (Intern.hs e).(orbit)
+      | Some _, None -> b.desc
   in
   (* --- the walk ---
 
@@ -896,7 +1009,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
             && List.length acc.violations < max_violations
           then begin
             if
-              sleeping && List.exists (fun (b, _) -> same_choice a b) sleep
+              sleeping && List.exists (fun b -> same_choice a b.choice) sleep
             then begin
               match a with
               | _, None -> acc.lambda_pruned <- acc.lambda_pruned + 1
@@ -906,8 +1019,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
               let expand () =
                 let config', outs, received = apply config a in
                 let p, _ = a in
-                if sleeping then
-                  done_ := (a, descriptor p received) :: !done_;
+                if sleeping then done_ := sleeper a received :: !done_;
                 let outputs' =
                   if outs = [] then outputs
                   else outputs @ List.map (fun o -> (p, o)) outs
@@ -919,11 +1031,8 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                     let ents =
                       List.fold_left
                         (fun ents o ->
-                          let e = Intern.intern cache.c_out (p, o) in
-                          if red.canon then
-                            for k = 0 to sm_lanes - 1 do
-                              lo'.(k) <- lo'.(k) + Intern.h (Intern.ren e k)
-                            done;
+                          let e = intern cache.c_out rename_out (p, o) in
+                          if red.canon then vadd lo' (Intern.hs e);
                           e :: ents)
                         out_ents outs
                     in
@@ -941,20 +1050,9 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                         ) )
                   :: steps
                 in
-                if paranoid && red.canon then begin
-                  if
-                    scratch_s_lanes config'.s_ents <> config'.ls
-                    || scratch_m_lanes config'.step_no config'.buffer
-                       <> config'.lm
-                    || scratch_o_lanes out_ents' <> lo'
-                  then
-                    failwith
-                      "Explore: incremental fingerprint diverged from \
-                       from-scratch recomputation"
-                end;
                 let sleep' =
                   if sleeping then
-                    List.filter (fun (b, _) -> indep_at t a b) (!done_ @ sleep)
+                    List.filter (fun b -> indep_at t a b.choice) (!done_ @ sleep)
                   else []
                 in
                 let visit sleep' =
@@ -975,7 +1073,8 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                 if not red.canon then visit sleep'
                 else begin
                   let t2 = clk () in
-                  let orbit, key, bytes = encode config' lo' out_ents' in
+                  let orbit, key, kb = encode config' lo' out_ents' in
+                  if paranoid then audit_edge config' lo' out_ents' orbit kb;
                   if orbit > 0 then
                     acc.orbit_collapsed <- acc.orbit_collapsed + 1;
                   (* the CONCRETE depth, not the clamped one: the clock
@@ -984,18 +1083,17 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                      covers a revisit *)
                   let step' = config'.step_no in
                   let rdescs =
-                    List.map
-                      (fun ((b, d) as e) ->
-                        (e, rep_descriptor ~orbit config' b d))
-                      sleep'
+                    List.map (fun b -> (b, rep_descriptor ~orbit b)) sleep'
                   in
                   let descs = sorted_descs (List.map snd rdescs) in
                   let t3 = clk () in
-                  acc.t_encode <- acc.t_encode +. (t3 -. t2);
-                  (match Hashing.Table.find visited ~key bytes with
+                  if timed then acc.t_encode <- acc.t_encode +. (t3 -. t2);
+                  (match
+                     Hashing.Table.find visited ~key (Bytes.unsafe_to_string kb)
+                   with
                   | Some (s_step, s_descs)
                     when s_step <= step' && desc_subset s_descs descs ->
-                    acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                    if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
                     acc.deduped <- acc.deduped + 1
                   | prior ->
                     let stored, sleep' =
@@ -1010,8 +1108,9 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                               else None)
                             rdescs )
                     in
-                    Hashing.Table.set visited ~key bytes stored;
-                    acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                    (* the table keeps the key: store a copy of the buffer *)
+                    Hashing.Table.set visited ~key (Bytes.to_string kb) stored;
+                    if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
                     if acc.nodes >= max_nodes then acc.truncated <- true
                     else visit sleep')
                 end
@@ -1109,7 +1208,7 @@ let describe ?(max_steps = 12) ?(canon = false) ?(por = false)
     [ Printf.sprintf
         "reduction: symmetry (group order %d after crash-pattern and \
          detector equivariance; orbit representative = min fingerprint \
-         lane, renamings hashconsed)"
+         lane; orbits hashconsed whole, one renaming per group element)"
         (List.length red.group) ]
 
 (* ---------- the cross-check oracle ---------- *)

@@ -42,12 +42,17 @@
        renaming its proposals induce, and the detector-output renaming),
        the group of crash-pattern-respecting, detector-equivariant
        permutations is computed per scope ({!Symmetry.crash_respecting},
-       {!Symmetry.filter_equivariant}), each configuration is encoded once
-       per group element, and the lexicographically smallest encoding is
-       the orbit representative stored in the visited set.  Decision
-       multisets are quotiented the same way so they stay comparable across
-       runs.  States with different crash patterns are never merged — the
-       group respects crash times by construction.}}
+       {!Symmetry.filter_equivariant}).  Each configuration gets one
+       fingerprint per group element (its {e lane}), from hash sums every
+       step updates incrementally, and the lane with the smallest
+       fingerprint (the first such lane on a tie) is the orbit
+       representative whose key is stored in the visited set.  Component
+       values are interned with their whole orbit ({!Rlfd_kernel.Intern}):
+       |G| renamings per orbit, then O(|G|) array operations per explored
+       edge.  Decision multisets are quotiented too (to the smallest
+       renamed encoding), so they stay comparable across runs.  States
+       with different crash patterns are never merged — the group
+       respects crash times by construction.}}
 
     All reductions preserve the set of reachable {e decision states} (the
     multiset of outputs emitted so far, canonically encoded — quotiented
@@ -205,10 +210,15 @@ val run :
     Sampling clocks around every phase costs a few percent, so leave it
     off for throughput measurements; it never changes the report.
 
-    [paranoid] (default [false]) recomputes every configuration's
-    fingerprint lanes from scratch at every expanded edge and fails
-    ([Failure]) on any divergence from the incrementally maintained ones —
-    the property-test hook for the delta-hashing kernel, far too slow for
+    [paranoid] (default [false]) audits the fast paths against slow
+    oracles and fails ([Failure]) on any divergence: at every expanded
+    edge it recomputes the fingerprint lanes from scratch, picks the
+    orbit representative again (the step mixed into each lane
+    separately) and packs its key from sorted lists, which must equal
+    the incrementally maintained lanes, the chosen lane and the key; and
+    it re-derives every interned orbit by renaming each member through
+    every group element directly.  The property-test hook for the
+    delta-hashing kernel and the orbit construction, far too slow for
     real scopes. *)
 
 val describe :

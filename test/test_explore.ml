@@ -262,10 +262,13 @@ let reduction_tests =
         Alcotest.(check bool) "pruning engaged" true
           (report.Explore.deduped > 0 && report.Explore.por_pruned > 0));
     test "pinned counts: the T10b layers and the n=4 full stack" (fun () ->
-        (* Each scope is built exactly as bench/main.ml builds it, and the
-           expected counts are those of bench/baselines/BENCH_explore.json:
-           (nodes, distinct, deduped, por-pruned, lambda-pruned,
-           orbit-collapsed). *)
+        (* Each scope up to n=4 is built exactly as bench/main.ml builds it,
+           and the expected counts are those of
+           bench/baselines/BENCH_explore.json: (nodes, distinct, deduped,
+           por-pruned, lambda-pruned, orbit-collapsed).  The n=5 and n=6
+           scopes (group orders 120 and 720) pin which lane becomes the
+           orbit representative; their counts were recorded with the
+           explorer that interned orbits by renaming each member. *)
         let proposals p = 10 + Pid.to_int p in
         let safety ~n =
           Explore.both agreement
@@ -286,11 +289,11 @@ let reduction_tests =
             ~detector:Perfect.canonical ~check:(safety ~n:3)
             (Ct_strong.automaton ~proposals)
         in
-        let n4 () =
-          Explore.run ~max_steps:13 ~max_nodes:4_000_000 ~canon:true ~por:true
-            ~por_lambda:true ~symmetry:(sym 4) ~d_equal
-            ~pattern:(Pattern.make ~n:4 [])
-            ~detector:Perfect.canonical ~check:(safety ~n:4)
+        let failure_free ~n ~depth () =
+          Explore.run ~max_steps:depth ~max_nodes:4_000_000 ~canon:true ~por:true
+            ~por_lambda:true ~symmetry:(sym n) ~d_equal
+            ~pattern:(Pattern.failure_free ~n)
+            ~detector:Perfect.canonical ~check:(safety ~n)
             (Ct_strong.automaton ~proposals)
         in
         List.iter
@@ -324,8 +327,12 @@ let reduction_tests =
             ( "full stack",
               headline ~canon:true ~por:true ~por_lambda:true ~symmetry:true,
               (318, 189, 612, 89, 128, 440) );
-            ("full stack, n=4 failure-free, depth 13", n4,
-             (4572, 1315, 25211, 4872, 4546, 28336)) ]);
+            ("full stack, n=4 failure-free, depth 13", failure_free ~n:4 ~depth:13,
+             (4572, 1315, 25211, 4872, 4546, 28336));
+            ("full stack, n=5 failure-free, depth 8", failure_free ~n:5 ~depth:8,
+             (5023, 1373, 19597, 5086, 2898, 24344));
+            ("full stack, n=6 failure-free, depth 5", failure_free ~n:6 ~depth:5,
+             (169, 73, 600, 61, 63, 760)) ]);
   ]
 
 (* ---------- the symmetry layer ---------- *)
@@ -351,10 +358,11 @@ let reached_states ~seed =
   in
   r.Runner.final_states
 
-(* The orbit representative exactly as the explorer's Reduction layer picks
-   it: rename the whole state map through each group element, encode each
-   process state, lay the encodings out in pid order, take the
-   lexicographic minimum. *)
+(* A canonical orbit representative of a state map: rename it through each
+   group element, encode each process state, lay the encodings out in pid
+   order, take the lexicographic minimum.  It tests the renamer (renamed
+   maps must land in one orbit), not the explorer, whose representative is
+   the smallest-fingerprint lane. *)
 let orbit_rep ~group states =
   let enc_with pi =
     let pid = Symmetry.apply pi in
@@ -562,12 +570,32 @@ let strategy_tests =
 (* ---------- the incremental-fingerprint kernel under paranoid audit ---------- *)
 
 (* [~paranoid:true] recomputes every configuration's fingerprint lanes from
-   scratch at every expanded edge and raises on any divergence from the
-   incrementally maintained ones — the oracle for the delta-hashing
-   kernel.  These scopes are small enough that the quadratic audit stays
-   cheap. *)
+   scratch at every expanded edge, picks the orbit representative and
+   packs its key again with the step's mix inside the lane loop, and
+   re-derives every interned orbit by renaming each member directly; it
+   raises on any divergence from the fast paths — the oracle for the
+   delta-hashing kernel and the orbit construction.  These scopes are
+   small enough that the quadratic audit stays cheap. *)
 let paranoid_tests =
   [
+    test "paranoid audit passes at group order 120 (n=5 failure-free, full stack)"
+      (fun () ->
+        let n = 5 in
+        let report =
+          Explore.run ~max_steps:6 ~max_nodes:400_000 ~canon:true ~por:true
+            ~por_lambda:true ~symmetry:(sym_spec ~n) ~d_equal ~paranoid:true
+            ~pattern:(Pattern.failure_free ~n)
+            ~detector:Perfect.canonical
+            ~check:
+              (Explore.both agreement
+                 (Explore.validity_check ~n ~proposals ~equal:Int.equal))
+            (Ct_strong.automaton ~proposals)
+        in
+        Alcotest.(check bool) "complete" true report.Explore.complete;
+        Alcotest.(check bool) "orbits collapsed" true
+          (report.Explore.orbit_collapsed > 0);
+        Alcotest.(check int) "no violations" 0
+          (List.length report.Explore.violations));
     test "paranoid audit passes on the headline scope, full stack" (fun () ->
         let report =
           Explore.run ~max_steps:9 ~max_nodes:400_000 ~canon:true ~por:true

@@ -428,6 +428,95 @@ let hashing_tests =
 
 (* ---------- Intern: hashconsing for the fingerprint kernel ---------- *)
 
+(* The symmetric group S_m acting on int arrays of length m by moving the
+   value at position i to position pi(i).  Elements are image arrays,
+   identity first; [compose j k] is found by search, independently of
+   the explorer's table. *)
+let sym_group m =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  let elems = Array.of_list (List.map Array.of_list (perms (List.init m Fun.id))) in
+  let act pi v =
+    let w = Array.make m 0 in
+    Array.iteri (fun i x -> w.(pi.(i)) <- x) v;
+    w
+  in
+  let index pi =
+    let rec go k = if elems.(k) = pi then k else go (k + 1) in
+    go 0
+  in
+  let compose j k = index (Array.map (fun i -> elems.(j).(i)) elems.(k)) in
+  (elems, act, compose)
+
+let encode_ints v = String.concat "," (Array.to_list (Array.map string_of_int v))
+
+let orbit_tests =
+  [
+    qtest ~count:100 "orbits from the multiplication table equal direct renaming"
+      QCheck.(pair bool (list_of_size Gen.(1 -- 12) (pair small_nat small_nat)))
+      (fun (four, draws) ->
+        let m = if four then 4 else 3 in
+        let elems, act, compose = sym_group m in
+        let order = Array.length elems in
+        let calls = ref 0 in
+        let rename k v =
+          incr calls;
+          act elems.(k) v
+        in
+        let t =
+          Intern.create ~group:{ Intern.order; rename; compose } ~encode:encode_ints ()
+        in
+        (* a draw is a value over [width] distinct symbols: width 1 is fixed
+           by the whole group, width m has a trivial stabilizer *)
+        let value (width, seed) =
+          let width = 1 + (width mod m) in
+          Array.init m (fun i -> (seed + (i * 7)) mod width)
+        in
+        let seen = Hashtbl.create 64 in
+        let entries = ref [] in
+        List.for_all
+          (fun d ->
+            let v = value d in
+            let orbit =
+              List.sort_uniq compare (Array.to_list (Array.map (fun pi -> act pi v) elems))
+            in
+            let fresh = not (Hashtbl.mem seen v) in
+            let before = Intern.length t and calls0 = !calls in
+            let e = Intern.intern t v in
+            if fresh then List.iter (fun w -> Hashtbl.replace seen w ()) orbit;
+            entries := e :: List.init order (Intern.ren e) @ !entries;
+            Intern.value e = v
+            && !calls - calls0 = (if fresh then order - 1 else 0)
+            && Intern.length t - before = (if fresh then List.length orbit else 0)
+            && List.for_all
+                 (fun e ->
+                   List.for_all
+                     (fun j ->
+                       let r = Intern.ren e j in
+                       Intern.value r = act elems.(j) (Intern.value e)
+                       && (Intern.hs e).(j) = Intern.h r
+                       && Intern.h r
+                          = Hashing.of_string_int (encode_ints (Intern.value r)))
+                     (List.init order Fun.id))
+                 !entries
+            (* dense ids, in bijection with structural equality *)
+            && List.sort_uniq compare (List.map Intern.id !entries)
+               = List.init (Intern.length t) Fun.id
+            && List.for_all
+                 (fun a ->
+                   List.for_all
+                     (fun b ->
+                       (Intern.id a = Intern.id b) = (Intern.value a = Intern.value b))
+                     !entries)
+                 !entries)
+          draws);
+  ]
+
 let intern_tests =
   [
     test "ids are dense and in bijection with structural equality" (fun () ->
@@ -453,8 +542,13 @@ let intern_tests =
     test "renaming lanes intern the whole orbit once" (fun () ->
         (* A 2-element group: identity and negation. *)
         let t =
-          Intern.create ~nlanes:2
-            ~rename:(fun k v -> if k = 0 then v else -v)
+          Intern.create
+            ~group:
+              {
+                Intern.order = 2;
+                rename = (fun k v -> if k = 0 then v else -v);
+                compose = (fun j k -> (j + k) mod 2);
+              }
             ~encode:string_of_int ()
         in
         let e = Intern.intern t 5 in
@@ -467,17 +561,24 @@ let intern_tests =
         Alcotest.(check int) "orbit interned eagerly" 2 (Intern.length t);
         (* A fixed point of the group renames to itself. *)
         let z = Intern.intern t 0 in
-        Alcotest.(check bool) "fixed point, same entry" true (Intern.ren z 1 == z));
+        Alcotest.(check bool) "fixed point, same entry" true (Intern.ren z 1 == z);
+        Alcotest.(check (array int)) "lane fingerprints"
+          [| Intern.h e; Intern.h (Intern.ren e 1) |]
+          (Intern.hs e));
     test "fingerprints agree across independent tables" (fun () ->
         let t1 = Intern.create ~encode:string_of_int () in
         let t2 = Intern.create ~encode:string_of_int () in
         ignore (Intern.intern t1 99);
         Alcotest.(check bool) "h is a pure function of the value" true
           (Intern.h (Intern.intern t1 7) = Intern.h (Intern.intern t2 7)));
-    test "create rejects nlanes < 1" (fun () ->
-        Alcotest.check_raises "nlanes = 0"
-          (Invalid_argument "Intern.create: nlanes < 1") (fun () ->
-            ignore (Intern.create ~nlanes:0 ~encode:string_of_int ())));
+    test "create rejects a group of order < 1" (fun () ->
+        Alcotest.check_raises "order = 0"
+          (Invalid_argument "Intern.create: group order < 1") (fun () ->
+            ignore
+              (Intern.create
+                 ~group:
+                   { Intern.order = 0; rename = (fun _ v -> v); compose = (fun _ _ -> 0) }
+                 ~encode:string_of_int ())));
   ]
 
 let () =
@@ -490,5 +591,5 @@ let () =
       suite "stats" stats_tests;
       suite "table" table_tests;
       suite "hashing" hashing_tests;
-      suite "intern" intern_tests;
+      suite "intern" (intern_tests @ orbit_tests);
     ]
