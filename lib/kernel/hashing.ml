@@ -1,19 +1,9 @@
-(* SplitMix64 finalizer (Steele, Lea, Flood 2014) — duplicated from Rng
-   rather than exposed by it so the two modules stay independently
-   readable; the constant set is the published one. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let of_int i = mix64 (Int64.of_int i)
-
-(* Native-int (63-bit) variants: the hot-path primitives.  Unboxed int
-   arithmetic is an order of magnitude cheaper than [Int64] (whose every
-   intermediate allocates), and 63 bits of fingerprint keep collision
-   probability irrelevant at explorer scales — exactness never rests on
-   the hash anyway (tables confirm full keys).  Constants are the
-   SplitMix64 / golden-ratio ones truncated to fit OCaml's int.  The two
+(* Native-int (63-bit) hashing: unboxed int arithmetic is an order of
+   magnitude cheaper than [Int64] (whose every intermediate allocates),
+   and 63 bits of fingerprint keep collision probability irrelevant at
+   explorer scales — exactness never rests on the hash anyway (tables
+   confirm full keys).  Constants are the SplitMix64 (Steele, Lea, Flood
+   2014) / golden-ratio ones truncated to fit OCaml's int.  The two
    mixers are inlined: the explorer's fingerprint pass runs three
    [combine_int]s per symmetry lane on every visited-set probe. *)
 
@@ -33,18 +23,10 @@ let of_string_int s =
 
 let[@inline] combine_int acc h = mix_int ((acc * 0x1E3779B97F4A7C15) + h)
 
-let of_string s = Int64.of_int (of_string_int s)
-
-let combine acc h = mix64 (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) h)
-
-let fold_ints acc xs = List.fold_left (fun acc x -> combine acc (of_int x)) acc xs
-
 module Table = struct
-  (* Open addressing, linear probing, no deletion.  Fingerprints are kept
-     as native ints internally (the int64 of the API is truncated on the
-     way in) so the probe loop is allocation-free — an [int64 array] read
-     boxes its element, and probes happen per explored edge.  Losing the
-     top bit costs nothing: lookups confirm the full key bytes anyway. *)
+  (* Open addressing, linear probing, no deletion.  Fingerprints are
+     native ints, so the probe loop is allocation-free — probes happen per
+     explored edge. *)
   type 'a t = {
     mutable hashes : int array;
     mutable keys : string array;
@@ -97,13 +79,10 @@ module Table = struct
           t.values.(j) <- v)
       old_values
 
-  let find t ~key bytes =
-    let i = probe t (Int64.to_int key) bytes in
-    t.values.(i)
+  let find t ~key bytes = t.values.(probe t key bytes)
 
   let set t ~key bytes v =
     if t.used * 8 >= (t.mask + 1) * 7 then grow t;
-    let key = Int64.to_int key in
     let i = probe t key bytes in
     (match t.values.(i) with
     | None ->

@@ -1,41 +1,22 @@
-(** Fast 64-bit mixing and open-addressing visited-set storage.
+(** Fast 63-bit mixing and open-addressing visited-set storage.
 
     The bounded-exhaustive explorer ({!Rlfd_sim.Explore}) canonicalizes
     millions of simulator states and must decide "seen before?" for each at
     hash-table speed without ever confusing two distinct states.  This
-    module supplies both halves: the SplitMix64 finalizer as a standalone
-    mixing primitive (the same bijective mixer {!Rng} builds its streams
+    module supplies both halves: native-int mixing primitives built on the
+    SplitMix64 finalizer (the bijective mixer {!Rng} builds its streams
     from), and {!Table} — an open-addressing, linear-probing map from
     canonical byte strings to values that compares full keys on probe
-    collisions, so equal 64-bit fingerprints alone never cause a false
-    merge.
+    collisions, so equal fingerprints alone never cause a false merge.
 
-    Everything here is deterministic: no seeding, no randomized hashing.
-    Two runs over the same states produce the same fingerprints, which is
-    what lets explorer reports be compared byte-for-byte across
-    configurations and worker counts. *)
-
-val mix64 : int64 -> int64
-(** The SplitMix64 finalizer (Steele, Lea & Flood 2014): a bijective
-    avalanche mixer — every input bit affects every output bit.  The
-    building block of the other operations. *)
-
-val of_int : int -> int64
-(** Mix a native integer into a well-distributed 64-bit fingerprint. *)
-
-val of_string : string -> int64
-(** Fingerprint a byte string: FNV-1a over the bytes in native-int
-    arithmetic (no per-byte boxing), finalized for avalanche on short
-    strings.  Equals [Int64.of_int (of_string_int s)].  Used on the
-    canonical encodings produced by {!Rlfd_sim.Canon}. *)
-
-(** {2 Native-int (63-bit) primitives}
-
-    The incremental-fingerprint kernel ({!Rlfd_sim.Explore}) updates
-    hashes on every explored edge; these unboxed variants keep that hot
-    path free of [Int64] allocation.  63 bits lose nothing that matters:
-    no correctness claim ever rests on fingerprints alone — every table
-    confirms full key bytes on a hash hit. *)
+    Everything works on OCaml's native (63-bit) int, so the explorer's hot
+    path is free of [Int64] allocation.  63 bits lose nothing that
+    matters: no correctness claim ever rests on fingerprints alone — every
+    table confirms full key bytes on a hash hit.  All of it is
+    deterministic: no seeding, no randomized hashing.  Two runs over the
+    same states produce the same fingerprints, which is what lets explorer
+    reports be compared byte-for-byte across configurations and worker
+    counts. *)
 
 val mix_int : int -> int
 (** SplitMix64-style avalanche finalizer on the native int: every input
@@ -43,7 +24,8 @@ val mix_int : int -> int
 
 val of_string_int : string -> int
 (** Native-int fingerprint of a byte string (FNV-1a + {!mix_int}): the
-    hash interned component values carry ({!Intern.h}). *)
+    hash interned component values carry ({!Intern.h}) and the key of the
+    explorer's decision set. *)
 
 val combine_int : int -> int -> int
 (** [combine_int acc h] folds [h] into the running fingerprint [acc].
@@ -51,22 +33,15 @@ val combine_int : int -> int -> int
     insensitive} aggregation sum the hashes instead (addition is
     commutative and invertible — the delta-update trick). *)
 
-val combine : int64 -> int64 -> int64
-(** [combine acc h] folds [h] into the running fingerprint [acc].
-    Non-commutative, so sequences hash by position. *)
-
-val fold_ints : int64 -> int list -> int64
-(** [fold_ints acc xs] is [combine] over [of_int] of each element. *)
-
 (** Open-addressing storage for canonical encodings.
 
     A mutable map from byte-string keys to values, probed linearly in a
     power-of-two array and resized at 7/8 load.  Each entry keeps the
-    64-bit fingerprint {e and} the full key: lookups reject an entry
-    whose fingerprint matches but whose bytes differ, so the structure
-    never conflates two states whose canonical encodings differ — the
-    property the explorer's duplicate-pruning soundness rests on.
-    There is no deletion; the explorer only ever adds. *)
+    fingerprint {e and} the full key: lookups reject an entry whose
+    fingerprint matches but whose bytes differ, so the structure never
+    conflates two states whose canonical encodings differ — the property
+    the explorer's duplicate-pruning soundness rests on.  There is no
+    deletion; the explorer only ever adds. *)
 module Table : sig
   type 'a t
 
@@ -74,11 +49,13 @@ module Table : sig
   (** [initial] is a capacity hint (default 1024); the table grows as
       needed regardless. *)
 
-  val find : 'a t -> key:int64 -> string -> 'a option
+  val find : 'a t -> key:int -> string -> 'a option
   (** [find t ~key bytes] is the value stored under [bytes], where [key]
-      must be [of_string bytes] (callers cache it to hash once). *)
+      is the caller's fingerprint of [bytes] (e.g. [of_string_int bytes]):
+      equal bytes must always come with equal keys.  Callers compute it
+      once per probe. *)
 
-  val set : 'a t -> key:int64 -> string -> 'a -> unit
+  val set : 'a t -> key:int -> string -> 'a -> unit
   (** Insert or replace. *)
 
   val length : 'a t -> int

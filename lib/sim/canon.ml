@@ -1,9 +1,3 @@
-type t = { bytes : string; key : int64 }
-
-let bytes c = c.bytes
-
-let equal a b = Int64.equal a.key b.key && String.equal a.bytes b.bytes
-
 (* No_sharing makes the byte string a pure function of the value's
    structure; these values are immutable and acyclic (automaton states,
    message payloads, outputs), so equal construction gives equal bytes. *)
@@ -30,5 +24,4 @@ let assemble ~step_no ~states ~messages ~outputs =
   List.iter (add_item buf) (List.sort String.compare messages);
   Stdlib.Buffer.add_char buf '|';
   List.iter (add_item buf) (List.sort String.compare outputs);
-  let bytes = Stdlib.Buffer.contents buf in
-  { bytes; key = Rlfd_kernel.Hashing.of_string bytes }
+  Stdlib.Buffer.contents buf

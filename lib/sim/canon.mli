@@ -1,4 +1,4 @@
-(** Canonical, incrementally hashable encodings of global explorer states.
+(** Canonical encodings of global explorer states.
 
     A global state of the bounded-exhaustive explorer ({!Explore}) is the
     step count, the per-process automaton states, the multiset of in-flight
@@ -21,19 +21,7 @@
     in these terms), {!multiset} frames the decision-state sets the
     cross-check mode compares byte-for-byte, and {!assemble} still names
     whole configurations where one self-contained string is worth its
-    cost — the replay artifacts of {!Replay}.
-
-    Fingerprints come from {!Rlfd_kernel.Hashing}; the full byte string
-    is kept alongside so the visited set ({!Rlfd_kernel.Hashing.Table})
-    can reject fingerprint collisions exactly. *)
-
-type t
-(** One canonical encoding: the bytes and their 64-bit fingerprint. *)
-
-val bytes : t -> string
-
-val equal : t -> t -> bool
-(** Full equality — fingerprint first, then the bytes. *)
+    cost — the final state of a {!Replay} execution. *)
 
 val encode_value : 'a -> string
 (** Canonical bytes of one immutable component (an automaton state, a
@@ -53,7 +41,7 @@ val assemble :
   states:string list ->
   messages:string list ->
   outputs:string list ->
-  t
+  string
 (** [assemble ~step_no ~states ~messages ~outputs] is the canonical
     encoding of a global state.  [states] must be in ascending process
     order (the explorer derives it from a {!Rlfd_kernel.Pid.Map}, which

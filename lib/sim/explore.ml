@@ -37,29 +37,27 @@ let pp_report ppf r =
   if r.orbit_collapsed > 0 then
     Format.fprintf ppf " [%d orbit-collapsed]" r.orbit_collapsed
 
-(* An in-flight message.  [ment] is its interned identity — present
-   whenever encodings are on (canon or capture) — through which the hot
-   path reaches the fingerprint, the id and the canonical bytes without
-   re-serializing the payload. *)
+(* An in-flight message.  [ment] is its interned identity, carrying the
+   endpoints and the payload, through which the hot path reaches the
+   fingerprint, the id and the canonical bytes without re-serializing the
+   payload. *)
 type 'm msg = {
   mid : int;
   msrc : Pid.t;
   mdst : Pid.t;
-  payload : 'm;
-  ment : (Pid.t * Pid.t * 'm) Intern.entry option;
+  ment : (Pid.t * Pid.t * 'm) Intern.entry;
 }
 
-(* A configuration: flat per-process state array (pid 1 at index 0) copied
-   on write — branches share nothing mutable — plus, under [canon], the
-   interned identity of each process state and the incremental fingerprint
-   lanes.  [ls.(k)] / [lm.(k)] are the state / live-message hash sums of
-   the configuration as renamed by the k-th symmetry-group element
-   (commutative 63-bit sums, so one step updates them by subtracting the
-   terms it consumed and adding the terms it produced). *)
+(* A configuration: the interned state of each process (pid 1 at index
+   0), copied on write — branches share nothing mutable — plus, under
+   [canon], the incremental fingerprint lanes.  [ls.(k)] / [lm.(k)] are
+   the state / live-message hash sums of the configuration as renamed by
+   the k-th symmetry-group element (commutative 63-bit sums, so one step
+   updates them by subtracting the terms it consumed and adding the terms
+   it produced). *)
 type ('s, 'm) config = {
   step_no : int;
-  states : 's array; (* [||] under canon: entries carry the values *)
-  s_ents : 's Intern.entry array; (* [||] unless canon *)
+  s_ents : 's Intern.entry array; (* entries carry the values *)
   buffer : 'm msg list; (* newest first *)
   next_id : int;
   ls : int array; (* [||] unless canon *)
@@ -69,12 +67,14 @@ type ('s, 'm) config = {
 (* A memoized automaton step.  The automata are deterministic and detector
    views are precomputed per (process, tick), so once states, messages and
    views carry interned identities, (process, state id, received-message
-   id, view id) determines a step's effects exactly.  Real scopes revisit
-   the same step constantly (that is why canonical dedup works at all); a
-   hit skips the model call and every re-interning of its results. *)
+   id, view id) determines a step's effects exactly: the step (p, m, d, A)
+   of the model is a function of p's state, m and d.  Every walk takes its
+   steps through this memo.  Real scopes revisit the same step constantly,
+   the naive tree most of all; a hit skips the model call and every
+   re-interning of its results. *)
 type ('s, 'm, 'o) memo_step = {
   r_ent : 's Intern.entry; (* the successor state (its entry carries the value) *)
-  r_sends : (Pid.t * 'm * (Pid.t * Pid.t * 'm) Intern.entry) list;
+  r_sends : (Pid.t * (Pid.t * Pid.t * 'm) Intern.entry) list;
   r_outputs : 'o list;
 }
 
@@ -162,9 +162,9 @@ type ('s, 'm, 'o) cache = {
 type choice = Pid.t * (int * Pid.t) option
 
 (* A slept choice: the choice, its path-independent descriptor, and the
-   intern entry of the message it receives ([None] for a lambda step, or
-   with encodings off), through which the descriptor is renamed into the
-   orbit representative's pid space. *)
+   intern entry of the message it receives ([None] for a lambda step),
+   through which the descriptor is renamed into the orbit
+   representative's pid space. *)
 type 'm sleeper = {
   choice : choice;
   desc : int;
@@ -258,7 +258,6 @@ type ('s, 'm, 'd, 'o) reduction = {
   quiesce_at : int; (* first tick from which views and aliveness are constant *)
   group : Symmetry.perm list; (* identity first; [identity] = symmetry off *)
   spec : ('s, 'm, 'd, 'o) symmetry_spec option; (* present iff decisions quotient *)
-  orbit_merge : bool; (* false on cross_check's naive side *)
 }
 
 (* The first tick q <= horizon such that aliveness and every process's
@@ -289,24 +288,23 @@ let quiescence ~pattern ~detector ~d_equal ~horizon =
   !stable_from
 
 let resolve_reduction ?(canon = false) ?(por = false) ?(por_lambda = false)
-    ?symmetry ?(orbit_merge = true) ~pattern ~detector ~d_equal ~max_steps ()
-    =
+    ?symmetry ~pattern ~detector ~d_equal ~max_steps () =
   let horizon = max_steps + 1 in
   let quiesce_at =
     if canon then quiescence ~pattern ~detector ~d_equal ~horizon else horizon
   in
-  let group, spec, orbit_merge =
+  let group, spec =
     match symmetry with
-    | None -> ([ Symmetry.identity ~n:(Pattern.n pattern) ], None, false)
+    | None -> ([ Symmetry.identity ~n:(Pattern.n pattern) ], None)
     | Some spec ->
       let g =
         Symmetry.crash_respecting pattern
         |> Symmetry.filter_equivariant ~pattern ~detector ~horizon
              ~d_rename:spec.d_rename ~d_equal
       in
-      (g, Some spec, orbit_merge)
+      (g, Some spec)
   in
-  { canon; por; por_lambda; quiesce_at; group; spec; orbit_merge }
+  { canon; por; por_lambda; quiesce_at; group; spec }
 
 (* ---------- the exploration engine ---------- *)
 
@@ -331,24 +329,22 @@ type 'o acc = {
   mutable t_confirm : float;
 }
 
-(* [orbit_merge:false] quotients only the recorded decisions, not the
-   visited set: how cross_check's naive side makes its decision sets
-   comparable with a symmetry-reduced run's. *)
-let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
+let run ?(max_steps = 12) ?(max_nodes = 200_000)
     ?(max_violations = 5) ?(canon = false) ?(por = false) ?(por_lambda = false)
     ?symmetry ?(capture = false) ?(d_equal = fun a b -> a = b)
     ?(sink = Rlfd_obs.Trace.null) ?metrics ?(paranoid = false)
     ?(timeline = Rlfd_obs.Timeline.null) ~pattern ~detector ~check
     (algo : _ Model.t) =
   if max_steps < 0 then invalid_arg "Explore.run: max_steps < 0";
+  if max_violations < 1 then invalid_arg "Explore.run: max_violations < 1";
   let n = Pattern.n pattern in
   let red =
-    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~orbit_merge
-      ~pattern ~detector ~d_equal ~max_steps ()
+    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~pattern ~detector
+      ~d_equal ~max_steps ()
   in
-  (* Message encodings are needed both for canonical dedup and for the
-     flight-recorder schedule; process-state encodings only for dedup. *)
-  let enc_on = red.canon || capture in
+  (* Every walk interns its components; a violation's schedule keeps the
+     received messages' bytes under [capture] or [canon]. *)
+  let keep_bytes = red.canon || capture in
   let started_at = Rlfd_obs.Profile.now () in
   (* the phase clock runs only under a live timeline, and only then are
      the (boxed) phase accumulators written *)
@@ -443,12 +439,12 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
               | None -> invalid_arg "Explore: the symmetry group is not closed");
       rows.(k).(j)
   in
-  (* Lane counts: state/message lanes exist per group element only when
-     orbits are actually merged; output lanes whenever a spec is present
-     (the decision quotient needs renamed outputs even without orbit
-     merging). *)
-  let sm_lanes = if red.orbit_merge then g_order else 1 in
-  let out_lanes = match red.spec with None -> 1 | Some _ -> g_order in
+  (* Lane counts: orbits merge exactly when [canon] runs with a symmetry
+     spec, and only then do states and messages need a lane per group
+     element; outputs have them whenever a spec is present (the decision
+     quotient needs renamed outputs even without orbit merging).  Without
+     a spec the group is the identity alone. *)
+  let sm_lanes = if red.canon then g_order else 1 in
   let rename_state, rename_msg, rename_out =
     match red.spec with
     | None -> ((fun _ s -> s), (fun _ m -> m), fun _ o -> o)
@@ -475,7 +471,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     {
       c_state = table sm_lanes rename_state;
       c_msg = table sm_lanes rename_msg;
-      c_out = table out_lanes rename_out;
+      c_out = table g_order rename_out;
       c_step = Memo.create ();
       c_terms = Array.make 256 [||];
       sc_mids = Array.make 32 0;
@@ -537,7 +533,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     Array.init sm_lanes (fun k ->
         List.fold_left
           (fun sum m ->
-            if counted step_no m then sum + Intern.h (Intern.ren (Option.get m.ment) k)
+            if counted step_no m then sum + Intern.h (Intern.ren m.ment k)
             else sum)
           0 buffer)
   in
@@ -546,13 +542,12 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         List.fold_left (fun sum e -> sum + Intern.h (Intern.ren e k)) 0 out_ents)
   in
   let root =
-    let states = Array.init n (fun i -> algo.Model.initial ~n (Pid.of_int (i + 1))) in
     let s_ents =
-      if red.canon then Array.map (intern cache.c_state rename_state) states else [||]
+      Array.init n (fun i ->
+          intern cache.c_state rename_state (algo.Model.initial ~n (Pid.of_int (i + 1))))
     in
     {
       step_no = 0;
-      states = (if red.canon then [||] else states);
       s_ents;
       buffer = [];
       next_id = 0;
@@ -591,11 +586,33 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         collect config.buffer)
       alive_pids.(config.step_no)
   in
-  (* One step: extract the received message, run the automaton, then update
-     the interned identities and fingerprint lanes on the delta — the
-     stepped process's state term swaps, the consumed message's term
-     leaves, newly dead destinations' terms leave, each send's term
-     enters.  Nothing older than the step is re-encoded or re-hashed. *)
+  let envelope = function
+    | None -> None
+    | Some m ->
+      let _, _, payload = Intern.value m.ment in
+      Some { Model.src = m.msrc; dst = m.mdst; payload }
+  in
+  (* The [paranoid] oracle for the step memo: the automaton called directly
+     on this edge's own state, message and view must yield the memoized
+     successor state, sends and outputs. *)
+  let audit_step p t e_old received r =
+    let i = Pid.to_int p - 1 in
+    let eff =
+      algo.Model.step ~n ~self:p (Intern.value e_old) (envelope received) views.(t).(i)
+    in
+    let sends = List.map (fun (dst, e) -> (dst, Intern.value e)) r.r_sends in
+    if
+      eff.Model.state <> Intern.value r.r_ent
+      || List.map (fun (dst, m) -> (dst, (p, dst, m))) eff.Model.sends <> sends
+      || eff.Model.outputs <> r.r_outputs
+    then failwith "Explore: a memoized step diverged from a direct call of the automaton"
+  in
+  (* One step: extract the received message, look the step up in the memo
+     (running the automaton on a miss), then, under [canon], update the
+     fingerprint lanes on the delta — the stepped process's state term
+     swaps, the consumed message's term leaves, newly dead destinations'
+     terms leave, each send's term enters.  Nothing older than the step is
+     re-encoded or re-hashed. *)
   let apply config ((p, receive) : choice) =
     let ta = clk () in
     let i = Pid.to_int p - 1 in
@@ -611,120 +628,69 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         in
         extract [] config.buffer
     in
-    (* the envelope is only materialized when the automaton actually runs —
-       on a step-memo hit nothing needs it *)
-    let envelope () =
-      match received with
-      | None -> None
-      | Some m -> Some { Model.src = m.msrc; dst = m.mdst; payload = m.payload }
-    in
-    let t' = t + 1 in
-    if not red.canon then begin
-      let effects =
-        algo.Model.step ~n ~self:p config.states.(i) (envelope ()) views.(t).(i)
-      in
-      let states' = Array.copy config.states in
-      states'.(i) <- effects.Model.state;
-      let buffer, next_id =
-        List.fold_left
-          (fun (buffer, next_id) (dst, payload) ->
-            let ment =
-              if enc_on then Some (intern cache.c_msg rename_msg (p, dst, payload))
-              else None
-            in
-            ({ mid = next_id; msrc = p; mdst = dst; payload; ment } :: buffer, next_id + 1))
-          (buffer0, config.next_id) effects.Model.sends
-      in
-      if timed then acc.t_expand <- acc.t_expand +. (clk () -. ta);
-      ( {
-          step_no = t';
-          states = states';
-          s_ents = config.s_ents;
-          buffer;
-          next_id;
-          ls = config.ls;
-          lm = config.lm;
-        },
-        effects.Model.outputs,
-        received )
-    end
-    else begin
-      let e_old = config.s_ents.(i) in
-      let r =
-        let mid =
-          match received with Some m -> Intern.id (Option.get m.ment) | None -> -1
+    let e_old = config.s_ents.(i) in
+    let r =
+      let mid = match received with Some m -> Intern.id m.ment | None -> -1 in
+      let iv = (i * view_id_count) + view_ids.(t).(i) in
+      let sid = Intern.id e_old in
+      match Memo.find cache.c_step sid mid iv with
+      | Some r -> r
+      | None ->
+        let effects =
+          algo.Model.step ~n ~self:p (Intern.value e_old) (envelope received) views.(t).(i)
         in
-        let iv = (i * view_id_count) + view_ids.(t).(i) in
-        let sid = Intern.id e_old in
-        match Memo.find cache.c_step sid mid iv with
-        | Some r -> r
-        | None ->
-          let effects =
-            algo.Model.step ~n ~self:p (Intern.value e_old) (envelope ())
-              views.(t).(i)
-          in
-          let r =
-            {
-              r_ent = intern cache.c_state rename_state effects.Model.state;
-              r_sends =
-                List.map
-                  (fun (dst, payload) ->
-                    (dst, payload, intern cache.c_msg rename_msg (p, dst, payload)))
-                  effects.Model.sends;
-              r_outputs = effects.Model.outputs;
-            }
-          in
-          Memo.add cache.c_step sid mid iv (Some r);
-          r
-      in
-      let tb = clk () in
-      let e_new = r.r_ent in
-      let s_ents' = Array.copy config.s_ents in
-      s_ents'.(i) <- e_new;
-      let ls' = Array.copy config.ls in
-      let old_t = s_terms e_old i and new_t = s_terms e_new i in
-      for k = 0 to sm_lanes - 1 do
-        ls'.(k) <- ls'.(k) - old_t.(k) + new_t.(k)
-      done;
-      let lm' = Array.copy config.lm in
-      (match received with
-      | None -> ()
-      | Some m ->
+        let r =
+          {
+            r_ent = intern cache.c_state rename_state effects.Model.state;
+            r_sends =
+              List.map
+                (fun (dst, payload) -> (dst, intern cache.c_msg rename_msg (p, dst, payload)))
+                effects.Model.sends;
+            r_outputs = effects.Model.outputs;
+          }
+        in
+        Memo.add cache.c_step sid mid iv (Some r);
+        r
+    in
+    if paranoid then audit_step p t e_old received r;
+    let s_ents = Array.copy config.s_ents in
+    s_ents.(i) <- r.r_ent;
+    let buffer, next_id =
+      List.fold_left
+        (fun (buffer, next_id) (dst, ment) ->
+          ({ mid = next_id; msrc = p; mdst = dst; ment } :: buffer, next_id + 1))
+        (buffer0, config.next_id) r.r_sends
+    in
+    let tb = clk () in
+    let t' = t + 1 in
+    let ls, lm =
+      if not red.canon then (config.ls, config.lm)
+      else begin
+        let ls = Array.copy config.ls in
+        let old_t = s_terms e_old i and new_t = s_terms r.r_ent i in
+        for k = 0 to sm_lanes - 1 do
+          ls.(k) <- ls.(k) - old_t.(k) + new_t.(k)
+        done;
+        let lm = Array.copy config.lm in
         (* the receiver is its destination and is alive now, so the
-           message was counted: unconditionally subtract *)
-        vsub lm' (Intern.hs (Option.get m.ment)));
-      if any_death.(t') then
+           received message was counted: unconditionally subtract *)
+        (match received with None -> () | Some m -> vsub lm (Intern.hs m.ment));
+        if any_death.(t') then
+          List.iter
+            (fun m -> if dies_at.(t').(Pid.to_int m.mdst - 1) then vsub lm (Intern.hs m.ment))
+            buffer0;
         List.iter
-          (fun m ->
-            if dies_at.(t').(Pid.to_int m.mdst - 1) then
-              vsub lm' (Intern.hs (Option.get m.ment)))
-          buffer0;
-      let buffer, next_id =
-        List.fold_left
-          (fun (buffer, next_id) (dst, payload, ment) ->
-            if alive.(t').(Pid.to_int dst - 1) then vadd lm' (Intern.hs ment);
-            ( { mid = next_id; msrc = p; mdst = dst; payload; ment = Some ment }
-              :: buffer,
-              next_id + 1 ))
-          (buffer0, config.next_id) r.r_sends
-      in
-      if timed then begin
-        let tc = clk () in
-        acc.t_expand <- acc.t_expand +. (tb -. ta);
-        acc.t_hash <- acc.t_hash +. (tc -. tb)
-      end;
-      ( {
-          step_no = t';
-          states = config.states;
-          s_ents = s_ents';
-          buffer;
-          next_id;
-          ls = ls';
-          lm = lm';
-        },
-        r.r_outputs,
-        received )
-    end
+          (fun (dst, ment) -> if alive.(t').(Pid.to_int dst - 1) then vadd lm (Intern.hs ment))
+          r.r_sends;
+        (ls, lm)
+      end
+    in
+    if timed then begin
+      let tc = clk () in
+      acc.t_expand <- acc.t_expand +. (tb -. ta);
+      acc.t_hash <- acc.t_hash +. (tc -. tb)
+    end;
+    ({ step_no = t'; s_ents; buffer; next_id; ls; lm }, r.r_outputs, received)
   in
   (* --- canonical identity: fingerprint, orbit choice, packed key ---
      The 63-bit fingerprint of lane k is the hash of the configuration as
@@ -744,7 +710,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         if counted t m then begin
           if !nm >= Array.length cache.sc_mids then
             cache.sc_mids <- grow cache.sc_mids 0;
-          cache.sc_mids.(!nm) <- Intern.id (Intern.ren (Option.get m.ment) k);
+          cache.sc_mids.(!nm) <- Intern.id (Intern.ren m.ment k);
           incr nm
         end)
       config.buffer;
@@ -790,10 +756,10 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     let s0 = Hashing.mix_int (clamp_step config.step_no) in
     let ls = config.ls and lm = config.lm in
     let k =
-      if (not red.orbit_merge) || g_order = 1 then 0
+      if sm_lanes = 1 then 0
       else begin
         let best = ref (lane_fp s0 ls lm lo 0) and bi = ref 0 in
-        for k = 1 to g_order - 1 do
+        for k = 1 to sm_lanes - 1 do
           let f = lane_fp s0 ls lm lo k in
           if f < !best then begin
             best := f;
@@ -803,7 +769,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
         !bi
       end
     in
-    (k, Int64.of_int (lane_fp s0 ls lm lo k), pack config out_ents k)
+    (k, lane_fp s0 ls lm lo k, pack config out_ents k)
   in
   (* The [paranoid] oracle for one edge, independent of the fast paths
      above: every lane from scratch, each lane's fingerprint with the
@@ -837,7 +803,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
            ids
              (List.filter_map
                 (fun m ->
-                  if counted t m then Some (Intern.id (Intern.ren (Option.get m.ment) k))
+                  if counted t m then Some (Intern.id (Intern.ren m.ment k))
                   else None)
                 config.buffer)
          in
@@ -895,13 +861,8 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
      extracted by [apply], so the descriptor and the message's entry come
      straight off it — no buffer search. *)
   let sleeper ((p, _) as choice) received =
-    let sment = Option.bind received (fun m -> m.ment) in
-    let h =
-      match (received, sment) with
-      | None, _ -> lambda_tag
-      | Some _, Some e -> Intern.h e
-      | Some _, None -> 0
-    in
+    let sment = Option.map (fun m -> m.ment) received in
+    let h = match sment with None -> lambda_tag | Some e -> Intern.h e in
     { choice; desc = Hashing.combine_int (Pid.to_int p) h; sment }
   in
   (* The same descriptor pushed through the orbit-representative renaming:
@@ -915,10 +876,9 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     if orbit = 0 then b.desc
     else
       let img = grp.(orbit).(Pid.to_int (fst b.choice) - 1) in
-      match (snd b.choice, b.sment) with
-      | None, _ -> Hashing.combine_int img lambda_tag
-      | Some _, Some e -> Hashing.combine_int img (Intern.hs e).(orbit)
-      | Some _, None -> b.desc
+      match b.sment with
+      | None -> Hashing.combine_int img lambda_tag
+      | Some e -> Hashing.combine_int img (Intern.hs e).(orbit)
   in
   (* --- the walk ---
 
@@ -945,7 +905,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
   let decisions : unit Hashing.Table.t = Hashing.Table.create ~initial:64 () in
   let record_decision out_ents =
     let enc = quotient_decision out_ents in
-    let key = Hashing.of_string enc in
+    let key = Hashing.of_string_int enc in
     match Hashing.Table.find decisions ~key enc with
     | Some () -> ()
     | None ->
@@ -1044,10 +1004,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
                     match received with
                     | None -> None
                     | Some m ->
-                      Some
-                        ( m.msrc,
-                          match m.ment with Some e -> Intern.enc e | None -> ""
-                        ) )
+                      Some (m.msrc, if keep_bytes then Intern.enc m.ment else "") )
                   :: steps
                 in
                 let sleep' =
@@ -1150,7 +1107,7 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
       Rlfd_obs.Metrics.incr ~by:acc.por_pruned m "explore_por_pruned";
       Rlfd_obs.Metrics.incr ~by:acc.lambda_pruned m "explore_lambda_pruned"
     end;
-    if red.orbit_merge then
+    if red.spec <> None then
       Rlfd_obs.Metrics.incr ~by:acc.orbit_collapsed m "explore_orbit_collapsed";
     if elapsed > 0. then
       Rlfd_obs.Metrics.set_gauge m "explore_nodes_per_sec"
@@ -1167,13 +1124,6 @@ let walk ~orbit_merge ?(max_steps = 12) ?(max_nodes = 200_000)
     violations;
     decision_states = List.sort String.compare acc.decision_list;
   }
-
-let run ?max_steps ?max_nodes ?max_violations ?canon ?por ?por_lambda ?symmetry
-    ?capture ?d_equal ?sink ?metrics ?paranoid ?timeline ~pattern ~detector
-    ~check algo =
-  walk ~orbit_merge:true ?max_steps ?max_nodes ?max_violations ?canon ?por
-    ?por_lambda ?symmetry ?capture ?d_equal ?sink ?metrics ?paranoid ?timeline
-    ~pattern ~detector ~check algo
 
 (* ---------- self-description (the --explain surface) ---------- *)
 
@@ -1229,11 +1179,12 @@ let cross_check ?max_steps ?max_nodes ?max_violations ?(canon = true)
   in
   (* The naive side explores the full tree, but — when the reduced side
      quotients by symmetry — records its decision multisets through the
-     same quotient, so the two sets are compared in the same coordinates. *)
+     same quotient, so the two sets are compared in the same coordinates
+     (without [canon], no orbit of visited states is merged). *)
   let unreduced =
-    walk ~orbit_merge:false ?max_steps ?max_nodes ?max_violations ~canon:false
-      ~por:false ~por_lambda:false ?symmetry ?d_equal ?sink ?metrics ~pattern
-      ~detector ~check algo
+    run ?max_steps ?max_nodes ?max_violations ~canon:false ~por:false
+      ~por_lambda:false ?symmetry ?d_equal ?sink ?metrics ~pattern ~detector
+      ~check algo
   in
   {
     reduced;

@@ -108,16 +108,20 @@ type 'o report = {
       (** the whole tree fit within the budgets: [false] exactly when
           [max_nodes] left at least one reachable, non-duplicate child
           unexplored, so a tree of exactly [max_nodes] expanded nodes is
-          still [complete] and duplicates never spend budget *)
+          still [complete] and duplicates never spend budget.  It does
+          not record the [max_violations] cap: a walk the cap stopped
+          early can still read [true] (see {!run}) *)
   deepest : int;
-  violations : 'o violation list; (** at most [max_violations] *)
+  violations : 'o violation list;
+      (** at most [max_violations]; recording the last one stops the walk *)
   decision_states : string list;
       (** the reachable decision states: canonical multiset encodings
           ({!Canon.multiset}) of the outputs emitted so far, one per
           distinct multiset reached anywhere in the explored tree, sorted
           (orbit representatives when symmetry is on).  Invariant under
-          every reduction layer when the run is [complete] — the
-          cross-check property. *)
+          every reduction layer when the run is [complete] and found
+          fewer than [max_violations] violations — the cross-check
+          property. *)
 }
 
 val pp_report : Format.formatter -> 'o report -> unit
@@ -164,7 +168,15 @@ val run :
     [check] is evaluated after every output-emitting step on the outputs
     emitted so far and must be prefix-closed (a violated safety property
     stays violated).  Time advances by one tick per step, exactly as in
-    {!Runner}.  Raises [Invalid_argument] on [max_steps < 0].
+    {!Runner}.  Raises [Invalid_argument] on [max_steps < 0] or
+    [max_violations < 1].
+
+    Recording the [max_violations]-th violation stops the walk: no
+    further child is expanded.  [complete] and [decision_states] then
+    cover only what was explored before the cap was reached — [complete]
+    speaks only of [max_nodes], so a capped run can read [complete] with
+    part of the tree unexplored.  A proof needs a run that found fewer
+    violations than the cap.
 
     {b Reduction}: [canon] (default [false]) enables duplicate-state
     pruning, and with it the detector-view canonicalizer.  [por] (default
@@ -187,10 +199,14 @@ val run :
     only a completeness (not soundness) guarantee when [complete = false]:
     all exhaustiveness claims attach to [complete = true] runs.
 
-    [capture] (default [false]) computes message encodings even when
-    [canon] is off, so every violation's [schedule] carries the payload
-    bytes replay needs — the [--record] path.  It never changes what is
-    explored, only what a violation remembers.
+    Every walk, whatever its reductions, takes its steps through one
+    memo keyed by (process state, received message, detector view), the
+    three inputs that determine the model's step; states, messages and
+    outputs are interned on every walk, so their canonical encodings
+    always exist.  [capture] (default [false]) keeps the received
+    messages' payload bytes in every violation's [schedule] even when
+    [canon] is off — the bytes replay needs, the [--record] path.  It
+    never changes what is explored, only what a violation remembers.
 
     [sink] receives one {!Rlfd_obs.Trace.Violation} event per recorded
     violation, plus a {!Rlfd_obs.Trace.Progress} heartbeat every 250_000
@@ -211,15 +227,18 @@ val run :
     off for throughput measurements; it never changes the report.
 
     [paranoid] (default [false]) audits the fast paths against slow
-    oracles and fails ([Failure]) on any divergence: at every expanded
-    edge it recomputes the fingerprint lanes from scratch, picks the
-    orbit representative again (the step mixed into each lane
-    separately) and packs its key from sorted lists, which must equal
-    the incrementally maintained lanes, the chosen lane and the key; and
-    it re-derives every interned orbit by renaming each member through
-    every group element directly.  The property-test hook for the
-    delta-hashing kernel and the orbit construction, far too slow for
-    real scopes. *)
+    oracles and fails ([Failure]) on any divergence: on every walk it
+    recomputes each step taken with a direct call of the automaton on
+    the edge's own state, message payload and detector view, which must
+    yield the memoized successor state, sends and outputs; under [canon],
+    at every expanded edge it recomputes the fingerprint lanes from
+    scratch, picks the orbit representative again (the step mixed into
+    each lane separately) and packs its key from sorted lists, which
+    must equal the incrementally maintained lanes, the chosen lane and
+    the key; and it re-derives every interned orbit by renaming each
+    member through every group element directly.  The property-test hook
+    for the step memo, the delta-hashing kernel and the orbit
+    construction, far too slow for real scopes. *)
 
 val describe :
   ?max_steps:int ->
@@ -265,11 +284,13 @@ val cross_check :
   'o comparison
 (** Run the same scope twice — reduced (by default [canon] + [por] +
     [por_lambda], each switchable to pin down a single layer, plus
-    [symmetry] when a spec is given) and naive — and compare the reachable
+    [symmetry] when a spec is given) and naive ({!run} with [canon],
+    [por] and [por_lambda] off) — and compare the reachable
     decision-state sets byte-for-byte.  When the reduced side quotients by
     symmetry, the naive side records its decisions through the same
-    quotient (without merging orbits of visited states) so the comparison
-    happens in one coordinate system.  The soundness regression gate for every layer:
+    quotient (without [canon] no orbit of visited states is merged) so
+    the comparison happens in one coordinate system.  Raises like
+    {!run}.  The soundness regression gate for every layer:
     [identical = true] certifies that within this scope the reductions
     lost no reachable decision state. *)
 

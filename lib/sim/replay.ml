@@ -114,17 +114,15 @@ let execute (type s m d o) ?(pp_output = fun (_ : o) -> "_")
     schedule;
   let messages = ref !dead_letters in
   Buffer.iter c.Runner.buffer (fun _ e -> messages := encode e :: !messages);
-  let final =
-    Canon.assemble ~step_no:!step_no
-      ~states:(Array.to_list (Array.map Canon.encode_value c.Runner.states))
-      ~messages:!messages ~outputs:!output_encs
-  in
   {
     steps = List.rev !steps;
     outputs = List.rev !run_outputs;
     violation = !violation;
     decisions = List.sort String.compare !decisions;
-    final = Canon.bytes final;
+    final =
+      Canon.assemble ~step_no:!step_no
+        ~states:(Array.to_list (Array.map Canon.encode_value c.Runner.states))
+        ~messages:!messages ~outputs:!output_encs;
     dropped = !dropped;
     executed = List.rev !executed;
   }

@@ -120,6 +120,20 @@ let explorer_tests =
               (Explore.run ~max_steps:(-1) ~pattern:(Pattern.failure_free ~n)
                  ~detector:Perfect.canonical ~check:safety
                  (Ct_strong.automaton ~proposals))));
+    test "a violation cap below one is rejected before exploring" (fun () ->
+        (* a cap of 0 would stop the walk at the root and report the scope
+           complete and clean *)
+        let raises what f =
+          Alcotest.check_raises what
+            (Invalid_argument "Explore.run: max_violations < 1") (fun () -> ignore (f ()))
+        in
+        let pattern = pattern ~n [ (1, 1) ] and detector = Partial_perfect.canonical in
+        let algo = Rank_consensus.automaton ~proposals in
+        raises "run, max_violations = 0" (fun () ->
+            Explore.run ~max_violations:0 ~pattern ~detector ~check:agreement algo);
+        raises "cross_check, max_violations = -1" (fun () ->
+            Explore.cross_check ~max_violations:(-1) ~pattern ~detector ~check:agreement
+              algo));
   ]
 
 (* ---------- reductions: canon dedup + sleep-set POR ---------- *)
@@ -213,7 +227,7 @@ let reduction_tests =
           (fun i v ->
             Alcotest.(check bool)
               (Printf.sprintf "variant %d differs from base" i)
-              false (Canon.equal base v))
+              false (String.equal base v))
           variants;
         (* and order of the multiset sections is erased: *)
         let ab =
@@ -224,7 +238,7 @@ let reduction_tests =
           Canon.assemble ~step_no:3 ~states:[ enc 1; enc 2 ]
             ~messages:[ enc "b"; enc "a" ] ~outputs:[]
         in
-        Alcotest.(check bool) "message order erased" true (Canon.equal ab ba));
+        Alcotest.(check string) "message order erased" ab ba);
     test "budget boundary still exact with canon pruning enabled" (fun () ->
         let explore ~max_nodes =
           Explore.run ~max_steps:4 ~max_nodes ~canon:true ~por:true ~d_equal
@@ -567,17 +581,95 @@ let strategy_tests =
           [ "canon"; "clamp"; "sleep"; "lambda"; "symmetry" ]);
   ]
 
+(* ---------- the explorer's step against the Runner's ---------- *)
+
+(* Every walk takes its steps through the memo keyed by (state, received
+   message, process x view).  A check that rejects every non-empty output
+   list turns each output-emitting step into a witness (the check is
+   prefix-closed, order-insensitive and renaming-insensitive, as [canon]
+   and symmetry require); each witness's schedule must then replay
+   through [Runner.step] ([Replay.execute]) with nothing dropped, exactly
+   [at_step] steps, and the same outputs in the same order. *)
+let replays_witnesses ~canon ~max_steps ~pattern ~detector algo =
+  let check outputs = if outputs = [] then None else Some "an output" in
+  let r =
+    Explore.run ~max_steps ~max_nodes:20_000 ~max_violations:20 ~canon ~por:canon
+      ~d_equal ~capture:true ~pattern ~detector ~check algo
+  in
+  List.for_all
+    (fun (v : int Explore.violation) ->
+      let e = Replay.execute ~pattern ~detector ~check ~schedule:v.Explore.schedule algo in
+      e.Replay.dropped = 0
+      && List.length v.Explore.schedule = v.Explore.at_step
+      && List.length e.Replay.steps = v.Explore.at_step
+      && List.map (fun (_, p, o) -> (p, o)) e.Replay.outputs = v.Explore.outputs)
+    r.Explore.violations
+
+let step_oracle_tests =
+  [
+    qtest ~count:40 "explorer witnesses replay through Runner.step"
+      QCheck.(
+        pair (pair (int_range 2 3) (int_range 0 2))
+          (pair (pair (int_range 5 8) bool) (option (pair small_nat (int_range 0 3)))))
+      (fun ((n, which), ((max_steps, canon), crash)) ->
+        let pattern =
+          Pattern.make ~n
+            (match crash with
+            | None -> []
+            | Some (p, t) -> [ (pid (1 + (p mod n)), time t) ])
+        in
+        match which with
+        | 0 ->
+          replays_witnesses ~canon ~max_steps ~pattern ~detector:Perfect.canonical
+            (Ct_strong.automaton ~proposals)
+        | 1 ->
+          replays_witnesses ~canon ~max_steps ~pattern ~detector:Strong.realistic
+            (Ct_strong.automaton ~proposals)
+        | _ ->
+          replays_witnesses ~canon ~max_steps ~pattern
+            ~detector:Partial_perfect.canonical (Rank_consensus.automaton ~proposals));
+  ]
+
 (* ---------- the incremental-fingerprint kernel under paranoid audit ---------- *)
 
-(* [~paranoid:true] recomputes every configuration's fingerprint lanes from
+(* [~paranoid:true] recomputes every memoized step with a direct call of
+   the automaton, recomputes every configuration's fingerprint lanes from
    scratch at every expanded edge, picks the orbit representative and
    packs its key again with the step's mix inside the lane loop, and
    re-derives every interned orbit by renaming each member directly; it
-   raises on any divergence from the fast paths — the oracle for the
-   delta-hashing kernel and the orbit construction.  These scopes are
-   small enough that the quadratic audit stays cheap. *)
+   raises on any divergence from the fast paths — the oracle for the step
+   memo, the delta-hashing kernel and the orbit construction.  These
+   scopes are small enough that the quadratic audit stays cheap. *)
 let paranoid_tests =
   [
+    test "paranoid memo audit passes on canon-off walks" (fun () ->
+        (* the naive tree takes each memoized step many times over;
+           sleep sets and symmetry without canon walk it the same way *)
+        let explore ~por ~symmetry ~paranoid =
+          Explore.run ~max_steps:7 ~max_nodes:400_000 ~por ~por_lambda:por
+            ?symmetry:(if symmetry then Some (sym_spec ~n) else None)
+            ~d_equal ~paranoid
+            ~pattern:(pattern ~n [ (1, 2) ])
+            ~detector:Perfect.canonical ~check:safety
+            (Ct_strong.automaton ~proposals)
+        in
+        List.iter
+          (fun (label, por, symmetry) ->
+            let audited = explore ~por ~symmetry ~paranoid:true in
+            Alcotest.(check bool) (label ^ ": complete") true audited.Explore.complete;
+            Alcotest.(check bool) (label ^ ": same report as unaudited") true
+              (audited = explore ~por ~symmetry ~paranoid:false))
+          [ ("naive", false, false); ("por", true, false); ("symmetry", false, true) ];
+        let check outputs =
+          agreement (List.filter (fun (p, _) -> not (Pid.equal p (pid 1))) outputs)
+        in
+        let rank =
+          Explore.run ~max_steps:8 ~max_nodes:400_000 ~capture:true ~paranoid:true
+            ~pattern:(pattern ~n [ (1, 1) ])
+            ~detector:Partial_perfect.canonical ~check
+            (Rank_consensus.automaton ~proposals)
+        in
+        Alcotest.(check bool) "rank+P<: complete" true rank.Explore.complete);
     test "paranoid audit passes at group order 120 (n=5 failure-free, full stack)"
       (fun () ->
         let n = 5 in
@@ -651,5 +743,6 @@ let () =
       suite "reductions" reduction_tests;
       suite "symmetry" symmetry_tests;
       suite "strategies-and-stores" strategy_tests;
+      suite "step-oracle" step_oracle_tests;
       suite "paranoid-fingerprint-audit" paranoid_tests;
     ]

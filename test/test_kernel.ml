@@ -347,50 +347,45 @@ let table_tests =
 
 let hashing_tests =
   [
-    test "mix64 is deterministic and spreads nearby inputs" (fun () ->
-        Alcotest.(check bool) "same input, same output" true
-          (Int64.equal (Hashing.mix64 42L) (Hashing.mix64 42L));
-        let outs = List.init 1000 (fun i -> Hashing.of_int i) in
+    test "mix_int is deterministic and spreads nearby inputs" (fun () ->
+        Alcotest.(check int) "same input, same output" (Hashing.mix_int 42)
+          (Hashing.mix_int 42);
+        let outs = List.init 1000 Hashing.mix_int in
         Alcotest.(check int) "1000 consecutive ints, 1000 distinct hashes" 1000
-          (List.length (List.sort_uniq Int64.compare outs)));
-    test "of_string distinguishes strings and is deterministic" (fun () ->
-        Alcotest.(check bool) "stable" true
-          (Int64.equal (Hashing.of_string "abc") (Hashing.of_string "abc"));
+          (List.length (List.sort_uniq Int.compare outs)));
+    test "of_string_int distinguishes strings and is deterministic" (fun () ->
+        Alcotest.(check int) "stable" (Hashing.of_string_int "abc")
+          (Hashing.of_string_int "abc");
         Alcotest.(check bool) "abc <> acb" false
-          (Int64.equal (Hashing.of_string "abc") (Hashing.of_string "acb"));
+          (Hashing.of_string_int "abc" = Hashing.of_string_int "acb");
         Alcotest.(check bool) "empty <> nul" false
-          (Int64.equal (Hashing.of_string "") (Hashing.of_string "\000")));
+          (Hashing.of_string_int "" = Hashing.of_string_int "\000"));
     test "combine is order-sensitive" (fun () ->
-        let a = Hashing.of_int 1 and b = Hashing.of_int 2 in
+        let a = Hashing.mix_int 1 and b = Hashing.mix_int 2 in
         Alcotest.(check bool) "ab <> ba" false
-          (Int64.equal
-             (Hashing.combine (Hashing.combine 0L a) b)
-             (Hashing.combine (Hashing.combine 0L b) a));
-        Alcotest.(check bool) "fold_ints agrees" true
-          (Int64.equal
-             (Hashing.fold_ints 0L [ 1; 2 ])
-             (Hashing.combine (Hashing.combine 0L a) b)));
+          (Hashing.combine_int (Hashing.combine_int 0 a) b
+          = Hashing.combine_int (Hashing.combine_int 0 b) a));
     test "table stores and retrieves thousands of keys across growth" (fun () ->
         let t = Hashing.Table.create ~initial:8 () in
         for i = 0 to 4999 do
           let s = string_of_int i in
-          Hashing.Table.set t ~key:(Hashing.of_string s) s i
+          Hashing.Table.set t ~key:(Hashing.of_string_int s) s i
         done;
         Alcotest.(check int) "5000 distinct keys" 5000 (Hashing.Table.length t);
         Alcotest.(check bool) "grew past initial" true
           (Hashing.Table.capacity t > 8);
         for i = 0 to 4999 do
           let s = string_of_int i in
-          match Hashing.Table.find t ~key:(Hashing.of_string s) s with
+          match Hashing.Table.find t ~key:(Hashing.of_string_int s) s with
           | Some v when v = i -> ()
           | _ -> Alcotest.fail (Printf.sprintf "lost key %d" i)
         done);
     test "a fingerprint collision never conflates different keys" (fun () ->
         (* Force the collision by storing two different byte strings under
-           the same 64-bit key: the table must fall back to full-string
+           the same fingerprint: the table must fall back to full-string
            comparison, exactly what protects the explorer's visited set. *)
         let t = Hashing.Table.create ~initial:8 () in
-        let key = 0xDEADBEEFL in
+        let key = 0xDEADBEEF in
         Hashing.Table.set t ~key "first" 1;
         Alcotest.(check (option int)) "other bytes, same key: absent" None
           (Hashing.Table.find t ~key "second");
@@ -400,25 +395,9 @@ let hashing_tests =
         Alcotest.(check (option int)) "second stored separately" (Some 2)
           (Hashing.Table.find t ~key "second");
         Alcotest.(check int) "two entries" 2 (Hashing.Table.length t));
-    test "keys differing only in the truncated top bit never conflate" (fun () ->
-        (* Internally the table keeps fingerprints as native 63-bit ints,
-           so these two 64-bit keys probe the same slot chain; the
-           full-byte confirmation must still keep the entries apart. *)
-        let t = Hashing.Table.create ~initial:8 () in
-        let low = 0x123456789ABCDEFL in
-        let high = Int64.logor low Int64.min_int in
-        Hashing.Table.set t ~key:low "low-bytes" 1;
-        Hashing.Table.set t ~key:high "high-bytes" 2;
-        Alcotest.(check (option int)) "low key, low bytes" (Some 1)
-          (Hashing.Table.find t ~key:low "low-bytes");
-        Alcotest.(check (option int)) "high key, high bytes" (Some 2)
-          (Hashing.Table.find t ~key:high "high-bytes");
-        Alcotest.(check (option int)) "high key, low bytes also found" (Some 1)
-          (Hashing.Table.find t ~key:high "low-bytes");
-        Alcotest.(check int) "two entries" 2 (Hashing.Table.length t));
     test "set overwrites in place" (fun () ->
         let t = Hashing.Table.create () in
-        let key = Hashing.of_string "k" in
+        let key = Hashing.of_string_int "k" in
         Hashing.Table.set t ~key "k" 1;
         Hashing.Table.set t ~key "k" 2;
         Alcotest.(check (option int)) "latest value" (Some 2)
