@@ -873,17 +873,11 @@ let table_explore () =
      the full stack completes. *)
   let layer_entries =
     let pattern = Pattern.make ~n [ (pid 1, time 2) ] in
-    let sym nn =
-      {
-        Explore.renamer = Ct_strong.renamer;
-        value_map = (fun pi -> Symmetry.value_map_of_proposals ~n:nn ~proposals pi);
-        d_rename = Symmetry.rename_set;
-      }
-    in
     let headline ~canon ~por ~por_lambda ~symmetry ?timeline () =
       Explore.run ?timeline ~max_steps:9 ~max_nodes:2_000_000 ~canon ~por
         ~por_lambda
-        ?symmetry:(if symmetry then Some (sym n) else None)
+        ?symmetry:
+          (if symmetry then Some (Ct_strong.symmetry ~n ~proposals) else None)
         ~d_equal ~pattern ~detector:Perfect.canonical ~check:safety
         (Ct_strong.automaton ~proposals)
     in
@@ -1007,14 +1001,14 @@ let table_explore () =
     (* The n=4 scope: failure-free, depth 13.  The seed-era encoding
        exhausts multi-million-node budgets (measured: 4M nodes, truncated);
        the full stack completes it. *)
-    let sym4 = sym 4 in
     let safety4 =
       Explore.both agreement
         (Explore.validity_check ~n:4 ~proposals ~equal:Int.equal)
     in
     let n4_run ?timeline () =
       Explore.run ?timeline ~max_steps:13 ~max_nodes:4_000_000 ~canon:true
-        ~por:true ~por_lambda:true ~symmetry:sym4 ~d_equal
+        ~por:true ~por_lambda:true ~symmetry:(Ct_strong.symmetry ~n:4 ~proposals)
+        ~d_equal
         ~pattern:(Pattern.make ~n:4 [])
         ~detector:Perfect.canonical ~check:safety4
         (Ct_strong.automaton ~proposals)

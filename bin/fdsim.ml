@@ -1207,15 +1207,10 @@ type sym_consumer = {
 }
 
 let with_algo_sym ~n algo k =
-  let ct_spec =
-    {
-      Explore.renamer = Ct_strong.renamer;
-      value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
-      d_rename = Symmetry.rename_set;
-    }
-  in
   match algo with
-  | `Ct_strong -> k.consume_sym (Ct_strong.automaton ~proposals) (Some ct_spec)
+  | `Ct_strong ->
+    k.consume_sym (Ct_strong.automaton ~proposals)
+      (Some (Ct_strong.symmetry ~n ~proposals))
   | `Ct_ev_strong -> k.consume_sym (Ct_ev_strong.automaton ~proposals) None
   | `Marabout -> k.consume_sym (Marabout_consensus.automaton ~proposals) None
   | `Rank -> k.consume_sym (Rank_consensus.automaton ~proposals) None
@@ -1387,7 +1382,9 @@ let explore_cmd =
           ~doc:
             "Quotient states by crash-pattern-respecting, \
              detector-equivariant pid renamings (pid-symmetric algorithms \
-             only; a no-op with a warning otherwise).")
+             only; a no-op with a warning otherwise).  Without $(b,--canon) \
+             no state orbit is merged: only the decision sets are \
+             quotiented.")
   in
   let explain =
     Arg.(
@@ -1743,13 +1740,7 @@ let metrics_cmd =
     let xp = pattern_of ~n:3 [ (1, 2) ] in
     let (_ : int Explore.report) =
       Explore.run ~max_steps:7 ~canon:true ~por:true ~por_lambda:true
-        ~symmetry:
-          {
-            Explore.renamer = Ct_strong.renamer;
-            value_map =
-              (fun pi -> Symmetry.value_map_of_proposals ~n:3 ~proposals pi);
-            d_rename = Symmetry.rename_set;
-          }
+        ~symmetry:(Ct_strong.symmetry ~n:3 ~proposals)
         ~d_equal:Pid.Set.equal ~metrics:registry ~pattern:xp
         ~detector:Perfect.canonical
         ~check:(Explore.agreement_check ~equal:Int.equal)

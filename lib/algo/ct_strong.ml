@@ -224,3 +224,10 @@ let renamer =
           Round { round; delta = rename_vector ~pid ~value delta }
         | Final { view } -> Final { view = rename_vector ~pid ~value view });
   }
+
+let symmetry ~n ~proposals =
+  {
+    Explore.renamer;
+    value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
+    d_rename = Symmetry.rename_set;
+  }

@@ -65,3 +65,11 @@ val renamer : ('v state, 'v msg, 'v) Symmetry.renamer
     what makes it, alone among the portfolio algorithms, eligible for
     symmetry.  {!Rlfd_sim.Explore.cross_check} validates the claim
     per-scope. *)
+
+val symmetry :
+  n:int ->
+  proposals:(Pid.t -> 'v) ->
+  ('v state, 'v msg, Detector.suspicions, 'v) Explore.symmetry_spec
+(** The explorer's symmetry spec for [n] processes with these proposals:
+    {!renamer}, {!Symmetry.value_map_of_proposals} and
+    {!Symmetry.rename_set}. *)

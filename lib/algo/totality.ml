@@ -8,16 +8,12 @@ let pp_violation ppf v =
     "decision at %a by %a lacks causal messages from alive %a" Time.pp v.time Pid.pp
     v.pid Pid.Set.pp v.missing
 
-let check ?(is_decision = fun _ -> true) (r : _ Runner.result) =
-  let decision_event (e : _ Runner.event) = List.exists is_decision e.Runner.outputs in
+let check (r : _ Runner.result) =
   Runner.output_events r
   |> List.filter_map (fun (e : _ Runner.event) ->
-         if not (decision_event e) then None
-         else begin
-           let alive = Rlfd_fd.Pattern.alive_at r.Runner.pattern e.Runner.time in
-           let missing = Pid.Set.diff alive e.Runner.heard_from in
-           if Pid.Set.is_empty missing then None
-           else Some { time = e.Runner.time; pid = e.Runner.pid; missing }
-         end)
+         let alive = Rlfd_fd.Pattern.alive_at r.Runner.pattern e.Runner.time in
+         let missing = Pid.Set.diff alive e.Runner.heard_from in
+         if Pid.Set.is_empty missing then None
+         else Some { time = e.Runner.time; pid = e.Runner.pid; missing })
 
-let is_total ?is_decision r = check ?is_decision r = []
+let is_total r = check r = []

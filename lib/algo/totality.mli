@@ -24,11 +24,9 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check :
-  ?is_decision:('o -> bool) -> ('s, 'o) Runner.result -> violation list
-(** Scans every event that emits an output accepted by [is_decision]
-    (default: all outputs), reading only the steps that output
-    ({!Rlfd_sim.Runner.output_events}).  Empty result = the
-    run is total. *)
+val check : ('s, 'o) Runner.result -> violation list
+(** Scans every event that emits an output, reading only those steps
+    ({!Rlfd_sim.Runner.output_events}).  Empty result = the run is
+    total. *)
 
-val is_total : ?is_decision:('o -> bool) -> ('s, 'o) Runner.result -> bool
+val is_total : ('s, 'o) Runner.result -> bool

@@ -547,16 +547,6 @@ let exhaustive_small_scope cfg =
     fun outputs ->
       agreement (List.filter (fun (p, _) -> not (Pid.Set.mem p faulty)) outputs)
   in
-  (* ct-strong is pid-uniform, so its scopes run under the full reduction
-     stack (symmetry quotient included); the spec is per-[n] because the
-     value renaming follows the proposal assignment. *)
-  let sym ~n =
-    {
-      Explore.renamer = Ct_strong.renamer;
-      value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
-      d_rename = Symmetry.rename_set;
-    }
-  in
   (* Three kinds of job, one campaign so [cfg.workers > 1] explores every
      tree at once: the two PR-2 scopes re-run naively (continuity with the
      seeded numbers), reduced-vs-naive cross-checks at n=3 over the
@@ -571,7 +561,8 @@ let exhaustive_small_scope cfg =
   let n4 pattern max_steps () =
     `Report
       (Explore.run ~max_steps ~max_nodes:4_000_000 ~canon:true ~por:true
-         ~por_lambda:true ~symmetry:(sym ~n:4) ~d_equal ~pattern
+         ~por_lambda:true ~symmetry:(Ct_strong.symmetry ~n:4 ~proposals) ~d_equal
+         ~pattern
          ~detector:Perfect.canonical ~check:(safety ~n:4)
          (Ct_strong.automaton ~proposals))
   in
@@ -592,7 +583,7 @@ let exhaustive_small_scope cfg =
        ( "xcheck:ct-strong+P", fun () ->
          `Cross
            (Explore.cross_check ~max_steps:9 ~max_nodes:2_000_000 ~d_equal
-              ~symmetry:(sym ~n:3)
+              ~symmetry:(Ct_strong.symmetry ~n:3 ~proposals)
               ~pattern:(p3 [ crash 1 2 ])
               ~detector:Perfect.canonical ~check:(safety ~n:3)
               (Ct_strong.automaton ~proposals)) );

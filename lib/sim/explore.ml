@@ -240,7 +240,7 @@ let put4 b off v =
   Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
   Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
 
-(* ---------- the Reduction axis ---------- *)
+(* ---------- the scope ---------- *)
 
 type ('s, 'm, 'd, 'o) symmetry_spec = {
   renamer : ('s, 'm, 'o) Symmetry.renamer;
@@ -248,63 +248,114 @@ type ('s, 'm, 'd, 'o) symmetry_spec = {
   d_rename : (Pid.t -> Pid.t) -> 'd -> 'd;
 }
 
-(* The reduction pipeline, resolved once per exploration: which encoding
-   layers are active and the precomputed data they need (the quiescence
-   point of the scope's detector views, the symmetry group). *)
-type ('s, 'm, 'd, 'o) reduction = {
+(* The scope, resolved once per exploration: the reductions selected and
+   everything the walk reads about the failure pattern and the detector.
+   In the model a detector's output is a history H(p, t) of the pattern,
+   so over [max_steps] steps it is one finite table: [views], read in one
+   pass of n * (max_steps + 2) queries.  Every other field derives from
+   it and the pattern; nothing queries the detector again.  Tables are
+   indexed [.(t).(p-1)] for t <= horizon = max_steps + 1. *)
+type ('s, 'm, 'd, 'o) scope = {
   canon : bool; (* and the detector-view canonicalizer: dead-message gc, clock clamp *)
   por : bool; (* sleep sets over commuting delivery pairs *)
   por_lambda : bool; (* ... extended to pairs involving lambda steps *)
-  quiesce_at : int; (* first tick from which views and aliveness are constant *)
-  group : Symmetry.perm list; (* identity first; [identity] = symmetry off *)
   spec : ('s, 'm, 'd, 'o) symmetry_spec option; (* present iff decisions quotient *)
+  views : 'd array array;
+  view_ids : int array array;
+      (* small dense ids for the distinct views — the step memo's key
+         component (structurally equal views share an id; distinct views
+         never do, so a memo hit always replays the same inputs) *)
+  view_id_count : int;
+  alive : bool array array;
+  alive_pids : Pid.t list array; (* ascending *)
+  stable : bool array array;
+      (* t < max_steps: p survives tick t+1 with an unchanged view — the
+         per-process half of the independence (commutation) condition *)
+  dies_at : bool array array;
+      (* p was alive at t-1 and is crashed at t — the ticks at which the
+         dead-message gc erases messages from the lanes *)
+  any_death : bool array;
+  quiesce_at : int;
+      (* the clamp tick: the first q <= horizon from which aliveness and
+         every view are constant — beyond it the global clock is
+         unobservable and is clamped out of the canonical encoding *)
+  group : Symmetry.perm array; (* identity first; the identity alone = symmetry off *)
+  images : int array array; (* images.(k).(p-1): p's image under group.(k) *)
+  preimages : int array array; (* the same for group.(k)'s inverse *)
+  compose : int -> int -> int;
+      (* [Symmetry.multiplication group]: "rename by group.(k), then by
+         group.(j)", the table the intern tables build orbits from *)
 }
 
-(* The first tick q <= horizon such that aliveness and every process's
-   detector view are constant on [q, horizon] — beyond it, the global clock
-   is unobservable and can be clamped out of the canonical encoding. *)
-let quiescence ~pattern ~detector ~d_equal ~horizon =
+let resolve_reduction ~canon ~por ~por_lambda ~symmetry ~pattern ~detector
+    ~d_equal ~max_steps =
   let n = Pattern.n pattern in
-  let stable_from = ref horizon in
-  let continue_ = ref true in
-  let t = ref (horizon - 1) in
-  while !continue_ && !t >= 0 do
-    let now = Time.of_int !t and next = Time.of_int (!t + 1) in
-    let same =
-      Pid.Set.equal (Pattern.alive_at pattern now) (Pattern.alive_at pattern next)
-      && List.for_all
-           (fun p ->
-             d_equal
-               (Detector.query detector pattern p now)
-               (Detector.query detector pattern p next))
-           (Pid.all ~n)
-    in
-    if same then begin
-      stable_from := !t;
-      decr t
-    end
-    else continue_ := false
-  done;
-  !stable_from
-
-let resolve_reduction ?(canon = false) ?(por = false) ?(por_lambda = false)
-    ?symmetry ~pattern ~detector ~d_equal ~max_steps () =
   let horizon = max_steps + 1 in
-  let quiesce_at =
-    if canon then quiescence ~pattern ~detector ~d_equal ~horizon else horizon
+  let table f = Array.init (horizon + 1) (fun t -> Array.init n (f t)) in
+  let views =
+    table (fun t i ->
+        Detector.query detector pattern (Pid.of_int (i + 1)) (Time.of_int t))
   in
-  let group, spec =
-    match symmetry with
-    | None -> ([ Symmetry.identity ~n:(Pattern.n pattern) ], None)
-    | Some spec ->
-      let g =
-        Symmetry.crash_respecting pattern
-        |> Symmetry.filter_equivariant ~pattern ~detector ~horizon
-             ~d_rename:spec.d_rename ~d_equal
-      in
-      (g, Some spec)
+  let ids = Hashtbl.create 16 in
+  let view_ids =
+    table (fun t i ->
+        let v = views.(t).(i) in
+        match Hashtbl.find_opt ids v with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids v id;
+          id)
   in
-  { canon; por; por_lambda; quiesce_at; group; spec }
+  let alive =
+    table (fun t i -> Pattern.is_alive pattern (Pid.of_int (i + 1)) (Time.of_int t))
+  in
+  (* the one comparison of consecutive views *)
+  let unchanged =
+    Array.init horizon (fun t ->
+        Array.init n (fun i -> d_equal views.(t).(i) views.(t + 1).(i)))
+  in
+  let dies_at = table (fun t i -> t > 0 && alive.(t - 1).(i) && not alive.(t).(i)) in
+  let any_death = Array.map (Array.exists Fun.id) dies_at in
+  (* the clamp tick, scanning back from the horizon; crashes are
+     permanent, so aliveness changes exactly at a death *)
+  let rec steady_from t =
+    if t >= 0 && (not any_death.(t + 1)) && Array.for_all Fun.id unchanged.(t) then
+      steady_from (t - 1)
+    else t + 1
+  in
+  let group =
+    Array.of_list
+      (match symmetry with
+      | None -> [ Symmetry.identity ~n ]
+      | Some spec ->
+        Symmetry.filter_equivariant ~views ~d_rename:spec.d_rename ~d_equal
+          (Symmetry.crash_respecting pattern))
+  in
+  {
+    canon;
+    por;
+    por_lambda;
+    spec = symmetry;
+    views;
+    view_ids;
+    view_id_count = Hashtbl.length ids;
+    alive;
+    alive_pids =
+      Array.map
+        (fun row -> List.filter (fun p -> row.(Pid.to_int p - 1)) (Pid.all ~n))
+        alive;
+    stable =
+      Array.init max_steps (fun t ->
+          Array.init n (fun i -> alive.(t + 1).(i) && unchanged.(t).(i)));
+    dies_at;
+    any_death;
+    quiesce_at = steady_from (horizon - 1);
+    group;
+    images = Array.map (fun pi -> (pi : Symmetry.perm :> int array)) group;
+    preimages = Array.map (fun pi -> (Symmetry.inverse pi :> int array)) group;
+    compose = Symmetry.multiplication group;
+  }
 
 (* ---------- the exploration engine ---------- *)
 
@@ -339,8 +390,8 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
   if max_violations < 1 then invalid_arg "Explore.run: max_violations < 1";
   let n = Pattern.n pattern in
   let red =
-    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~pattern ~detector
-      ~d_equal ~max_steps ()
+    resolve_reduction ~canon ~por ~por_lambda ~symmetry ~pattern ~detector
+      ~d_equal ~max_steps
   in
   (* Every walk interns its components; a violation's schedule keeps the
      received messages' bytes under [capture] or [canon]. *)
@@ -350,95 +401,9 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
      the (boxed) phase accumulators written *)
   let timed = not (Rlfd_obs.Timeline.is_null timeline) in
   let clk = if timed then Rlfd_obs.Profile.now else fun () -> 0. in
-  (* --- scope precomputation: views, aliveness, stability, deaths ---
-     Detector views and crash events are pure functions of (process, tick);
-     querying them once per scope instead of once per explored edge removes
-     a per-node cost that grows with detector complexity. *)
-  let horizon = max_steps + 1 in
-  let views =
-    Array.init (horizon + 1) (fun t ->
-        Array.init n (fun i ->
-            Detector.query detector pattern (Pid.of_int (i + 1)) (Time.of_int t)))
-  in
-  (* Small dense ids for the distinct view values — the step memo's third
-     key component (structurally equal views share an id; distinct views
-     never do, so a memo hit always replays the same inputs). *)
-  let view_ids, view_id_count =
-    let tbl = Hashtbl.create 16 in
-    let ids =
-      Array.map
-        (Array.map (fun v ->
-             match Hashtbl.find_opt tbl v with
-             | Some id -> id
-             | None ->
-               let id = Hashtbl.length tbl in
-               Hashtbl.add tbl v id;
-               id))
-        views
-    in
-    (ids, Hashtbl.length tbl)
-  in
-  let alive =
-    Array.init (horizon + 1) (fun t ->
-        Array.init n (fun i ->
-            Pattern.is_alive pattern (Pid.of_int (i + 1)) (Time.of_int t)))
-  in
-  let alive_pids =
-    Array.init (horizon + 1) (fun t ->
-        List.filter (fun p -> alive.(t).(Pid.to_int p - 1)) (Pid.all ~n))
-  in
-  (* stable.(t).(p-1): p survives tick t+1 with an unchanged detector view —
-     the per-process half of the independence (commutation) condition. *)
-  let stable =
-    Array.init max_steps (fun t ->
-        Array.init n (fun i ->
-            alive.(t + 1).(i) && d_equal views.(t).(i) views.(t + 1).(i)))
-  in
-  (* dies_at.(t).(p-1): p was alive at t-1 and is crashed at t — the ticks
-     at which the dead-message gc erases messages from the lanes. *)
-  let dies_at =
-    Array.init (horizon + 1) (fun t ->
-        Array.init n (fun i -> t > 0 && alive.(t - 1).(i) && not alive.(t).(i)))
-  in
-  let any_death = Array.map (fun row -> Array.exists Fun.id row) dies_at in
-  (* --- the symmetry group, as flat image / inverse-image tables --- *)
-  let g_arr = Array.of_list red.group in
-  let g_order = Array.length g_arr in
-  let grp =
-    Array.map
-      (fun pi ->
-        Array.init n (fun i -> Pid.to_int (Symmetry.apply pi (Pid.of_int (i + 1)))))
-      g_arr
-  in
-  let inv =
-    Array.map
-      (fun row ->
-        let a = Array.make n 0 in
-        Array.iteri (fun i img -> a.(img - 1) <- i + 1) row;
-        a)
-      grp
-  in
-  (* [compose j k]: the index of "rename by grp.(k), then by grp.(j)", the
-     multiplication table the intern tables build orbits from.  A row is
-     built on its first use (an orbit needs one per distinct member), so
-     the table never outgrows the lanes of the entries that needed it. *)
-  let compose =
-    let code img = Array.fold_left (fun c i -> (c * (n + 1)) + i) 0 img in
-    let index = Hashtbl.create g_order in
-    Array.iteri (fun k img -> Hashtbl.replace index (code img) k) grp;
-    let rows = Array.make g_order [||] and img = Array.make n 0 in
-    fun j k ->
-      if Array.length rows.(k) = 0 then
-        rows.(k) <-
-          Array.init g_order (fun j ->
-              for i = 0 to n - 1 do
-                img.(i) <- grp.(j).(grp.(k).(i) - 1)
-              done;
-              match Hashtbl.find_opt index (code img) with
-              | Some c -> c
-              | None -> invalid_arg "Explore: the symmetry group is not closed");
-      rows.(k).(j)
-  in
+  let views = red.views and alive = red.alive and dies_at = red.dies_at in
+  let grp = red.images and inv = red.preimages in
+  let g_order = Array.length red.group in
   (* Lane counts: orbits merge exactly when [canon] runs with a symmetry
      spec, and only then do states and messages need a lane per group
      element; outputs have them whenever a spec is present (the decision
@@ -449,11 +414,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
     match red.spec with
     | None -> ((fun _ s -> s), (fun _ m -> m), fun _ o -> o)
     | Some spec ->
-      let rens =
-        Array.init g_order (fun k ->
-            let pi = g_arr.(k) in
-            (Symmetry.apply pi, spec.value_map pi))
-      in
+      let rens = Array.map (fun pi -> (Symmetry.apply pi, spec.value_map pi)) red.group in
       ( (fun k s ->
           let pid, value = rens.(k) in
           spec.renamer.Symmetry.rename_state ~pid ~value s),
@@ -465,7 +426,9 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
           (pid p, value o) )
   in
   let table order rename =
-    Intern.create ~group:{ Intern.order; rename; compose } ~encode:Canon.encode_value ()
+    Intern.create ~encode:Canon.encode_value
+      ~group:{ Intern.order; rename; compose = red.compose }
+      ()
   in
   let cache =
     {
@@ -584,7 +547,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
             else collect rest
         in
         collect config.buffer)
-      alive_pids.(config.step_no)
+      red.alive_pids.(config.step_no)
   in
   let envelope = function
     | None -> None
@@ -631,7 +594,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
     let e_old = config.s_ents.(i) in
     let r =
       let mid = match received with Some m -> Intern.id m.ment | None -> -1 in
-      let iv = (i * view_id_count) + view_ids.(t).(i) in
+      let iv = (i * red.view_id_count) + red.view_ids.(t).(i) in
       let sid = Intern.id e_old in
       match Memo.find cache.c_step sid mid iv with
       | Some r -> r
@@ -675,7 +638,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
         (* the receiver is its destination and is alive now, so the
            received message was counted: unconditionally subtract *)
         (match received with None -> () | Some m -> vsub lm (Intern.hs m.ment));
-        if any_death.(t') then
+        if red.any_death.(t') then
           List.iter
             (fun m -> if dies_at.(t').(Pid.to_int m.mdst - 1) then vsub lm (Intern.hs m.ment))
             buffer0;
@@ -849,8 +812,8 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
     && (match (ra, rb) with
        | Some _, Some _ -> red.por
        | None, _ | _, None -> red.por_lambda)
-    && stable.(t).(Pid.to_int p - 1)
-    && stable.(t).(Pid.to_int q - 1)
+    && red.stable.(t).(Pid.to_int p - 1)
+    && red.stable.(t).(Pid.to_int q - 1)
   in
   let sleeping = red.por || red.por_lambda in
   let lambda_tag = 0x6C616D62 in
@@ -976,43 +939,45 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
               | _, Some _ -> acc.por_pruned <- acc.por_pruned + 1
             end
             else begin
-              let expand () =
-                let config', outs, received = apply config a in
-                let p, _ = a in
-                if sleeping then done_ := sleeper a received :: !done_;
-                let outputs' =
-                  if outs = [] then outputs
-                  else outputs @ List.map (fun o -> (p, o)) outs
-                in
-                let out_ents', lo' =
-                  if outs = [] then (out_ents, lo)
-                  else begin
-                    let lo' = if red.canon then Array.copy lo else lo in
-                    let ents =
-                      List.fold_left
-                        (fun ents o ->
-                          let e = intern cache.c_out rename_out (p, o) in
-                          if red.canon then vadd lo' (Intern.hs e);
-                          e :: ents)
-                        out_ents outs
-                    in
-                    (ents, lo')
-                  end
-                in
-                let steps' =
-                  ( p,
-                    match received with
-                    | None -> None
-                    | Some m ->
-                      Some (m.msrc, if keep_bytes then Intern.enc m.ment else "") )
-                  :: steps
-                in
-                let sleep' =
-                  if sleeping then
-                    List.filter (fun b -> indep_at t a b.choice) (!done_ @ sleep)
-                  else []
-                in
-                let visit sleep' =
+              let config', outs, received = apply config a in
+              let p, _ = a in
+              if sleeping then done_ := sleeper a received :: !done_;
+              let outputs' =
+                if outs = [] then outputs
+                else outputs @ List.map (fun o -> (p, o)) outs
+              in
+              let out_ents', lo' =
+                if outs = [] then (out_ents, lo)
+                else begin
+                  let lo' = if red.canon then Array.copy lo else lo in
+                  let ents =
+                    List.fold_left
+                      (fun ents o ->
+                        let e = intern cache.c_out rename_out (p, o) in
+                        if red.canon then vadd lo' (Intern.hs e);
+                        e :: ents)
+                      out_ents outs
+                  in
+                  (ents, lo')
+                end
+              in
+              let steps' =
+                ( p,
+                  match received with
+                  | None -> None
+                  | Some m ->
+                    Some (m.msrc, if keep_bytes then Intern.enc m.ment else "") )
+                :: steps
+              in
+              let sleep' =
+                if sleeping then
+                  List.filter (fun b -> indep_at t a b.choice) (!done_ @ sleep)
+                else []
+              in
+              (* the one budget check: a child that would be expanded *)
+              let visit sleep' =
+                if acc.nodes >= max_nodes then acc.truncated <- true
+                else begin
                   if outs <> [] then record_decision out_ents';
                   (match (outs, check outputs') with
                   | _ :: _, Some reason ->
@@ -1026,55 +991,51 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
                       }
                   | _ -> ());
                   dfs config' lo' out_ents' outputs' steps' sleep'
-                in
-                if not red.canon then visit sleep'
-                else begin
-                  let t2 = clk () in
-                  let orbit, key, kb = encode config' lo' out_ents' in
-                  if paranoid then audit_edge config' lo' out_ents' orbit kb;
-                  if orbit > 0 then
-                    acc.orbit_collapsed <- acc.orbit_collapsed + 1;
-                  (* the CONCRETE depth, not the clamped one: the clock
-                     clamp merges encodings across depths, and only an
-                     expansion at least as shallow (>= remaining budget)
-                     covers a revisit *)
-                  let step' = config'.step_no in
-                  let rdescs =
-                    List.map (fun b -> (b, rep_descriptor ~orbit b)) sleep'
-                  in
-                  let descs = sorted_descs (List.map snd rdescs) in
-                  let t3 = clk () in
-                  if timed then acc.t_encode <- acc.t_encode +. (t3 -. t2);
-                  (match
-                     Hashing.Table.find visited ~key (Bytes.unsafe_to_string kb)
-                   with
-                  | Some (s_step, s_descs)
-                    when s_step <= step' && desc_subset s_descs descs ->
-                    if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
-                    acc.deduped <- acc.deduped + 1
-                  | prior ->
-                    let stored, sleep' =
-                      match prior with
-                      | None -> ((step', descs), sleep')
-                      | Some (s_step, s_descs) ->
-                        let inter = desc_inter s_descs descs in
-                        ( (Stdlib.min s_step step', inter),
-                          List.filter_map
-                            (fun (e, rd) ->
-                              if List.exists (Int.equal rd) inter then Some e
-                              else None)
-                            rdescs )
-                    in
-                    (* the table keeps the key: store a copy of the buffer *)
-                    Hashing.Table.set visited ~key (Bytes.to_string kb) stored;
-                    if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
-                    if acc.nodes >= max_nodes then acc.truncated <- true
-                    else visit sleep')
                 end
               in
-              if red.canon then expand ()
-              else if acc.nodes >= max_nodes then acc.truncated <- true
-              else expand ()
+              if not red.canon then visit sleep'
+              else begin
+                let t2 = clk () in
+                let orbit, key, kb = encode config' lo' out_ents' in
+                if paranoid then audit_edge config' lo' out_ents' orbit kb;
+                if orbit > 0 then
+                  acc.orbit_collapsed <- acc.orbit_collapsed + 1;
+                (* the CONCRETE depth, not the clamped one: the clock
+                   clamp merges encodings across depths, and only an
+                   expansion at least as shallow (>= remaining budget)
+                   covers a revisit *)
+                let step' = config'.step_no in
+                let rdescs =
+                  List.map (fun b -> (b, rep_descriptor ~orbit b)) sleep'
+                in
+                let descs = sorted_descs (List.map snd rdescs) in
+                let t3 = clk () in
+                if timed then acc.t_encode <- acc.t_encode +. (t3 -. t2);
+                (match
+                   Hashing.Table.find visited ~key (Bytes.unsafe_to_string kb)
+                 with
+                | Some (s_step, s_descs)
+                  when s_step <= step' && desc_subset s_descs descs ->
+                  if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                  acc.deduped <- acc.deduped + 1
+                | prior ->
+                  let stored, sleep' =
+                    match prior with
+                    | None -> ((step', descs), sleep')
+                    | Some (s_step, s_descs) ->
+                      let inter = desc_inter s_descs descs in
+                      ( (Stdlib.min s_step step', inter),
+                        List.filter_map
+                          (fun (e, rd) ->
+                            if List.exists (Int.equal rd) inter then Some e
+                            else None)
+                          rdescs )
+                  in
+                  (* the table keeps the key: store a copy of the buffer *)
+                  Hashing.Table.set visited ~key (Bytes.to_string kb) stored;
+                  if timed then acc.t_confirm <- acc.t_confirm +. (clk () -. t3);
+                  visit sleep')
+              end
             end
           end)
         cs
@@ -1131,8 +1092,8 @@ let describe ?(max_steps = 12) ?(canon = false) ?(por = false)
     ?(por_lambda = false) ?symmetry ?(d_equal = fun a b -> a = b) ~pattern
     ~detector () =
   let red =
-    resolve_reduction ~canon ~por ~por_lambda ?symmetry ~pattern ~detector
-      ~d_equal ~max_steps ()
+    resolve_reduction ~canon ~por ~por_lambda ~symmetry ~pattern ~detector
+      ~d_equal ~max_steps
   in
   [ (if red.canon then
        "reduction: canon (incremental-fingerprint dedup: per-step delta \
@@ -1152,14 +1113,17 @@ let describe ?(max_steps = 12) ?(canon = false) ?(por = false)
          "reduction: por-lambda (sleep sets extended to lambda steps)"
        else "reduction: por-lambda off") ]
   @
-  match symmetry with
+  match red.spec with
   | None -> [ "reduction: symmetry off" ]
   | Some _ ->
     [ Printf.sprintf
         "reduction: symmetry (group order %d after crash-pattern and \
-         detector equivariance; orbit representative = min fingerprint \
-         lane; orbits hashconsed whole, one renaming per group element)"
-        (List.length red.group) ]
+         detector equivariance; %s)"
+        (Array.length red.group)
+        (if red.canon then
+           "orbit representative = min fingerprint lane; orbits hashconsed \
+            whole, one renaming per group element"
+         else "without canon only the decision sets are quotiented") ]
 
 (* ---------- the cross-check oracle ---------- *)
 

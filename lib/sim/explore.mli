@@ -42,7 +42,8 @@
        renaming its proposals induce, and the detector-output renaming),
        the group of crash-pattern-respecting, detector-equivariant
        permutations is computed per scope ({!Symmetry.crash_respecting},
-       {!Symmetry.filter_equivariant}).  Each configuration gets one
+       then {!Symmetry.filter_equivariant} over the scope's views), with
+       its inverses and products from {!Symmetry}.  Each configuration gets one
        fingerprint per group element (its {e lane}), from hash sums every
        step updates incrementally, and the lane with the smallest
        fingerprint (the first such lane on a tie) is the orbit
@@ -52,7 +53,13 @@
        edge.  Decision multisets are quotiented too (to the smallest
        renamed encoding), so they stay comparable across runs.  States
        with different crash patterns are never merged — the group
-       respects crash times by construction.}}
+       respects crash times by construction.  Without [canon] no state
+       orbit is merged: only the decision multisets are quotiented.}}
+
+    Each run reads the detector once: n·(max_steps + 2) queries, the
+    history H(p, t) over the scope.  The step memo's view ids, the
+    commutation condition, the clock-clamp tick and the symmetry group
+    all come from that table; the walk never queries the detector.
 
     All reductions preserve the set of reachable {e decision states} (the
     multiset of outputs emitted so far, canonically encoded — quotiented
@@ -251,10 +258,11 @@ val describe :
   detector:'d Detector.t ->
   unit ->
   string list
-(** The active reductions, resolved for this scope, one human-readable
-    line per layer (with the computed quiescence point and symmetry group
-    order — both scope-dependent).  What [fdsim explore --explain] prints.
-    Runs no exploration. *)
+(** The active reductions, resolved for this scope as {!run} resolves
+    it (at most n·(max_steps + 2) detector queries), one human-readable
+    line per layer, with the clock-clamp tick and the symmetry group
+    order.  What [fdsim explore --explain] prints.  Runs no
+    exploration. *)
 
 type 'o comparison = {
   reduced : 'o report;  (** the reduced run *)

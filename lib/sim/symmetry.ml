@@ -37,6 +37,31 @@ let inverse pi =
   Array.iteri (fun i img -> inv.(img - 1) <- i + 1) pi;
   inv
 
+let multiplication group =
+  let order = Array.length group in
+  let n = if order = 0 then 0 else Array.length group.(0) in
+  (* an injective int code of [compose f g], read off without building it *)
+  let code f g =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      c := (!c * (n + 1)) + f.(g.(i) - 1)
+    done;
+    !c
+  in
+  let index = Hashtbl.create order and id = identity ~n in
+  Array.iteri (fun k pi -> Hashtbl.replace index (code pi id) k) group;
+  let rows = Array.make order [||] in
+  fun j k ->
+    if Array.length rows.(k) = 0 then
+      rows.(k) <-
+        Array.map
+          (fun f ->
+            match Hashtbl.find_opt index (code f group.(k)) with
+            | Some c -> c
+            | None -> invalid_arg "Symmetry.multiplication: the group is not closed")
+          group;
+    rows.(k).(j)
+
 (* All permutations of [l], deterministically ordered (identity-compatible
    order first: inserting the head in every position, leftmost first). *)
 let rec permutations = function
@@ -96,28 +121,17 @@ let crash_respecting pattern =
     id @ others
   end
 
-let filter_equivariant ~pattern ~detector ~horizon ~d_rename ~d_equal perms =
-  let n = Pattern.n pattern in
+let filter_equivariant ~views ~d_rename ~d_equal perms =
   List.filter
     (fun pi ->
       is_identity pi
       ||
       let f = apply pi in
-      let ok = ref true in
-      for t = 0 to horizon do
-        if !ok then
-          List.iter
-            (fun p ->
-              let time = Time.of_int t in
-              if
-                not
-                  (d_equal
-                     (Detector.query detector pattern (f p) time)
-                     (d_rename f (Detector.query detector pattern p time)))
-              then ok := false)
-            (Pid.all ~n)
-      done;
-      !ok)
+      let rec equivariant (row : _ array) i =
+        i >= Array.length row
+        || (d_equal row.(pi.(i) - 1) (d_rename f row.(i)) && equivariant row (i + 1))
+      in
+      Array.for_all (fun row -> equivariant row 0) views)
     perms
 
 type ('s, 'm, 'o) renamer = {

@@ -20,9 +20,10 @@
     {- {b the detector}: the module output must be equivariant,
        [query (pi p) t = rename (query p t)] for every process and every
        time inside the exploration horizon.  {!filter_equivariant} checks
-       this exhaustively (pids and ticks are finite) and keeps only the
-       permutations that pass, so order-dependent detectors such as [P<]
-       automatically shrink the group — usually to the identity.}
+       this exhaustively over the scope's table of views (pids and ticks
+       are finite) and keeps only the permutations that pass, so
+       order-dependent detectors such as [P<] automatically shrink the
+       group — usually to the identity.}
     {- {b the algorithm}: the automaton must treat pids uniformly, which a
        {!renamer} witnesses by pushing a renaming through its state and
        message types.  Pid-rank-dependent algorithms (rank consensus,
@@ -39,8 +40,10 @@ open Rlfd_fd
 
 (** {1 Permutations} *)
 
-type perm
-(** A permutation of [{p1 .. pn}]. *)
+type perm = private int array
+(** A permutation of [{p1 .. pn}]: index [i] holds the 1-based image of
+    [p_(i+1)].  Hot paths read it directly ([(pi :> int array)]); only
+    this module builds one, so every [perm] is a permutation. *)
 
 val identity : n:int -> perm
 
@@ -59,6 +62,12 @@ val compose : perm -> perm -> perm
 
 val inverse : perm -> perm
 
+val multiplication : perm array -> int -> int -> int
+(** [multiplication group j k] is the index in [group] of
+    [compose group.(j) group.(k)].  Partially applied to [group] it keeps
+    the table and builds each row on first use.  Raises
+    [Invalid_argument] when a product falls outside [group]. *)
+
 (** {1 Groups from scopes} *)
 
 val crash_respecting : Pattern.t -> perm list
@@ -70,19 +79,17 @@ val crash_respecting : Pattern.t -> perm list
     are small by construction. *)
 
 val filter_equivariant :
-  pattern:Pattern.t ->
-  detector:'d Detector.t ->
-  horizon:int ->
+  views:'d array array ->
   d_rename:((Pid.t -> Pid.t) -> 'd -> 'd) ->
   d_equal:('d -> 'd -> bool) ->
   perm list ->
   perm list
-(** Keep the permutations [pi] with
-    [query (pi p) t = d_rename (apply pi) (query p t)] for every process
-    and every [t <= horizon] — detector equivariance, checked
-    exhaustively over the scope's finite window.  The result is still a
-    group: equivariant permutations are closed under composition and
-    inverse. *)
+(** Keep the permutations [pi] under which the detector is equivariant
+    at every tick of the table: [views.(t).(i)] is the output of
+    [p_(i+1)]'s module at tick [t], and [pi] passes when the output at
+    [apply pi p] equals [d_rename (apply pi)] of the output at [p], for
+    every process and tick.  The result is still a group: equivariant
+    permutations are closed under composition and inverse. *)
 
 (** {1 Renaming state spaces} *)
 

@@ -288,16 +288,10 @@ let reduction_tests =
           Explore.both agreement
             (Explore.validity_check ~n ~proposals ~equal:Int.equal)
         in
-        let sym n =
-          {
-            Explore.renamer = Ct_strong.renamer;
-            value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
-            d_rename = Symmetry.rename_set;
-          }
-        in
         let headline ~canon ~por ~por_lambda ~symmetry () =
           Explore.run ~max_steps:9 ~max_nodes:2_000_000 ~canon ~por ~por_lambda
-            ?symmetry:(if symmetry then Some (sym 3) else None)
+            ?symmetry:
+              (if symmetry then Some (Ct_strong.symmetry ~n:3 ~proposals) else None)
             ~d_equal
             ~pattern:(pattern ~n:3 [ (1, 2) ])
             ~detector:Perfect.canonical ~check:(safety ~n:3)
@@ -305,7 +299,7 @@ let reduction_tests =
         in
         let failure_free ~n ~depth () =
           Explore.run ~max_steps:depth ~max_nodes:4_000_000 ~canon:true ~por:true
-            ~por_lambda:true ~symmetry:(sym n) ~d_equal
+            ~por_lambda:true ~symmetry:(Ct_strong.symmetry ~n ~proposals) ~d_equal
             ~pattern:(Pattern.failure_free ~n)
             ~detector:Perfect.canonical ~check:(safety ~n)
             (Ct_strong.automaton ~proposals)
@@ -351,12 +345,14 @@ let reduction_tests =
 
 (* ---------- the symmetry layer ---------- *)
 
-let sym_spec ~n =
-  {
-    Explore.renamer = Ct_strong.renamer;
-    value_map = (fun pi -> Symmetry.value_map_of_proposals ~n ~proposals pi);
-    d_rename = Symmetry.rename_set;
-  }
+let sym_spec ~n = Ct_strong.symmetry ~n ~proposals
+
+(* The detector's views through [horizon]: [views.(t).(i)] is the output
+   of p_(i+1)'s module at tick [t], the table a scope is resolved from. *)
+let views_of ~pattern ~detector ~horizon =
+  Array.init (horizon + 1) (fun t ->
+      Array.init (Pattern.n pattern) (fun i ->
+          Detector.query detector pattern (pid (i + 1)) (time t)))
 
 (* States with populated message logs, reached by actually running the
    algorithm under a seeded random scheduler — the raw material for the
@@ -415,12 +411,14 @@ let symmetry_tests =
     qtest ~count:30 "group laws: compose, inverse, identity"
       QCheck.(pair small_int small_int)
       (fun (i, j) ->
-        let group = Symmetry.crash_respecting (Pattern.failure_free ~n) in
-        let g = List.nth group (i mod List.length group) in
-        let h = List.nth group (j mod List.length group) in
+        let group = Array.of_list (Symmetry.crash_respecting (Pattern.failure_free ~n)) in
+        let i = i mod Array.length group and j = j mod Array.length group in
+        let g = group.(i) and h = group.(j) in
         let id = Symmetry.identity ~n in
         Symmetry.is_identity (Symmetry.compose g (Symmetry.inverse g))
         && Symmetry.images (Symmetry.compose g id) = Symmetry.images g
+        && Symmetry.images group.(Symmetry.multiplication group i j)
+           = Symmetry.images (Symmetry.compose g h)
         && List.for_all
              (fun p ->
                Pid.equal
@@ -453,6 +451,14 @@ let symmetry_tests =
         List.for_all
           (fun pi -> String.compare (orbit_rep ~group (rename_states pi states)) rep = 0)
           group);
+    test "multiplication rejects a set that is not closed" (fun () ->
+        (* the 3-cycle without its square *)
+        let cycle = Symmetry.of_images [ 2; 3; 1 ] in
+        let table = Symmetry.multiplication [| Symmetry.identity ~n; cycle |] in
+        Alcotest.(check int) "identity row" 1 (table 1 0);
+        Alcotest.check_raises "cycle after cycle"
+          (Invalid_argument "Symmetry.multiplication: the group is not closed")
+          (fun () -> ignore (table 1 1)));
     test "crash-respecting group never renames across crash patterns" (fun () ->
         (* p1 crashes at 2; p2 and p3 are correct: the only admissible
            non-identity renaming swaps p2 and p3.  In particular no group
@@ -491,7 +497,8 @@ let symmetry_tests =
         Alcotest.(check int) "crash group has the swap" 2 (List.length full);
         let keep det =
           List.length
-            (Symmetry.filter_equivariant ~pattern:pat ~detector:det ~horizon:10
+            (Symmetry.filter_equivariant
+               ~views:(views_of ~pattern:pat ~detector:det ~horizon:10)
                ~d_rename:Symmetry.rename_set ~d_equal:Pid.Set.equal full)
         in
         Alcotest.(check int) "P keeps the full group" 2 (keep Perfect.canonical);
@@ -521,6 +528,140 @@ let symmetry_tests =
             (Ct_strong.automaton ~proposals)
         in
         Alcotest.(check bool) "identical decision sets" true c.Explore.identical);
+  ]
+
+(* ---------- the resolved scope: one table of detector views ---------- *)
+
+(* The suspicion-set detectors of the zoo, lags and stabilisation placed
+   inside the scopes drawn below. *)
+let zoo =
+  [ ("P", Perfect.canonical);
+    ("P-delayed", Perfect.delayed ~lag:3);
+    ("staggered P", Perfect.staggered ~seed:3 ~max_lag:4);
+    ("realistic S", Strong.realistic);
+    ("clairvoyant S", Strong.clairvoyant);
+    ("P<", Partial_perfect.canonical);
+    ("Scribe", Scribe.as_suspicions);
+    ("seeded ev-P", Ev_perfect.canonical ~stabilization:(time 5) ~seed:11);
+    ("Marabout", Marabout.canonical) ]
+
+(* References read straight off the detector, one query per use: the
+   clamp tick is the first q <= horizon with aliveness and every view
+   constant on [q, horizon]; the group keeps the crash-respecting
+   renamings under which every query commutes with the renaming. *)
+let reference_clamp ~pattern ~detector ~horizon =
+  let query p t = Detector.query detector pattern p (time t) in
+  let steady t =
+    Pid.Set.equal
+      (Pattern.alive_at pattern (time t))
+      (Pattern.alive_at pattern (time (t + 1)))
+    && List.for_all
+         (fun p -> Pid.Set.equal (query p t) (query p (t + 1)))
+         (Pattern.processes pattern)
+  in
+  let rec first q =
+    if List.for_all steady (List.init (horizon - q) (fun k -> q + k)) then q
+    else first (q + 1)
+  in
+  first 0
+
+let reference_group ~pattern ~detector ~horizon =
+  List.filter
+    (fun pi ->
+      let f = Symmetry.apply pi in
+      List.for_all
+        (fun t ->
+          List.for_all
+            (fun p ->
+              Pid.Set.equal
+                (Detector.query detector pattern (f p) (time t))
+                (Symmetry.rename_set f (Detector.query detector pattern p (time t))))
+            (Pattern.processes pattern))
+        (List.init (horizon + 1) Fun.id))
+    (Symmetry.crash_respecting pattern)
+
+(* n <= 4, max_steps 0-11 (horizons 1-12), each process crashing at a
+   tick in [0, max_steps + 2] or never, and a zoo index. *)
+let arb_scope =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 4 >>= fun n ->
+      int_range 0 11 >>= fun max_steps ->
+      list_repeat n (opt ~ratio:0.5 (int_range 0 (max_steps + 2))) >>= fun cts ->
+      int_bound (List.length zoo - 1) >|= fun d ->
+      let crashes =
+        List.filter_map Fun.id (List.mapi (fun i -> Option.map (fun t -> (i + 1, t))) cts)
+      in
+      (n, max_steps, crashes, d))
+  in
+  let print (n, max_steps, crashes, d) =
+    Format.asprintf "n=%d max_steps=%d %a fd=%s" n max_steps Pattern.pp
+      (pattern ~n crashes) (fst (List.nth zoo d))
+  in
+  make ~print gen
+
+(* A detector that counts its queries. *)
+let counting detector =
+  let queries = ref 0 in
+  (Detector.observed ~on_query:(fun _ _ _ _ -> incr queries) detector, queries)
+
+let scope_tests =
+  [
+    test "the detector is read once per run: n * (max_steps + 2) queries" (fun () ->
+        List.iter
+          (fun (label, n, pat, max_steps) ->
+            let expected = n * (max_steps + 2) in
+            let check =
+              Explore.both agreement
+                (Explore.validity_check ~n ~proposals ~equal:Int.equal)
+            in
+            List.iter
+              (fun (walk, canon, por, por_lambda, symmetry) ->
+                let symmetry = if symmetry then Some (sym_spec ~n) else None in
+                let detector, queries = counting Perfect.canonical in
+                let (_ : int Explore.report) =
+                  Explore.run ~max_steps ~max_nodes:20_000 ~canon ~por ~por_lambda
+                    ?symmetry ~d_equal ~pattern:pat ~detector ~check
+                    (Ct_strong.automaton ~proposals)
+                in
+                Alcotest.(check int) (label ^ ", " ^ walk ^ ": run") expected !queries;
+                queries := 0;
+                let (_ : string list) =
+                  Explore.describe ~max_steps ~canon ~por ~por_lambda ?symmetry ~d_equal
+                    ~pattern:pat ~detector ()
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s, %s: describe reads %d <= %d" label walk !queries
+                     expected)
+                  true (!queries <= expected))
+              [ ("naive", false, false, false, false);
+                ("canon", true, false, false, false);
+                ("canon+por+lambda", true, true, true, false);
+                ("full stack", true, true, true, true) ])
+          [ ("n=3, crash 1@2, depth 9", 3, pattern ~n:3 [ (1, 2) ], 9);
+            ("n=5 failure-free, depth 6", 5, Pattern.failure_free ~n:5, 6) ]);
+    qtest ~count:200 "scope oracle: group and clamp tick against direct queries"
+      arb_scope
+      (fun (n, max_steps, crashes, d) ->
+        let pat = pattern ~n crashes and detector = snd (List.nth zoo d) in
+        let horizon = max_steps + 1 in
+        let group =
+          Symmetry.filter_equivariant
+            ~views:(views_of ~pattern:pat ~detector ~horizon)
+            ~d_rename:Symmetry.rename_set ~d_equal (Symmetry.crash_respecting pat)
+        in
+        let reference = reference_group ~pattern:pat ~detector ~horizon in
+        let lines =
+          Explore.describe ~max_steps ~canon:true ~symmetry:(sym_spec ~n) ~d_equal
+            ~pattern:pat ~detector ()
+        in
+        let says needle = List.exists (contains_substring ~needle) lines in
+        List.map Symmetry.images group = List.map Symmetry.images reference
+        && says
+             (Printf.sprintf "clock clamp at t=%d"
+                (reference_clamp ~pattern:pat ~detector ~horizon))
+        && says (Printf.sprintf "group order %d after" (List.length reference)));
   ]
 
 (* ---------- the walk's observable surface: timeline and --explain ---------- *)
@@ -579,6 +720,24 @@ let strategy_tests =
           (fun needle ->
             Alcotest.(check bool) (needle ^ " mentioned") true (mentions needle))
           [ "canon"; "clamp"; "sleep"; "lambda"; "symmetry" ]);
+    test "describe without canon quotients only the decision sets" (fun () ->
+        (* Without canon no state orbit is merged, so the symmetry line
+           must not claim orbit representatives. *)
+        let symmetry_line ~canon =
+          Explore.describe ~max_steps:7 ~canon ~symmetry:(sym_spec ~n) ~d_equal
+            ~pattern:(pattern ~n [ (1, 2) ])
+            ~detector:Perfect.canonical ()
+          |> List.find (contains_substring ~needle:"reduction: symmetry")
+        in
+        Alcotest.(check string) "canon off"
+          "reduction: symmetry (group order 2 after crash-pattern and detector \
+           equivariance; without canon only the decision sets are quotiented)"
+          (symmetry_line ~canon:false);
+        Alcotest.(check string) "canon on"
+          "reduction: symmetry (group order 2 after crash-pattern and detector \
+           equivariance; orbit representative = min fingerprint lane; orbits \
+           hashconsed whole, one renaming per group element)"
+          (symmetry_line ~canon:true));
   ]
 
 (* ---------- the explorer's step against the Runner's ---------- *)
@@ -742,6 +901,7 @@ let () =
       suite "small-scope-model-checking" explorer_tests;
       suite "reductions" reduction_tests;
       suite "symmetry" symmetry_tests;
+      suite "resolved-scope" scope_tests;
       suite "strategies-and-stores" strategy_tests;
       suite "step-oracle" step_oracle_tests;
       suite "paranoid-fingerprint-audit" paranoid_tests;

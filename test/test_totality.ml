@@ -89,10 +89,10 @@ let non_realistic_tests =
 
 (* [Totality.check] as a filter over every event of the run: the reference
    its scan of the output steps must match, violation for violation. *)
-let check_reference ?(is_decision = fun _ -> true) (r : _ Runner.result) =
+let check_reference (r : _ Runner.result) =
   Runner.events r
   |> List.filter_map (fun (e : _ Runner.event) ->
-         if not (List.exists is_decision e.Runner.outputs) then None
+         if e.Runner.outputs = [] then None
          else
            let alive = Pattern.alive_at r.Runner.pattern e.Runner.time in
            let missing = Pid.Set.diff alive e.Runner.heard_from in
@@ -118,10 +118,7 @@ let oracle_tests =
           let vs = Totality.check r in
           if vs = [] then incr total else incr violating;
           let label = Format.asprintf "seed %d, %a" seed Pattern.pp pattern in
-          Alcotest.(check bool) label true (vs = check_reference r);
-          let is_decision v = v mod 2 = 1 in
-          Alcotest.(check bool) (label ^ ", odd decisions only") true
-            (Totality.check ~is_decision r = check_reference ~is_decision r)
+          Alcotest.(check bool) label true (vs = check_reference r)
         done;
         Alcotest.(check bool) "some runs violate totality" true (!violating > 0);
         Alcotest.(check bool) "some runs are total" true (!total > 0));
