@@ -33,6 +33,9 @@ let timed name f = Obs.Timeline.span recorder name f
 
 let registry = Obs.Metrics.create ()
 
+(* counts the events of the runs that pass it into [registry] *)
+let meter = Obs.Metrics.sink registry
+
 let seed = 2002
 
 let proposals p = 100 + Pid.to_int p
@@ -88,10 +91,15 @@ let table_hierarchy () =
 (* ---------------------------------------------------------------- *)
 
 let run_with ~n ~detector ~pattern automaton =
-  Runner.run ~pattern ~detector ~scheduler:(Scheduler.fair ()) ~horizon:(time 8000)
-    ~until:(Runner.stop_when_all_correct_output pattern)
-    ~metrics:registry automaton
-  |> fun r -> ignore n; r
+  let r =
+    Runner.run ~pattern ~detector ~scheduler:(Scheduler.fair ()) ~horizon:(time 8000)
+      ~until:(Runner.stop_when_all_correct_output pattern)
+      ~sink:meter automaton
+  in
+  if r.Runner.idle_ticks > 0 then
+    Obs.Metrics.incr ~by:r.Runner.idle_ticks registry "idle_ticks";
+  ignore n;
+  r
 
 let table_solvability () =
   let n = 5 in
@@ -361,9 +369,10 @@ let table_qos () =
   in
   let run model style =
     let r =
-      Netsim.run ~n ~pattern ~model ~seed ~horizon:4000 ~metrics:registry
-        (Heartbeat.node ~metrics:registry style)
+      Netsim.run ~n ~pattern ~model ~seed ~horizon:4000 ~sink:meter
+        (Heartbeat.node ~sink:meter style)
     in
+    Obs.Metrics.incr ~by:r.Netsim.events_processed registry "events_processed";
     let report = Qos.analyze r in
     Qos.observe registry report;
     Table.add_row t
@@ -1644,7 +1653,8 @@ let table_campaign () =
   Format.printf "wrote BENCH_campaign.json@.@."
 
 (* Every table runs under a named timeline span; the spans (plus the
-   registry populated by run_with / table_qos) become BENCH_obs.json. *)
+   registry metered and landed by run_with / table_qos) become
+   BENCH_obs.json. *)
 let tables () =
   timed "T1.claims" table_claims;
   timed "T2.hierarchy" table_hierarchy;

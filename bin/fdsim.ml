@@ -793,7 +793,7 @@ let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
       ~seeds:(List.init seeds (fun i -> seed + i))
       ()
   in
-  let job ~rng:_ ~metrics jb =
+  let job ~rng:_ ~metrics:_ jb =
     let axis = Campaign.Spec.value jb in
     let jn = int_of_string (axis "n") in
     let loss = float_of_string (axis "loss") in
@@ -813,7 +813,6 @@ let qos_grid ~seed ~horizon ~base ~timeout ~impls ~topos ~partition_triples
         ~seed:jb.Campaign.Spec.seed ~horizon ~spec:dspec ~partitions
         ~snapshot_every:0 ~progress:Obs.Trace.null
     in
-    Qos_stream.observe metrics s;
     (dspec, partitions, s)
   in
   let report =
@@ -1289,11 +1288,22 @@ let explore_cmd =
         in
         Format.printf "unreduced: %a@." Explore.pp_report c.Explore.unreduced;
         Format.printf "reduced:   %a@." Explore.pp_report c.Explore.reduced;
-        Format.printf
-          "cross-check: %s (%d decision state(s), %.1fx fewer nodes)@."
-          (if c.Explore.identical then "identical" else "MISMATCH")
-          (List.length c.Explore.reduced.Explore.decision_states)
-          c.Explore.node_factor;
+        (* a walk cut short by its budget proves nothing either way *)
+        let cut_short =
+          match (c.Explore.unreduced.Explore.complete, c.Explore.reduced.Explore.complete) with
+          | true, true -> None
+          | false, true -> Some "the unreduced walk exhausted its node budget"
+          | true, false -> Some "the reduced walk exhausted its node budget"
+          | false, false -> Some "both walks exhausted their node budget"
+        in
+        (match cut_short with
+        | Some why -> Format.printf "cross-check: inconclusive (%s)@." why
+        | None ->
+          Format.printf
+            "cross-check: %s (%d decision state(s), %.1fx fewer nodes)@."
+            (if c.Explore.identical then "identical" else "MISMATCH")
+            (List.length c.Explore.reduced.Explore.decision_states)
+            c.Explore.node_factor);
         exit_ok c.Explore.identical
       end
       else begin
@@ -1402,7 +1412,8 @@ let explore_cmd =
             "Run both reduced and naive explorations and verify they reach \
              identical decision-state sets.  Reduces with the requested \
              subset of --canon/--por/--por-lambda/--symmetry, or the full \
-             stack when none is given.")
+             stack when none is given.  When either walk exhausts \
+             --max-nodes the verdict is inconclusive (exit 1).")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -1665,6 +1676,10 @@ let render_cmd =
 let metrics_cmd =
   let run n seed horizon crashes model fd json =
     let registry = Obs.Metrics.create () in
+    (* Every phase's events run through the meter; what no event carries
+       is landed from the phase's result. *)
+    let meter = Obs.Metrics.sink registry in
+    let count name by = Obs.Metrics.incr ~by registry name in
     (* Phase 1: a heartbeat detector under the message-passing simulator.
        The QoS analysis feeds the detection_latency / mistake_duration
        histograms, so we default to one crash when none is requested. *)
@@ -1673,15 +1688,15 @@ let metrics_cmd =
     let link = make_model model in
     let style = Heartbeat.Fixed { period = 20; timeout = 31 } in
     let r_net =
-      Netsim.run ~n ~pattern ~model:link ~seed ~horizon ~metrics:registry
-        (Heartbeat.node ~metrics:registry style)
+      Netsim.run ~n ~pattern ~model:link ~seed ~horizon ~sink:meter
+        (Heartbeat.node ~sink:meter style)
     in
+    count "events_processed" r_net.Netsim.events_processed;
     Qos.observe registry (Qos.analyze r_net);
     (* Phase 1b: the detector zoo's realistic corner — adaptive ping-ack
        over the hierarchical topology with a healing partition — so the
-       zoo's counter family (monitor_degree, messages_dropped_partition,
-       partition_suspicion_episodes, qos_messages_dropped_partition)
-       appears in the dump. *)
+       zoo's counter family (monitor_degree, partition_suspicion_episodes,
+       qos_messages_dropped_partition) appears in the dump. *)
     let zoo_spec =
       {
         Detector_impl.impl = `Pingack;
@@ -1701,12 +1716,15 @@ let metrics_cmd =
     let zoo_est =
       Qos_stream.create ~label:"zoo" ~partitions:zoo_partitions ~n ~pattern ()
     in
-    let zoo_tap = Qos_stream.sink zoo_est in
     let (Detector_impl.Sim zr) =
-      Detector_impl.simulate ~retain_outputs:false ~sink:zoo_tap
-        ~metrics:registry ~partitions:zoo_partitions ~n ~pattern ~model:link
-        ~seed ~horizon zoo_spec
+      Detector_impl.simulate ~retain_outputs:false
+        ~sink:(Obs.Trace.tee (Qos_stream.sink zoo_est) meter)
+        ~partitions:zoo_partitions ~n ~pattern ~model:link ~seed ~horizon
+        zoo_spec
     in
+    count "events_processed" zr.Netsim.events_processed;
+    Obs.Metrics.set_gauge registry "monitor_degree"
+      (float_of_int (Topology.degree zoo_spec.Detector_impl.topology ~n));
     Qos_stream.observe registry (Qos_stream.finish zoo_est ~end_time:zr.Netsim.end_time);
     (* Phase 2: consensus over the abstract-step simulator, with the
        detector wrapped so every module query is counted and suspicion
@@ -1727,35 +1745,55 @@ let metrics_cmd =
             Obs.Metrics.incr ~by:flips registry "suspicion_transitions";
           Hashtbl.replace last_seen p seen)
     in
-    let (_ : (_, _) Runner.result) =
+    let r =
       Runner.run ~pattern ~detector:observed
         ~scheduler:(make_scheduler ~seed `Fair)
-        ~horizon:(Time.of_int horizon) ~metrics:registry
+        ~horizon:(Time.of_int horizon) ~sink:meter
         ~until:(Runner.stop_when_all_correct_output pattern)
         (Ct_strong.automaton ~proposals)
     in
+    if r.Runner.idle_ticks > 0 then count "idle_ticks" r.Runner.idle_ticks;
     (* Phase 3: a small exhaustive exploration with the whole reduction
        stack, so the explorer's counter families (nodes, dedup, POR prunes,
        orbit collapses) all appear in the dump. *)
     let xp = pattern_of ~n:3 [ (1, 2) ] in
-    let (_ : int Explore.report) =
+    let started = Obs.Profile.now () in
+    let x =
       Explore.run ~max_steps:7 ~canon:true ~por:true ~por_lambda:true
         ~symmetry:(Ct_strong.symmetry ~n:3 ~proposals)
-        ~d_equal:Pid.Set.equal ~metrics:registry ~pattern:xp
-        ~detector:Perfect.canonical
+        ~d_equal:Pid.Set.equal ~pattern:xp ~detector:Perfect.canonical
         ~check:(Explore.agreement_check ~equal:Int.equal)
         (Ct_strong.automaton ~proposals)
     in
+    let elapsed = Obs.Profile.now () -. started in
+    count "explore_nodes" x.Explore.nodes_explored;
+    count "explore_violations" (List.length x.Explore.violations);
+    count "explore_distinct_states" x.Explore.distinct_states;
+    count "explore_deduped" x.Explore.deduped;
+    count "explore_por_pruned" x.Explore.por_pruned;
+    count "explore_lambda_pruned" x.Explore.lambda_pruned;
+    count "explore_orbit_collapsed" x.Explore.orbit_collapsed;
+    if elapsed > 0. then
+      Obs.Metrics.set_gauge registry "explore_nodes_per_sec"
+        (float_of_int x.Explore.nodes_explored /. elapsed);
     (* Phase 4: a micro-campaign through the persistent domain pool, with
        more worker slots than the pool will ever spawn domains on small
        machines — the orphan ranges are drained by stealing, so the pool
        counter family (campaign_steals, pool_domains) lands in the dump
        with the steal path exercised. *)
-    let pool_report =
+    let pool =
       Campaign.Engine.run ~workers:4 ~name:"metrics-pool-probe" ~seed
         ~total:32 ~label:string_of_int (fun ~rng:_ ~metrics:_ job -> job)
     in
-    Obs.Metrics.merge ~into:registry pool_report.Campaign.Engine.metrics;
+    (* no checkpoint: every outcome was executed *)
+    count "campaign_jobs" (List.length pool.Campaign.Engine.outcomes);
+    List.iter
+      (fun o ->
+        Obs.Metrics.observe registry "campaign_job_seconds" o.Campaign.Engine.elapsed_s)
+      pool.Campaign.Engine.outcomes;
+    count "campaign_steals" pool.Campaign.Engine.steals;
+    Obs.Metrics.set_gauge registry "pool_domains"
+      (float_of_int pool.Campaign.Engine.pool_domains);
     Obs.Metrics.observe_gc registry;
     if json then print_endline (Obs.Json.to_string (Obs.Metrics.to_json registry))
     else begin

@@ -89,9 +89,13 @@ let coordinator_progress ~n ~self st r sends =
   end
 
 (* Participant duties for the current round: send the estimate, then either
-   adopt the coordinator's proposal (ack) or move on upon suspicion (nack). *)
-let rec participant_progress ~n ~self suspects st sends =
-  if st.decided <> None then (st, sends)
+   adopt the coordinator's proposal (ack) or move on upon suspicion (nack).
+   [nacks] counts this step's consecutive nacks.  n of them cover every
+   coordinator, so every process is suspected and, past the finitely many
+   proposals already seen, every later round would nack too: the step
+   stops there, and the process's next step goes on from the next round. *)
+let rec participant_progress ~n ~self suspects ~nacks st sends =
+  if st.decided <> None || nacks = n then (st, sends)
   else begin
     let r = st.round in
     let coord = coordinator ~n r in
@@ -106,11 +110,13 @@ let rec participant_progress ~n ~self suspects st sends =
       let st =
         { st with est; ts = r; replied = r; round = r + 1 }
       in
-      participant_progress ~n ~self suspects st (sends @ [ (coord, Ack { round = r }) ])
+      participant_progress ~n ~self suspects ~nacks:0 st
+        (sends @ [ (coord, Ack { round = r }) ])
     | Some _ | None ->
       if Pid.Set.mem coord suspects && st.replied < r then begin
         let st = { st with replied = r; round = r + 1 } in
-        participant_progress ~n ~self suspects st (sends @ [ (coord, Nack { round = r }) ])
+        participant_progress ~n ~self suspects ~nacks:(nacks + 1) st
+          (sends @ [ (coord, Nack { round = r }) ])
       end
       else (st, sends)
   end
@@ -142,7 +148,7 @@ let handle ~n ~self st envelope suspects =
   let st, sends =
     match envelope with None -> (st, []) | Some e -> absorb ~n ~self st e []
   in
-  let st, sends = participant_progress ~n ~self suspects st sends in
+  let st, sends = participant_progress ~n ~self suspects ~nacks:0 st sends in
   let outputs =
     match (freshly_decided_from, st.decided) with
     | None, Some v -> [ v ]

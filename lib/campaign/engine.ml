@@ -204,8 +204,6 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
       let start = Profile.now () in
       let value = f ~rng ~metrics idx in
       let elapsed_s = Profile.now () -. start in
-      Metrics.incr metrics "campaign_jobs";
-      Metrics.observe metrics "campaign_job_seconds" elapsed_s;
       { job = idx; label = label idx; elapsed_s; resumed = false; value }
   in
   let body ~slot:me =
@@ -363,9 +361,6 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
           Metrics.merge ~into:metrics batch_metrics;
           fresh := List.rev_append outcomes !fresh)
         batches);
-  Metrics.incr ~by:total_steals metrics "campaign_steals";
-  Metrics.set_gauge metrics "pool_domains"
-    (float_of_int stats.Pool.participants);
   let outcomes =
     List.sort
       (fun a b -> compare a.job b.job)

@@ -49,7 +49,9 @@ type 'r report = {
   resumed : int;  (** jobs recovered from the checkpoint *)
   duplicates : int;  (** checkpoint entries for an already-seen job id *)
   skipped : int;  (** malformed / torn / undecodable / out-of-range lines *)
-  metrics : Rlfd_obs.Metrics.t;  (** per-batch registries, index order *)
+  metrics : Rlfd_obs.Metrics.t;
+      (** the jobs' per-batch registries, merged in index order; the
+          engine adds no entry of its own *)
   workers : int;  (** worker slots the campaign was asked for *)
   steals : int;  (** batches claimed from another slot's range *)
   pool_domains : int;  (** pool participants that entered this run *)

@@ -50,12 +50,7 @@ end
 
 type detector = (module S)
 
-let instantiate ?sink ?metrics ~n spec =
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Rlfd_obs.Metrics.set_gauge m "monitor_degree"
-      (float_of_int (Topology.degree spec.topology ~n)));
+let instantiate ?sink ~n:_ spec =
   match spec.impl with
   | `Heartbeat ->
     let style =
@@ -69,7 +64,7 @@ let instantiate ?sink ?metrics ~n spec =
 
       type msg = Heartbeat.msg
 
-      let node = Heartbeat.node ?sink ?metrics ~topology:spec.topology style
+      let node = Heartbeat.node ?sink ~topology:spec.topology style
     end : S)
   | `Pingack ->
     let params =
@@ -80,14 +75,14 @@ let instantiate ?sink ?metrics ~n spec =
 
       type msg = Pingack.msg
 
-      let node = Pingack.node ?sink ?metrics ?backoff:spec.backoff ~topology:spec.topology params
+      let node = Pingack.node ?sink ?backoff:spec.backoff ~topology:spec.topology params
     end : S)
 
 type simulation = Sim : ('s, Pid.Set.t) Netsim.result -> simulation
 
-let simulate ?until ?retain_outputs ?sink ?metrics ?partitions ~n ~pattern ~model
-    ~seed ~horizon spec =
-  let (module D) = instantiate ?sink ?metrics ~n spec in
+let simulate ?until ?retain_outputs ?sink ?partitions ~n ~pattern ~model ~seed
+    ~horizon spec =
+  let (module D) = instantiate ?sink ~n spec in
   Sim
-    (Netsim.run ?until ?retain_outputs ?sink ?metrics ?partitions ~n ~pattern ~model
-       ~seed ~horizon D.node)
+    (Netsim.run ?until ?retain_outputs ?sink ?partitions ~n ~pattern ~model ~seed
+       ~horizon D.node)

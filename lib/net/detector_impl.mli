@@ -56,13 +56,13 @@ type detector = (module S)
 
 val instantiate :
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   n:int ->
   spec ->
   detector
-(** Build the node for a population of [n].  When [metrics] is given,
-    also sets the [monitor_degree] gauge to {!Topology.degree} — the
-    per-node monitoring load the spec implies. *)
+(** Build the node the spec describes; [sink] receives its
+    {!Rlfd_obs.Trace.Suspect} transitions.  [n] is unread: a node learns
+    the population size from {!Netsim.run}.  The argument stays only
+    because the repository benchmark passes it. *)
 
 type simulation = Sim : ('s, Pid.Set.t) Netsim.result -> simulation
     (** A finished run with its state type erased: every detector outputs
@@ -72,7 +72,6 @@ val simulate :
   ?until:((Netsim.time * Pid.t * Pid.Set.t) list -> bool) ->
   ?retain_outputs:bool ->
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?partitions:Partition.t list ->
   n:int ->
   pattern:Pattern.t ->

@@ -23,7 +23,7 @@ let params = function
 
 let update payload = Update payload
 
-let node ?sink ?metrics ?(topology = Topology.All_to_all) style =
+let node ?sink ?(topology = Topology.All_to_all) style =
   let period, timeout, backoff = params style in
   (* under all-to-all every node watches every other and nothing is
      gossiped, so one Broadcast makes the same posts in the same order *)
@@ -50,7 +50,7 @@ let node ?sink ?metrics ?(topology = Topology.All_to_all) style =
     let m, added = Monitor.sweep m ~now in
     (m, beats m ~now @ (if added then Monitor.flood m ~now ~update else []) @ [ tick ])
   in
-  Monitor.node ?sink ?metrics ~init ~on_message ~on_timer ()
+  Monitor.node ?sink ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

@@ -42,13 +42,12 @@ type msg
 
 val node :
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?topology:Topology.t ->
   style ->
   (state, msg, Pid.Set.t) Netsim.node
 (** Outputs the new suspicion set at every change.  [sink] additionally
     receives one {!Rlfd_obs.Trace.Suspect} event per on/off suspicion
-    transition, and [metrics] counts them as [suspicion_transitions].
+    transition.
 
     [topology] (default {!Topology.All_to_all}) selects the monitoring
     assignment.  A node's messages depend only on the seed and the

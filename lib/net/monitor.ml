@@ -93,17 +93,13 @@ let sweep m ~now =
       else (m, added))
     m.last_heard (m, false)
 
-let node ?(sink = Rlfd_obs.Trace.null) ?metrics ~init ~on_message ~on_timer ()
-    =
+let node ?(sink = Rlfd_obs.Trace.null) ~init ~on_message ~on_timer () =
   let flipped ~self ~now on subject =
     if not (Rlfd_obs.Trace.is_null sink) then
       Rlfd_obs.Trace.(
         emit sink
           (Suspect
-             { time = now; observer = Pid.to_int self; subject = Pid.to_int subject; on }));
-    match metrics with
-    | None -> ()
-    | Some reg -> Rlfd_obs.Metrics.incr reg "suspicion_transitions"
+             { time = now; observer = Pid.to_int self; subject = Pid.to_int subject; on }))
   in
   let output ~self ~now old m =
     let suspects = suspected m in

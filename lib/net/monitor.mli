@@ -85,7 +85,6 @@ val sweep : 'p t -> now:int -> 'p t * bool
 
 val node :
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   init:(n:int -> self:Pid.t -> 'p t * 'm Netsim.command list) ->
   on_message:
     (n:int -> self:Pid.t -> now:Netsim.time -> 'p t -> src:Pid.t -> 'm ->
@@ -98,4 +97,4 @@ val node :
 (** A detector node from a protocol's handlers.  After every event whose
     handling changed {!suspected}, the node outputs the new set.  [sink]
     receives one {!Rlfd_obs.Trace.Suspect} event per subject that turned
-    on or off, and [metrics] counts each as [suspicion_transitions]. *)
+    on or off. *)

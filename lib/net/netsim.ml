@@ -32,17 +32,12 @@ type ('s, 'o) result = {
 type 'm pending = Message of { src : Pid.t; dst : Pid.t; payload : 'm } | Timer of { pid : Pid.t; tag : int }
 
 let run ?(until = fun _ -> false) ?(retain_outputs = true)
-    ?(sink = Rlfd_obs.Trace.null) ?metrics ?(partitions = []) ~n ~pattern
-    ~model ~seed ~horizon node =
+    ?(sink = Rlfd_obs.Trace.null) ?(partitions = []) ~n ~pattern ~model ~seed
+    ~horizon node =
   if Pattern.n pattern <> n then invalid_arg "Netsim.run: pattern size mismatch";
   let idx p = Pid.to_int p - 1 in
   let tracing = not (Rlfd_obs.Trace.is_null sink) in
   let temit e = if tracing then Rlfd_obs.Trace.emit sink e in
-  let mincr ?by name =
-    match metrics with
-    | None -> ()
-    | Some m -> Rlfd_obs.Metrics.incr ?by m name
-  in
   let rng = Rng.derive ~seed ~salts:[ 0x4E ] in
   let queue : 'm pending Pqueue.t = Pqueue.create () in
   let states = Array.make n None in
@@ -60,8 +55,7 @@ let run ?(until = fun _ -> false) ?(retain_outputs = true)
         | Some t -> Time.to_int t
         | None -> now
       in
-      temit (Rlfd_obs.Trace.Crash { time = at; pid = Pid.to_int p });
-      mincr "crashes"
+      temit (Rlfd_obs.Trace.Crash { time = at; pid = Pid.to_int p })
     end
   in
   let post src dst payload now =
@@ -69,19 +63,15 @@ let run ?(until = fun _ -> false) ?(retain_outputs = true)
       (* the cut is judged at send time, before the link even samples:
          partition drops consume no randomness, so a partitioned run's
          surviving traffic keeps its delays deterministic *)
-      temit (Rlfd_obs.Trace.Drop { time = now; src = Pid.to_int src; dst = Pid.to_int dst });
-      mincr "messages_dropped";
-      mincr "messages_dropped_partition"
+      temit (Rlfd_obs.Trace.Drop { time = now; src = Pid.to_int src; dst = Pid.to_int dst })
     end
     else
     match Link.transmit model rng ~now with
     | None ->
       (* dropped by a lossy link *)
-      temit (Rlfd_obs.Trace.Drop { time = now; src = Pid.to_int src; dst = Pid.to_int dst });
-      mincr "messages_dropped"
+      temit (Rlfd_obs.Trace.Drop { time = now; src = Pid.to_int src; dst = Pid.to_int dst })
     | Some delay ->
       temit (Rlfd_obs.Trace.Send { time = now; src = Pid.to_int src; dst = Pid.to_int dst });
-      mincr "messages_sent";
       Pqueue.add queue ~prio:(now + delay) (Message { src; dst; payload })
   in
   let apply_commands self now commands =
@@ -98,13 +88,11 @@ let run ?(until = fun _ -> false) ?(retain_outputs = true)
           temit
             (Rlfd_obs.Trace.Timer_set
                { time = now; pid = Pid.to_int self; tag; fires_at });
-          mincr "timers_set";
           Pqueue.add queue ~prio:fires_at (Timer { pid = self; tag })
         | Halt ->
           if not halted.(idx self) then begin
             halted.(idx self) <- true;
             temit (Rlfd_obs.Trace.Halt { time = now; pid = Pid.to_int self });
-            mincr "halts";
             halts := (now, self) :: !halts
           end)
       commands
@@ -137,7 +125,6 @@ let run ?(until = fun _ -> false) ?(retain_outputs = true)
               if retain_outputs then
                 List.iter (fun o -> outputs := (t, pid, o) :: !outputs) outs;
               incr processed;
-              mincr "events_processed";
               if outs <> [] && until !outputs then stop := true
           end
         in
@@ -147,12 +134,10 @@ let run ?(until = fun _ -> false) ?(retain_outputs = true)
           temit
             (Rlfd_obs.Trace.Deliver
                { time = t; src = Pid.to_int src; dst = Pid.to_int dst });
-          mincr "messages_delivered";
           dispatch dst (fun st -> node.on_message ~n ~self:dst ~now:t st ~src payload)
         | Timer { pid; tag } ->
           temit
             (Rlfd_obs.Trace.Timer_fire { time = t; pid = Pid.to_int pid; tag });
-          mincr "timers_fired";
           dispatch pid (fun st -> node.on_timer ~n ~self:pid ~now:t st ~tag)
       end
   done;

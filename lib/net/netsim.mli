@@ -47,7 +47,6 @@ val run :
   ?until:((time * Pid.t * 'o) list -> bool) ->
   ?retain_outputs:bool ->
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?partitions:Partition.t list ->
   n:int ->
   pattern:Pattern.t ->
@@ -63,8 +62,7 @@ val run :
     whose endpoints {!Partition.separated} at send time is dropped before
     the link model samples — it consumes no randomness, so adding a
     partition schedule never perturbs the delays of surviving messages.
-    Partition drops emit {!Rlfd_obs.Trace.Drop} and count in both
-    [messages_dropped] and [messages_dropped_partition].
+    Partition drops emit {!Rlfd_obs.Trace.Drop}, as link losses do.
 
     [retain_outputs] (default [true]): when [false] the result's
     [outputs] list stays empty — the bounded-memory mode for large-n runs
@@ -76,9 +74,8 @@ val run :
     {b Observability} (off by default, free when off): [sink] receives the
     full message lifecycle ({!Rlfd_obs.Trace.Send} / [Deliver] / [Drop]),
     timer events ([Timer_set] / [Timer_fire]), [Crash] (emitted once, the
-    first time the crash suppresses an event) and [Halt]; [metrics] gets
-    the matching counters [messages_sent], [messages_delivered],
-    [messages_dropped], [timers_set], [timers_fired], [events_processed],
-    [crashes] and [halts]. *)
+    first time the crash suppresses an event) and [Halt];
+    {!Rlfd_obs.Metrics.sink} counts them, and the result carries
+    [events_processed]. *)
 
 val outputs_of : ('s, 'o) result -> Pid.t -> (time * 'o) list

@@ -21,7 +21,7 @@ let attempt_tag = 1
 
 let update payload = Update payload
 
-let node ?sink ?metrics ?backoff ?(topology = Topology.All_to_all)
+let node ?sink ?backoff ?(topology = Topology.All_to_all)
     { period; timeout; retries } =
   if period < 1 then invalid_arg "Pingack.node: period must be >= 1";
   if retries < 0 then invalid_arg "Pingack.node: retries must be >= 0";
@@ -82,7 +82,7 @@ let node ?sink ?metrics ?backoff ?(topology = Topology.All_to_all)
         @ timers r.watched )
     end
   in
-  Monitor.node ?sink ?metrics ~init ~on_message ~on_timer ()
+  Monitor.node ?sink ~init ~on_message ~on_timer ()
 
 let perfect_timeout model ~period =
   match Link.bounded_from_start model with

@@ -32,14 +32,12 @@ type msg
 
 val node :
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?backoff:int ->
   ?topology:Topology.t ->
   params ->
   (state, msg, Pid.Set.t) Netsim.node
 (** Outputs the new suspicion set at every change; [sink] receives
-    {!Rlfd_obs.Trace.Suspect} transitions and [metrics] counts
-    [suspicion_transitions], exactly as {!Heartbeat.node}.
+    {!Rlfd_obs.Trace.Suspect} transitions, exactly as {!Heartbeat.node}.
 
     Raises [Invalid_argument] if [period < 1] or [retries < 0]. *)
 

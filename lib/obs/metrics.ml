@@ -46,6 +46,23 @@ let histogram_of registry name =
 
 let observe registry name sample = Sketch.add (histogram_of registry name) sample
 
+let sink registry =
+  Trace.callback (function
+    | Trace.Step { received_from; sent_to; outputs; _ } ->
+      incr registry "steps";
+      incr ~by:(List.length sent_to) registry "messages_sent";
+      if received_from <> None then incr registry "messages_delivered";
+      incr ~by:(List.length outputs) registry "outputs"
+    | Send _ -> incr registry "messages_sent"
+    | Deliver _ -> incr registry "messages_delivered"
+    | Drop _ -> incr registry "messages_dropped"
+    | Timer_set _ -> incr registry "timers_set"
+    | Timer_fire _ -> incr registry "timers_fired"
+    | Crash _ -> incr registry "crashes"
+    | Halt _ -> incr registry "halts"
+    | Suspect _ -> incr registry "suspicion_transitions"
+    | Violation _ | Progress _ | Qos_snapshot _ -> ())
+
 let observe_gc registry =
   let g = Gc.quick_stat () in
   set_gauge registry "gc_minor_collections" (float_of_int g.Gc.minor_collections);

@@ -15,31 +15,46 @@
     sums and extremes are exact; quantiles are within
     {!Sketch.relative_error} (about 1%).
 
-    Registry names used across the stack:
-    - ["steps"], ["idle_ticks"], ["outputs"] — {!Rlfd_sim.Runner}
-    - ["messages_sent"], ["messages_delivered"] — {!Rlfd_sim.Runner} and
-      {!Rlfd_net.Netsim}
-    - ["messages_dropped"], ["messages_dropped_partition"] (the subset
-      dropped by an active partition), ["timers_set"], ["timers_fired"],
-      ["events_processed"] — {!Rlfd_net.Netsim}
-    - ["suspicion_transitions"] — {!Rlfd_net.Heartbeat} and
-      {!Rlfd_net.Pingack}
+    No simulator writes to a registry.  A run reports what happens as
+    {!Trace} events and its totals in its result; the registry's owner
+    ([fdsim metrics], the bench harness) counts the first with {!sink}
+    and lands the second itself.
+
+    Counted from events by {!sink}, from {!Rlfd_sim.Runner},
+    {!Rlfd_net.Netsim} and the detector nodes:
+    - ["steps"], ["messages_sent"], ["messages_delivered"], ["outputs"] —
+      {!Trace.Step}
+    - ["messages_sent"], ["messages_delivered"], ["messages_dropped"] —
+      {!Trace.Send}, {!Trace.Deliver}, {!Trace.Drop}
+    - ["timers_set"], ["timers_fired"], ["crashes"], ["halts"] —
+      {!Trace.Timer_set}, {!Trace.Timer_fire}, {!Trace.Crash},
+      {!Trace.Halt}
+    - ["suspicion_transitions"] — {!Trace.Suspect}
+
+    Landed by the owner from results and reports:
+    - ["events_processed"] — {!Rlfd_net.Netsim.result}
+    - ["idle_ticks"] (only when above 0) — {!Rlfd_sim.Runner.result}
     - ["monitor_degree"] (gauge: per-node monitoring load of the
-      topology) — {!Rlfd_net.Detector_impl.instantiate}
+      topology) — {!Rlfd_net.Topology.degree}
     - ["detection_latency"], ["mistake_duration"],
       ["mistake_recurrence"] (histograms),
       ["false_suspicion_episodes"], ["partition_suspicion_episodes"],
       ["undetected_crash_pairs"], ["qos_messages_dropped_partition"]
       (counters), ["undetected_fraction"], ["query_accuracy"] (gauges) —
       {!Rlfd_net.Qos.observe} and {!Rlfd_net.Qos_stream.observe}
+    - ["explore_nodes"], ["explore_violations"],
+      ["explore_distinct_states"], ["explore_deduped"],
+      ["explore_por_pruned"], ["explore_lambda_pruned"],
+      ["explore_orbit_collapsed"] — {!Rlfd_sim.Explore.report}; and
+      ["explore_nodes_per_sec"] (gauge) from the owner's own clock
+    - ["campaign_jobs"], ["campaign_job_seconds"] (histogram),
+      ["campaign_steals"], ["pool_domains"] (gauge) — the executed
+      outcomes, their wall times, [steals] and [pool_domains] of a
+      {!Rlfd_campaign.Engine.report}
     - ["gc_minor_collections"], ["gc_major_collections"],
       ["gc_compactions"], ["gc_promoted_words"], ["gc_heap_words"],
       ["gc_top_heap_words"], ["gc_minor_words"], ["gc_major_words"]
-      (gauges) — {!observe_gc}, called by [fdsim metrics] before export
-    - ["explore_nodes"], ["explore_violations"],
-      ["explore_nodes_per_sec"], and — when the corresponding reduction is
-      enabled — ["explore_distinct_states"], ["explore_deduped"],
-      ["explore_por_pruned"] — {!Rlfd_sim.Explore} *)
+      (gauges) — {!observe_gc}, called by [fdsim metrics] before export *)
 
 type t
 
@@ -56,6 +71,16 @@ val set_gauge : t -> string -> float -> unit
 
 val observe : t -> string -> float -> unit
 (** Fold one sample into a histogram's sketch.  O(1). *)
+
+val sink : t -> Trace.sink
+(** The meter: a sink that counts each event into the registry under the
+    names above.  A {!Trace.Step} adds 1 to ["steps"], the length of its
+    [sent_to] to ["messages_sent"], 1 to ["messages_delivered"] when it
+    received a message, and the number of its outputs to ["outputs"].
+    [Send], [Deliver], [Drop], [Timer_set], [Timer_fire], [Crash], [Halt]
+    and [Suspect] each add 1 to their counter.  Every other event is
+    ignored, so a kind that never occurs leaves no key.  {!Trace.tee} it
+    with the sink a run already takes. *)
 
 val observe_gc : t -> unit
 (** Snapshot [Gc.quick_stat] into gauges: ["gc_minor_collections"],

@@ -383,7 +383,7 @@ type 'o acc = {
 let run ?(max_steps = 12) ?(max_nodes = 200_000)
     ?(max_violations = 5) ?(canon = false) ?(por = false) ?(por_lambda = false)
     ?symmetry ?(capture = false) ?(d_equal = fun a b -> a = b)
-    ?(sink = Rlfd_obs.Trace.null) ?metrics ?(paranoid = false)
+    ?(sink = Rlfd_obs.Trace.null) ?(paranoid = false)
     ?(timeline = Rlfd_obs.Timeline.null) ~pattern ~detector ~check
     (algo : _ Model.t) =
   if max_steps < 0 then invalid_arg "Explore.run: max_steps < 0";
@@ -1052,37 +1052,16 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000)
     Rlfd_obs.Timeline.record_span rec_ "encode" ~dur_s:acc.t_encode;
     Rlfd_obs.Timeline.record_span rec_ "confirm" ~dur_s:acc.t_confirm
   end;
-  let distinct = if red.canon then Hashing.Table.length visited else acc.nodes in
-  let violations = List.rev acc.violations in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    let elapsed = Rlfd_obs.Profile.now () -. started_at in
-    Rlfd_obs.Metrics.incr ~by:acc.nodes m "explore_nodes";
-    Rlfd_obs.Metrics.incr ~by:(List.length violations) m "explore_violations";
-    if red.canon then begin
-      Rlfd_obs.Metrics.incr ~by:distinct m "explore_distinct_states";
-      Rlfd_obs.Metrics.incr ~by:acc.deduped m "explore_deduped"
-    end;
-    if sleeping then begin
-      Rlfd_obs.Metrics.incr ~by:acc.por_pruned m "explore_por_pruned";
-      Rlfd_obs.Metrics.incr ~by:acc.lambda_pruned m "explore_lambda_pruned"
-    end;
-    if red.spec <> None then
-      Rlfd_obs.Metrics.incr ~by:acc.orbit_collapsed m "explore_orbit_collapsed";
-    if elapsed > 0. then
-      Rlfd_obs.Metrics.set_gauge m "explore_nodes_per_sec"
-        (float_of_int acc.nodes /. elapsed));
   {
     nodes_explored = acc.nodes;
-    distinct_states = distinct;
+    distinct_states = (if red.canon then Hashing.Table.length visited else acc.nodes);
     deduped = acc.deduped;
     por_pruned = acc.por_pruned;
     lambda_pruned = acc.lambda_pruned;
     orbit_collapsed = acc.orbit_collapsed;
     complete = not acc.truncated;
     deepest = acc.deepest;
-    violations;
+    violations = List.rev acc.violations;
     decision_states = List.sort String.compare acc.decision_list;
   }
 
@@ -1135,11 +1114,11 @@ type 'o comparison = {
 }
 
 let cross_check ?max_steps ?max_nodes ?max_violations ?(canon = true)
-    ?(por = true) ?(por_lambda = true) ?symmetry ?d_equal ?sink ?metrics
-    ~pattern ~detector ~check algo =
+    ?(por = true) ?(por_lambda = true) ?symmetry ?d_equal ?sink ~pattern
+    ~detector ~check algo =
   let reduced =
     run ?max_steps ?max_nodes ?max_violations ~canon ~por ~por_lambda
-      ?symmetry ?d_equal ?sink ?metrics ~pattern ~detector ~check algo
+      ?symmetry ?d_equal ?sink ~pattern ~detector ~check algo
   in
   (* The naive side explores the full tree, but — when the reduced side
      quotients by symmetry — records its decision multisets through the
@@ -1147,8 +1126,8 @@ let cross_check ?max_steps ?max_nodes ?max_violations ?(canon = true)
      (without [canon], no orbit of visited states is merged). *)
   let unreduced =
     run ?max_steps ?max_nodes ?max_violations ~canon:false ~por:false
-      ~por_lambda:false ?symmetry ?d_equal ?sink ?metrics ~pattern ~detector
-      ~check algo
+      ~por_lambda:false ?symmetry ?d_equal ?sink ~pattern ~detector ~check
+      algo
   in
   {
     reduced;

@@ -162,7 +162,6 @@ val run :
   ?capture:bool ->
   ?d_equal:('d -> 'd -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?paranoid:bool ->
   ?timeline:Rlfd_obs.Timeline.t ->
   pattern:Pattern.t ->
@@ -218,12 +217,7 @@ val run :
     [sink] receives one {!Rlfd_obs.Trace.Violation} event per recorded
     violation, plus a {!Rlfd_obs.Trace.Progress} heartbeat every 250_000
     expanded nodes with the node count, rate, depth and — under [canon] —
-    the visited-set occupancy and byte estimate; [metrics] gets the
-    [explore_nodes] and [explore_violations] counters, the
-    [explore_distinct_states], [explore_deduped], [explore_por_pruned],
-    [explore_lambda_pruned] and [explore_orbit_collapsed] counters when
-    the corresponding layer is enabled, and the [explore_nodes_per_sec]
-    throughput gauge.
+    the visited-set occupancy and byte estimate.
 
     [timeline], when not {!Rlfd_obs.Timeline.null}, receives the
     per-phase wall-time split of the walk as four aggregate spans on a
@@ -284,7 +278,6 @@ val cross_check :
   ?symmetry:('s, 'm, 'd, 'o) symmetry_spec ->
   ?d_equal:('d -> 'd -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   pattern:Pattern.t ->
   detector:'d Detector.t ->
   check:('o outputs -> string option) ->
@@ -300,7 +293,10 @@ val cross_check :
     the comparison happens in one coordinate system.  Raises like
     {!run}.  The soundness regression gate for every layer:
     [identical = true] certifies that within this scope the reductions
-    lost no reachable decision state. *)
+    lost no reachable decision state.  When a side exhausted its node
+    budget ([complete = false]), [identical] is [false] but nothing was
+    shown to differ: [fdsim explore --cross-check] reports that as
+    inconclusive, not as a mismatch. *)
 
 val agreement_check : equal:('o -> 'o -> bool) -> 'o outputs -> string option
 (** Ready-made [check]: all emitted decisions are equal (uniform

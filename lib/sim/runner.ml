@@ -159,16 +159,11 @@ module Column = struct
   let contents c = Array.sub c.data 0 c.len
 end
 
-let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
+let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null)
     ?(pp_output = fun _ -> "_") ?pp_seen ~pattern ~detector ~scheduler ~horizon
     (algo : _ Model.t) =
   let n = Pattern.n pattern in
   let tracing = not (Rlfd_obs.Trace.is_null sink) in
-  let mincr name by =
-    match metrics with
-    | None -> ()
-    | Some m -> Rlfd_obs.Metrics.incr ~by m name
-  in
   let c = initial ~n algo in
   let times = Column.create Time.zero and pids = Column.create (Pid.of_int 1) in
   let senders = Column.create 0 and received_ids = Column.create 0 in
@@ -198,9 +193,7 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
     end;
     let view = { Scheduler.time = now; alive = !alive; pending } in
     (match Scheduler.choose scheduler view with
-    | Scheduler.Idle ->
-      incr idle;
-      mincr "idle_ticks" 1
+    | Scheduler.Idle -> incr idle
     | Scheduler.Step { pid; receive } ->
       let s = step ~pattern ~detector algo c ~time:now ~pid ~receive in
       let effects = s.effects in
@@ -214,8 +207,7 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
       | Some e ->
         Column.push senders (Pid.to_int e.Model.src);
         Column.push received_ids (Option.get receive);
-        incr delivered;
-        mincr "messages_delivered" 1);
+        incr delivered);
       (* The buffer is this run's own, so its ids are the sends so far. *)
       Column.push first_sent !sent;
       List.iter push_dst effects.Model.sends;
@@ -224,9 +216,6 @@ let run ?(until = fun _ -> false) ?(sink = Rlfd_obs.Trace.null) ?metrics
       sent := !sent + List.length s.sent_ids;
       List.iter (fun o -> outputs := (now, pid, o) :: !outputs) effects.Model.outputs;
       incr steps;
-      mincr "steps" 1;
-      mincr "messages_sent" (List.length effects.Model.sends);
-      mincr "outputs" (List.length effects.Model.outputs);
       if tracing then
         Rlfd_obs.Trace.(
           emit sink

@@ -120,7 +120,6 @@ val output_events : ('s, 'o) result -> 'o event list
 val run :
   ?until:((Time.t * Pid.t * 'o) list -> bool) ->
   ?sink:Rlfd_obs.Trace.sink ->
-  ?metrics:Rlfd_obs.Metrics.t ->
   ?pp_output:('o -> string) ->
   ?pp_seen:('d -> string) ->
   pattern:Pattern.t ->
@@ -141,8 +140,9 @@ val run :
       [steps].  [pp_output] renders algorithm outputs into the event (default
       ["_"]); [pp_seen] (off by default) renders the failure-detector
       value the step saw.
-    - [metrics] gets the counters [steps], [idle_ticks], [messages_sent],
-      [messages_delivered] and [outputs]. *)
+    - {!Rlfd_obs.Metrics.sink} counts these events as [steps],
+      [messages_sent], [messages_delivered] and [outputs]; the result
+      carries [idle_ticks]. *)
 
 val outputs_of : ('s, 'o) result -> Pid.t -> (Time.t * 'o) list
 (** Chronological outputs of one process. *)

@@ -158,6 +158,38 @@ let ct_ev_strong_tests =
     test "majority helper" (fun () ->
         Alcotest.(check int) "n=5" 3 (Ct_ev_strong.majority ~n:5);
         Alcotest.(check int) "n=4" 3 (Ct_ev_strong.majority ~n:4));
+    test "a step whose view suspects all n processes returns after n nacks"
+      (fun () ->
+        List.iter
+          (fun n ->
+            let algo = Ct_ev_strong.automaton ~proposals in
+            let self = Pid.of_int n in
+            let everyone = Pid.Set.of_list (Pid.all ~n) in
+            let step st = algo.Model.step ~n ~self st None everyone in
+            (* no proposal has arrived, so each round sends an estimate
+               and nacks its suspected coordinator *)
+            let first = step (algo.Model.initial ~n self) in
+            Alcotest.(check int)
+              (Printf.sprintf "n=%d: rounds 1..n nacked" n)
+              (n + 1)
+              (Ct_ev_strong.round_of first.Model.state);
+            Alcotest.(check int) "an estimate and a nack per round" (2 * n)
+              (List.length first.Model.sends);
+            let second = step first.Model.state in
+            Alcotest.(check int) "the next step nacks the next n rounds"
+              ((2 * n) + 1)
+              (Ct_ev_strong.round_of second.Model.state))
+          [ 1; 3; 5 ]);
+    test "ev-P noise that suspects everyone still lets the run decide"
+      (fun () ->
+        (* at this seed p2's view is {p1, p2, p3} at t = 2 and 3 *)
+        let pattern = pattern ~n:3 [ (1, 2) ] in
+        let r =
+          run_consensus
+            ~detector:(Ev_perfect.canonical ~stabilization:(time 200) ~seed:2002)
+            ~pattern (Ct_ev_strong.automaton ~proposals)
+        in
+        check_spec "p1 crashes at 2" r);
     qtest ~count:25 "safe and live with minority crashes" QCheck.small_int (fun seed ->
         let rng = Rng.derive ~seed ~salts:[ 0xE5 ] in
         let pattern =

@@ -327,7 +327,8 @@ let partition_tests =
         let registry = Rlfd_obs.Metrics.create () in
         let style = Heartbeat.Fixed { period = 20; timeout = 31 } in
         let _ =
-          Netsim.run ~partitions:[ cut ] ~sink:mem ~metrics:registry ~n
+          Netsim.run ~partitions:[ cut ]
+            ~sink:(Rlfd_obs.Trace.tee mem (Rlfd_obs.Metrics.sink registry)) ~n
             ~pattern:(Pattern.failure_free ~n) ~model:sync ~seed:11 ~horizon:2000
             (Heartbeat.node style)
         in
@@ -356,7 +357,7 @@ let partition_tests =
              delivers);
         Alcotest.(check int) "counter matches the event stream"
           (List.length drops)
-          (Rlfd_obs.Metrics.counter_value registry "messages_dropped_partition"));
+          (Rlfd_obs.Metrics.counter_value registry "messages_dropped"));
     test "partition suspicions heal: no permanent false suspicion" (fun () ->
         let style = Heartbeat.Fixed { period = 20; timeout = 31 } in
         let r =
@@ -697,7 +698,7 @@ let pinned_tests =
     in
     let reg = Rlfd_obs.Metrics.create () in
     let (Detector_impl.Sim r) =
-      Detector_impl.simulate ~metrics:reg ~partitions ~n
+      Detector_impl.simulate ~sink:(Rlfd_obs.Metrics.sink reg) ~partitions ~n
         ~pattern:(pattern ~n [ (3, 700); (6, 1300) ])
         ~model ~seed:42 ~horizon:3000
         { Detector_impl.impl; topology; period = 20; timeout = 31; backoff; retries = 1 }

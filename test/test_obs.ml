@@ -148,8 +148,8 @@ let traced_run () =
     Runner.run ~pattern ~detector:Perfect.canonical
       ~scheduler:(Scheduler.fair ()) ~horizon:(time 6000)
       ~until:(Runner.stop_when_all_correct_output pattern)
-      ~sink:(Trace.tee mem (Trace.to_buffer buf))
-      ~metrics ~pp_output:string_of_int
+      ~sink:(Trace.tee (Trace.tee mem (Trace.to_buffer buf)) (Metrics.sink metrics))
+      ~pp_output:string_of_int
       ~pp_seen:(Format.asprintf "%a" Pid.Set.pp)
       (Ct_strong.automaton ~proposals)
   in
@@ -224,11 +224,11 @@ let heartbeat_run ~crashes =
   let pattern = pattern ~n crashes in
   let mem = Trace.memory () in
   let metrics = Metrics.create () in
+  let sink = Trace.tee mem (Metrics.sink metrics) in
   let r =
     Netsim.run ~n ~pattern ~model:(Link.Synchronous { delta = 10 }) ~seed:7
-      ~horizon:3000 ~sink:mem ~metrics
-      (Heartbeat.node ~sink:mem ~metrics
-         (Heartbeat.Fixed { period = 20; timeout = 31 }))
+      ~horizon:3000 ~sink
+      (Heartbeat.node ~sink (Heartbeat.Fixed { period = 20; timeout = 31 }))
   in
   Qos.observe metrics (Qos.analyze r);
   (r, Trace.contents mem, metrics)
@@ -276,8 +276,89 @@ let net_tests =
 
 (* ---------- metrics registry ---------- *)
 
+(* Random event lists drawn over every constructor, small fields. *)
+let arb_events =
+  let open QCheck.Gen in
+  let t = int_bound 50 and p = int_range 1 5 in
+  let event =
+    oneof
+      [ map4
+          (fun time pid received_from (sent_to, outputs) ->
+            Trace.Step { time; pid; received_from; sent_to; outputs; seen = None })
+          t p (opt p)
+          (pair (list_size (int_bound 4) p)
+             (list_size (int_bound 2) (map string_of_int t)));
+        map3 (fun time src dst -> Trace.Send { time; src; dst }) t p p;
+        map3 (fun time src dst -> Trace.Deliver { time; src; dst }) t p p;
+        map3 (fun time src dst -> Trace.Drop { time; src; dst }) t p p;
+        map3
+          (fun time pid tag -> Trace.Timer_set { time; pid; tag; fires_at = time + 1 })
+          t p t;
+        map3 (fun time pid tag -> Trace.Timer_fire { time; pid; tag }) t p t;
+        map3
+          (fun time (observer, subject) on -> Trace.Suspect { time; observer; subject; on })
+          t (pair p p) bool;
+        map2 (fun time pid -> Trace.Crash { time; pid }) t p;
+        map2 (fun time pid -> Trace.Halt { time; pid }) t p;
+        map (fun time -> Trace.Violation { time; reason = "r" }) t;
+        map2
+          (fun time done_ ->
+            Trace.Progress
+              { time; label = "l"; done_; total = None; rate = 0.; detail = [] })
+          t t;
+        map
+          (fun time ->
+            Trace.Qos_snapshot
+              { time; label = "l"; suspected = 1; detected = 1; undetected = 0;
+                false_episodes = 0; det_p50 = 0.; det_p95 = 0.; det_p99 = 0.;
+                msgs = 3; bandwidth = 0. })
+          t ]
+  in
+  QCheck.make
+    ~print:(fun es -> String.concat "\n" (List.map Trace.render es))
+    (list_size (int_bound 30) event)
+
+(* The meter's counts, recomputed by matching constructors: what each
+   event adds to each name, [None] when the event does not touch it.  A
+   name is listed iff some event touched it, even by 0. *)
+let expected_counts events =
+  let counters =
+    [ ("steps", function Trace.Step _ -> Some 1 | _ -> None);
+      ( "messages_sent",
+        function
+        | Trace.Step { sent_to; _ } -> Some (List.length sent_to)
+        | Trace.Send _ -> Some 1
+        | _ -> None );
+      ( "messages_delivered",
+        function
+        | Trace.Step { received_from = Some _; _ } | Trace.Deliver _ -> Some 1
+        | _ -> None );
+      ( "outputs",
+        function Trace.Step { outputs; _ } -> Some (List.length outputs) | _ -> None );
+      ("messages_dropped", function Trace.Drop _ -> Some 1 | _ -> None);
+      ("timers_set", function Trace.Timer_set _ -> Some 1 | _ -> None);
+      ("timers_fired", function Trace.Timer_fire _ -> Some 1 | _ -> None);
+      ("crashes", function Trace.Crash _ -> Some 1 | _ -> None);
+      ("halts", function Trace.Halt _ -> Some 1 | _ -> None);
+      ("suspicion_transitions", function Trace.Suspect _ -> Some 1 | _ -> None) ]
+  in
+  List.filter_map
+    (fun (name, adds) ->
+      match List.filter_map adds events with
+      | [] -> None
+      | amounts -> Some (name, List.fold_left ( + ) 0 amounts))
+    counters
+  |> List.sort compare
+
 let metrics_tests =
   [
+    qtest ~count:300 "the meter counts each event kind; an absent kind leaves no key"
+      arb_events (fun events ->
+        let m = Metrics.create () in
+        let meter = Metrics.sink m in
+        List.iter (Trace.emit meter) events;
+        List.map (fun name -> (name, Metrics.counter_value m name)) (Metrics.names m)
+        = expected_counts events);
     test "counters accumulate; absent names read 0" (fun () ->
         let m = Metrics.create () in
         Alcotest.(check int) "absent" 0 (Metrics.counter_value m "x");
