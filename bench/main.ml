@@ -90,7 +90,7 @@ let table_hierarchy () =
 (* Table 3: solvability matrix in the unbounded-failure environment   *)
 (* ---------------------------------------------------------------- *)
 
-let run_with ~n ~detector ~pattern automaton =
+let run_with ~detector ~pattern automaton =
   let r =
     Runner.run ~pattern ~detector ~scheduler:(Scheduler.fair ()) ~horizon:(time 8000)
       ~until:(Runner.stop_when_all_correct_output pattern)
@@ -98,7 +98,6 @@ let run_with ~n ~detector ~pattern automaton =
   in
   if r.Runner.idle_ticks > 0 then
     Obs.Metrics.incr ~by:r.Runner.idle_ticks registry "idle_ticks";
-  ignore n;
   r
 
 let table_solvability () =
@@ -195,7 +194,7 @@ let table_consensus_cost () =
         Pattern.make ~n (List.init f (fun i -> (pid (i + 1), time (5 + (7 * i)))))
       in
       let r =
-        run_with ~n ~detector:Perfect.canonical ~pattern (Ct_strong.automaton ~proposals)
+        run_with ~detector:Perfect.canonical ~pattern (Ct_strong.automaton ~proposals)
       in
       let ok =
         Properties.check_consensus ~uniform:true ~proposals ~equal:Int.equal r
@@ -226,7 +225,7 @@ let table_lag_ablation () =
   List.iter
     (fun lag ->
       let detector = if lag = 0 then Perfect.canonical else Perfect.delayed ~lag in
-      let r = run_with ~n ~detector ~pattern (Ct_strong.automaton ~proposals) in
+      let r = run_with ~detector ~pattern (Ct_strong.automaton ~proposals) in
       let ok =
         Properties.check_consensus ~uniform:true ~proposals ~equal:Int.equal r
         |> List.for_all (fun (_, res) -> Classes.holds res)
@@ -1267,13 +1266,11 @@ let table_ordered_broadcast () =
       ~title:"T12: the broadcast family under one crash (n=4, 12 items)"
       ~columns:[ "primitive"; "guarantee checked"; "holds"; "ticks"; "messages" ]
   in
-  let exec automaton = run_with ~n ~detector:Perfect.canonical ~pattern automaton in
   (* run each primitive to quiescence-ish horizons *)
   let run_plain automaton =
     Runner.run ~pattern ~detector:Perfect.canonical ~scheduler:(Scheduler.fair ())
       ~horizon:(time 4000) automaton
   in
-  ignore exec;
   let r_rb = run_plain (Rbcast.automaton ~to_broadcast) in
   Table.add_row t
     [ "reliable"; "agreement (correct)";
@@ -1513,7 +1510,7 @@ let table_campaign () =
   comp "work (job-run)" work_s;
   comp "steal (cross-range scans)" steal_s;
   comp "queue-wait (publish lock)" queue_wait_s;
-  comp "publish (merge+checkpoint)" publish_s;
+  comp "publish (results+checkpoint)" publish_s;
   comp "  of which checkpoint fsync" fsync_s;
   comp "gc (estimated, inside work)" gc_est_s;
   comp "idle (range drained/quiescence)" idle_s;

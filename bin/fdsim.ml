@@ -248,7 +248,13 @@ let jobs_arg = Arg.(value & opt workers_conv 1 & info [ "jobs" ] ~docv:"N|auto" 
 
 let check_cmd =
   let run n seed trials jobs =
-    check_n n;
+    if n < 3 then begin
+      Format.eprintf
+        "fdsim: check needs -n >= 3 (its fixed patterns crash p2 and p3), \
+         got %d@."
+        n;
+      exit 2
+    end;
     let cfg =
       { Theorems.default_config with n; seed; trials; workers = jobs }
     in
@@ -1161,6 +1167,13 @@ let vsync_cmd =
 let nbac_cmd =
   let run n seed horizon crashes no_voters fd =
     let pattern = pattern_of ~n crashes in
+    List.iter
+      (fun p ->
+        if p < 1 || p > n then begin
+          Format.eprintf "fdsim: --no %d is outside 1..%d@." p n;
+          exit 2
+        end)
+      no_voters;
     let detector = make_detector ~seed fd in
     let votes p = if List.mem (Pid.to_int p) no_voters then Nbac.No else Nbac.Yes in
     let r =
@@ -1185,7 +1198,7 @@ let nbac_cmd =
   let no_voters =
     Arg.(
       value & opt_all int []
-      & info [ "no" ] ~docv:"PID" ~doc:"Process voting No (repeatable).")
+      & info [ "no" ] ~docv:"PID" ~doc:"Process voting No, 1..n (repeatable).")
   in
   Cmd.v
     (Cmd.info "nbac" ~doc:"Run non-blocking atomic commitment.")
@@ -1419,7 +1432,11 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Exhaustively explore every schedule up to a bound (small n!).")
     Term.(
-      const run $ Arg.(value & opt int 3 & info [ "n" ]) $ seed_arg $ crashes_arg
+      const run
+      $ Arg.(
+          value & opt int 3
+          & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+      $ seed_arg $ crashes_arg
       $ algo_arg $ detector_arg $ max_steps $ max_nodes $ uniform $ canon $ por
       $ por_lambda $ symmetry $ explain $ cross $ record_arg $ progress_arg)
 
@@ -1902,21 +1919,26 @@ let campaign_spec ~n ~horizon ~seed ~seeds ~families ~fds ~scheds =
     ~seeds:(List.init seeds (fun i -> seed + i))
     ()
 
+(* The completion log of [campaign] and [profile], at [path]. *)
+let campaign_checkpoint ~resume path =
+  { Campaign.Engine.path; codec = campaign_codec; resume }
+
 (* A checkpoint fdsim cannot read or write exits 2 (the engine does its
    IO), and so does a resume the engine rejects: the only [Failure] it
    raises, before any job runs, is for a checkpoint of another campaign. *)
-let run_campaign ?timeline ?sink ?checkpoint ~resume ~jobs ~n ~horizon ~seed
-    spec =
-  try
-    Campaign.Engine.run_spec ~workers:jobs ?timeline ?sink ?checkpoint ~resume
-      ~codec:campaign_codec ~seed spec
-      (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
-  with
-  | Sys_error msg when checkpoint <> None ->
-    file_error (Option.get checkpoint) msg
-  | Failure msg when resume ->
-    Format.eprintf "fdsim: %s@." msg;
-    exit 2
+let run_campaign ?timeline ?sink ?checkpoint ~jobs ~n ~horizon ~seed spec =
+  let run () =
+    Campaign.Engine.run_spec ~workers:jobs ?timeline ?sink ?checkpoint ~seed
+      spec (fun ~rng:_ ~metrics:_ job -> campaign_job ~n ~horizon job)
+  in
+  match checkpoint with
+  | None -> run ()
+  | Some { Campaign.Engine.path; resume; _ } -> (
+    try run () with
+    | Sys_error msg -> file_error path msg
+    | Failure msg when resume ->
+      Format.eprintf "fdsim: %s@." msg;
+      exit 2)
 
 let campaign_cmd =
   let run n seed horizon seeds families fds scheds jobs checkpoint resume out
@@ -1944,8 +1966,9 @@ let campaign_cmd =
     end;
     let write_out = lines_out out in
     let report =
-      run_campaign ~sink:(campaign_progress ~progress_f "campaign") ?checkpoint
-        ~resume ~jobs ~n ~horizon ~seed
+      run_campaign ~sink:(campaign_progress ~progress_f "campaign")
+        ?checkpoint:(Option.map (campaign_checkpoint ~resume) checkpoint)
+        ~jobs ~n ~horizon ~seed
         (campaign_spec ~n ~horizon ~seed ~seeds ~families ~fds ~scheds)
     in
     Option.iter
@@ -2049,8 +2072,9 @@ let profile_cmd =
     (match scope with
     | "campaign" ->
       let (_ : campaign_result Campaign.Engine.report) =
-        run_campaign ~timeline ?checkpoint ~resume:false ~jobs ~n ~horizon
-          ~seed
+        run_campaign ~timeline
+          ?checkpoint:(Option.map (campaign_checkpoint ~resume:false) checkpoint)
+          ~jobs ~n ~horizon ~seed
           (campaign_spec ~n ~horizon ~seed ~seeds
              ~families:(List.map (fun f -> f.Pattern.Family.name) Pattern.Family.all)
              ~fds:[ "P"; "P-delayed"; "S" ] ~scheds:[ "fair"; "random" ])

@@ -5,13 +5,9 @@ type 'r codec = {
   decode : Json.t -> ('r, string) result;
 }
 
-type 'r outcome = {
-  job : int;
-  label : string;
-  elapsed_s : float;
-  resumed : bool;
-  value : 'r;
-}
+type 'r checkpoint = { path : string; codec : 'r codec; resume : bool }
+
+type 'r outcome = { job : int; label : string; elapsed_s : float; value : 'r }
 
 type 'r report = {
   campaign : string;
@@ -21,7 +17,6 @@ type 'r report = {
   resumed : int;
   duplicates : int;
   skipped : int;
-  metrics : Metrics.t;
   workers : int;
   steals : int;
   pool_domains : int;
@@ -73,13 +68,8 @@ let load_resume codec ~name ~seed ~total ~label path =
               | Ok value ->
                 Hashtbl.add seen e.job ();
                 Some
-                  {
-                    job = e.job;
-                    label = e.label;
-                    elapsed_s = e.elapsed_s;
-                    resumed = true;
-                    value;
-                  })
+                  { job = e.job; label = e.label; elapsed_s = e.elapsed_s;
+                    value })
           entries
       in
       (recovered, !duplicates, !skipped)
@@ -98,19 +88,14 @@ let batch_target_s = 0.005
    pool still get a range; stealing is also how those orphan ranges
    drain, which is why the report is independent of how many domains
    actually showed up. *)
-let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
-    ?(sink = Trace.null) ?(timeline = Timeline.null) ~name ~seed ~total ~label
-    f =
+let run ?(workers = 1) ?checkpoint ?(sink = Trace.null)
+    ?(timeline = Timeline.null) ~name ~seed ~total ~label f =
   if total < 0 then invalid_arg "Engine.run: total < 0";
   if workers < 1 then invalid_arg "Engine.run: workers < 1";
-  if (checkpoint <> None || resume) && codec = None then
-    invalid_arg "Engine.run: ~checkpoint and ~resume require ~codec";
-  if resume && checkpoint = None then
-    invalid_arg "Engine.run: ~resume requires ~checkpoint";
   let t0 = Profile.now () in
   let recovered, duplicates, skipped =
-    match (resume, checkpoint, codec) with
-    | true, Some path, Some codec ->
+    match checkpoint with
+    | Some { path; codec; resume = true } ->
       load_resume codec ~name ~seed ~total ~label path
     | _ -> ([], 0, 0)
   in
@@ -130,8 +115,8 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
     Atomic.set cursor.(r) (r * n_pending / n_ranges);
     range_hi.(r) <- (r + 1) * n_pending / n_ranges
   done;
-  (* slot-local result publication: each participant appends finished
-     batches to its own list, no shared structure on the result path.
+  (* slot-local result publication: each participant prepends finished
+     outcomes to its own list, no shared structure on the result path.
      The pool's quiescence handshake makes the lists safe to read. *)
   let results = Array.make n_ranges [] in
   let steal_counts = Array.make n_ranges 0 in
@@ -140,27 +125,19 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
      the first new entry.  Rewriting also compacts away duplicates and
      garbage, so the file always holds the header plus one well-formed line
      per completed job. *)
+  let entry codec o =
+    { Checkpoint.job = o.job; label = o.label; elapsed_s = o.elapsed_s;
+      value = codec.encode o.value }
+  in
   let oc =
     Option.map
-      (fun path ->
+      (fun { path; codec; _ } ->
         let oc =
           open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
         in
         Checkpoint.write_header oc { Checkpoint.name; seed; total };
-        (match codec with
-        | Some codec ->
-          Checkpoint.write_entries oc
-            (List.map
-               (fun o ->
-                 {
-                   Checkpoint.job = o.job;
-                   label = o.label;
-                   elapsed_s = o.elapsed_s;
-                   value = codec.encode o.value;
-                 })
-               recovered)
-        | None -> ());
-        oc)
+        Checkpoint.write_entries oc (List.map (entry codec) recovered);
+        (oc, codec))
       checkpoint
   in
   (* the one remaining lock: checkpoint appends and progress telemetry are
@@ -198,13 +175,12 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
                total = Some total; rate; detail }))
     end
   in
-  let run_job idx =
+  let run_job metrics idx =
     let rng = Rlfd_kernel.Rng.of_path ~seed [ idx ] in
-    fun metrics ->
-      let start = Profile.now () in
-      let value = f ~rng ~metrics idx in
-      let elapsed_s = Profile.now () -. start in
-      { job = idx; label = label idx; elapsed_s; resumed = false; value }
+    let start = Profile.now () in
+    let value = f ~rng ~metrics idx in
+    let elapsed_s = Profile.now () -. start in
+    { job = idx; label = label idx; elapsed_s; value }
   in
   let body ~slot:me =
     (* the recorder is created by the participant domain itself and stays
@@ -214,6 +190,8 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
       else Timeline.recorder timeline (Printf.sprintf "worker-%d" me)
     in
     Timeline.event rec_ ~tag:me "unpark";
+    (* the jobs' scratch registry: nothing reads it *)
+    let metrics = Metrics.create () in
     (* adaptive batching: an EWMA of per-job wall time, calibrated by a
        first one-job batch, sizes every later claim to [batch_target_s] *)
     let est = ref 0. in
@@ -267,22 +245,21 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
         | Some (lo, hi) -> (
           match
             Timeline.span rec_ ~tag:lo "job-run" (fun () ->
-                let metrics = Metrics.create () in
                 let t_batch = Profile.now () in
                 let outcomes = ref [] in
                 for k = lo to hi - 1 do
                   outcomes :=
                     Timeline.span rec_ ~tag:pending.(k) "job" (fun () ->
-                        run_job pending.(k) metrics)
+                        run_job metrics pending.(k))
                     :: !outcomes
                 done;
                 let per =
                   (Profile.now () -. t_batch) /. float_of_int (hi - lo)
                 in
                 est := if !est <= 0. then per else (0.7 *. !est) +. (0.3 *. per);
-                (List.rev !outcomes, metrics))
+                List.rev !outcomes)
           with
-          | outcomes, metrics ->
+          | outcomes ->
             (* queue-wait: from batch results ready to bookkeeping lock
                held — with lock-free result publication this is only the
                checkpoint/telemetry serialisation, and the T14b table
@@ -298,26 +275,19 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
               ~finally:(fun () -> Mutex.unlock mutex)
               (fun () ->
                 Timeline.span rec_ ~tag:lo "publish" (fun () ->
-                    results.(me) <- (lo, outcomes, metrics) :: results.(me);
+                    results.(me) <- List.rev_append outcomes results.(me);
                     completed := !completed + List.length outcomes;
                     List.iter
                       (fun o -> job_times := o.elapsed_s :: !job_times)
                       outcomes;
-                    (match (oc, codec) with
-                    | Some oc, Some codec ->
-                      Timeline.span rec_ ~tag:lo "checkpoint-append"
-                        (fun () ->
-                          List.iter
-                            (fun o ->
-                              Checkpoint.write_entry oc
-                                {
-                                  Checkpoint.job = o.job;
-                                  label = o.label;
-                                  elapsed_s = o.elapsed_s;
-                                  value = codec.encode o.value;
-                                })
-                            outcomes)
-                    | _ -> ());
+                    Option.iter
+                      (fun (oc, codec) ->
+                        Timeline.span rec_ ~tag:lo "checkpoint-append"
+                          (fun () ->
+                            List.iter
+                              (fun o -> Checkpoint.write_entry oc (entry codec o))
+                              outcomes))
+                      oc;
                     notify ()))
           | exception exn ->
             let bt = Printexc.get_raw_backtrace () in
@@ -341,30 +311,15 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
   in
   if not (Timeline.is_null_recorder driver) then
     Timeline.record_span driver "pool-wait" ~dur_s:stats.Pool.wait_s;
-  Option.iter close_out oc;
+  Option.iter (fun (oc, _) -> close_out oc) oc;
   (match !failure with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ());
   let total_steals = Array.fold_left ( + ) 0 steal_counts in
-  let metrics = Metrics.create () in
-  let fresh = ref [] in
-  (* merge in batch-start order: batches are contiguous index ranges run
-     in ascending index order, so this equals a job-index-order merge —
-     gauges land on their highest-index writer whatever the batching *)
-  Timeline.span driver "metrics-merge" (fun () ->
-      let batches =
-        Array.fold_left (fun acc l -> List.rev_append l acc) [] results
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-      in
-      List.iter
-        (fun (_, outcomes, batch_metrics) ->
-          Metrics.merge ~into:metrics batch_metrics;
-          fresh := List.rev_append outcomes !fresh)
-        batches);
   let outcomes =
     List.sort
       (fun a b -> compare a.job b.job)
-      (List.rev_append recovered !fresh)
+      (Array.fold_left (fun acc l -> List.rev_append l acc) recovered results)
   in
   {
     campaign = name;
@@ -374,7 +329,6 @@ let run ?(workers = 1) ?checkpoint ?(resume = false) ?codec
     resumed = List.length recovered;
     duplicates;
     skipped;
-    metrics;
     workers;
     steals = total_steals;
     pool_domains = stats.Pool.participants;
@@ -391,9 +345,8 @@ let report_lines codec report =
              ("result", codec.encode o.value) ]))
     report.outcomes
 
-let run_spec ?workers ?checkpoint ?resume ?codec ?sink ?timeline ~seed spec f
-    =
-  run ?workers ?checkpoint ?resume ?codec ?sink ?timeline
+let run_spec ?workers ?checkpoint ?sink ?timeline ~seed spec f =
+  run ?workers ?checkpoint ?sink ?timeline
     ~name:(Spec.name spec) ~seed
     ~total:(Spec.size spec)
     ~label:(fun i -> Spec.label (Spec.job spec i))

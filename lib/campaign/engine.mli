@@ -8,21 +8,16 @@
     random stream derived from the campaign seed and its own index
     ([Rlfd_kernel.Rng.of_path ~seed [index]]).  Because a job's stream,
     inputs and identity depend only on its index — never on which worker
-    runs it or when — the aggregated report is identical at any worker
-    count, which {!report_lines} makes checkable byte-for-byte.
+    runs it or when — the aggregated report, its outcomes sorted by job
+    index, is identical at any worker count, which {!report_lines} makes
+    checkable byte-for-byte.
 
-    Aggregation is deterministic too: outcomes are sorted by job index,
-    and per-batch metric registries are folded with
-    {!Rlfd_obs.Metrics.merge} in batch-start order — batches are
-    contiguous index ranges executed in ascending index order, so the
-    fold is equivalent to a job-index-order merge no matter how the
-    adaptive batching cut them.
-
-    With [~checkpoint] the engine appends one {!Checkpoint} entry per
+    With a {!checkpoint} the engine appends one {!Checkpoint} entry per
     finished job (flushed, so a kill loses at most one in-flight line);
-    with [~resume] it first loads that file and re-runs only the missing
-    jobs.  A resumed campaign therefore completes with no duplicate job
-    ids, and its {!report_lines} equal an uninterrupted run's. *)
+    with [resume] set it first loads that file and re-runs only the
+    missing jobs.  A resumed campaign therefore completes with no
+    duplicate job ids, and its {!report_lines} equal an uninterrupted
+    run's. *)
 
 type 'r codec = {
   encode : 'r -> Rlfd_obs.Json.t;
@@ -31,12 +26,20 @@ type 'r codec = {
 (** How results cross the checkpoint file.  [decode] failures on resume are
     harmless: the job is simply re-run (and counted in [skipped]). *)
 
+type 'r checkpoint = {
+  path : string;  (** the completion log *)
+  codec : 'r codec;  (** how its entries encode results *)
+  resume : bool;
+      (** [true]: load [path] first and run only the jobs it lacks;
+          [false]: start the log afresh *)
+}
+(** Where and how a campaign logs its finished jobs. *)
+
 (** One finished job. *)
 type 'r outcome = {
   job : int;  (** the job's index in [0 .. total - 1] *)
   label : string;  (** the label the campaign gave this index *)
   elapsed_s : float;  (** wall time of this job alone *)
-  resumed : bool;  (** [true] if taken from the checkpoint, not re-run *)
   value : 'r;  (** what the job function returned *)
 }
 
@@ -49,9 +52,6 @@ type 'r report = {
   resumed : int;  (** jobs recovered from the checkpoint *)
   duplicates : int;  (** checkpoint entries for an already-seen job id *)
   skipped : int;  (** malformed / torn / undecodable / out-of-range lines *)
-  metrics : Rlfd_obs.Metrics.t;
-      (** the jobs' per-batch registries, merged in index order; the
-          engine adds no entry of its own *)
   workers : int;  (** worker slots the campaign was asked for *)
   steals : int;  (** batches claimed from another slot's range *)
   pool_domains : int;  (** pool participants that entered this run *)
@@ -60,9 +60,7 @@ type 'r report = {
 
 val run :
   ?workers:int ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  ?codec:'r codec ->
+  ?checkpoint:'r checkpoint ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?timeline:Rlfd_obs.Timeline.t ->
   name:string ->
@@ -73,9 +71,11 @@ val run :
   'r report
 (** [run ~name ~seed ~total ~label f] executes jobs [0 .. total - 1].
 
-    [f ~rng ~metrics index] gets a stream private to [index] and the
-    registry of the batch it happens to run in; anything recorded there
-    surfaces merged in the report's [metrics].
+    [f ~rng ~metrics index] gets a stream private to [index].  [metrics]
+    is a scratch registry, one per pool participant, that nothing reads:
+    it stays only because the repository benchmark's job ([perfbench/])
+    takes [~metrics:_], just as {!Rlfd_net.Detector_impl.instantiate}
+    keeps [~n:_].
 
     Batching adapts to the workload: a one-job calibration batch seeds
     a per-worker EWMA of job cost, and every later claim is sized so one
@@ -87,17 +87,17 @@ val run :
       The {!Pool} caps actual domains at the machine's recommended
       count; requesting more slots than that is fine (their ranges are
       drained by stealing) and yields the same report.
-    - [checkpoint]: keep a completion log here (requires [codec]): the
-      header is written once, then one flushed entry per finished job.
-    - [resume] (default false): load [checkpoint] first and only run what
-      is missing (requires both [checkpoint] and [codec]).  The file is
-      then rewritten compacted — recovered entries first, torn lines and
-      duplicates dropped — before new entries are appended, so a resumed
-      file never carries a corrupt tail forward.  A missing file is a
-      fresh start, but an unreadable file, or one whose header disagrees
-      with [name]/[seed]/[total] or whose entry for a job carries another
-      [label], raises [Failure] before any job runs and leaves the file
-      untouched — it belongs to a different campaign.
+    - [checkpoint]: keep a completion log at its [path]: the header is
+      written once, then one flushed entry per finished job.  With
+      [resume], the engine loads [path] first and only runs what is
+      missing.  The file is then rewritten compacted — recovered entries
+      first, torn lines and duplicates dropped — before new entries are
+      appended, so a resumed file never carries a corrupt tail forward.
+      A missing file is a fresh start, but an unreadable file, or one
+      whose header disagrees with [name]/[seed]/[total] or whose entry
+      for a job carries another [label], raises [Failure] before any job
+      runs and leaves the file untouched — it belongs to a different
+      campaign.
     - [sink]: receives one {!Rlfd_obs.Trace.Progress} event once at
       start and then (serialised) after each batch — [label = name],
       jobs done/total (the first event's [done_] counts the recovered
@@ -118,14 +118,12 @@ val run :
       freshly spawned domain, and a [pool-wait] driver span for the
       end-of-run quiescence wait; those records are
       scheduling-dependent, so
-      {!Rlfd_obs.Timeline.normalized_json} always excludes them.  The
-      driver also records the [metrics-merge] span.  Free when left at
-      the default {!Rlfd_obs.Timeline.null}.
+      {!Rlfd_obs.Timeline.normalized_json} always excludes them.  Free
+      when left at the default {!Rlfd_obs.Timeline.null}.
 
     If [f] raises, remaining batches are abandoned and the first
     exception is re-raised after the pool participants quiesce.  Raises
-    [Invalid_argument] on [total < 0], [workers < 1], or
-    checkpoint/resume without the options they require. *)
+    [Invalid_argument] on [total < 0] or [workers < 1]. *)
 
 val report_lines : 'r codec -> 'r report -> string list
 (** One compact JSON object per job, sorted by index:
@@ -136,9 +134,7 @@ val report_lines : 'r codec -> 'r report -> string list
 
 val run_spec :
   ?workers:int ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  ?codec:'r codec ->
+  ?checkpoint:'r checkpoint ->
   ?sink:Rlfd_obs.Trace.sink ->
   ?timeline:Rlfd_obs.Timeline.t ->
   seed:int ->

@@ -71,7 +71,7 @@ let set_max_helpers = function
 
 let spawned_total () = Mutex.protect st.m (fun () -> st.spawned)
 
-type stats = { participants : int; spawned : int; wait_s : float }
+type stats = { participants : int; wait_s : float }
 
 let record_failure j exn =
   let bt = Printexc.get_raw_backtrace () in
@@ -127,7 +127,7 @@ let spawn_helper j =
 let run ~workers ?(on_spawn = fun (_ : int) -> ()) body =
   let inline () =
     body ~slot:0;
-    { participants = 1; spawned = 0; wait_s = 0. }
+    { participants = 1; wait_s = 0. }
   in
   if workers <= 1 || Domain.DLS.get inside_pool then inline ()
   else begin
@@ -168,6 +168,6 @@ let run ~workers ?(on_spawn = fun (_ : int) -> ()) body =
       (match j.failed with
       | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
       | None -> ());
-      { participants; spawned = to_spawn; wait_s = Profile.now () -. t_wait }
+      { participants; wait_s = Profile.now () -. t_wait }
     end
   end

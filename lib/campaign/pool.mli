@@ -23,7 +23,6 @@
 type stats = {
   participants : int;
       (** domains that actually entered the run (including the caller) *)
-  spawned : int;  (** fresh domains created for this run (0 once warm) *)
   wait_s : float;
       (** caller's wait between finishing its own share and the last
           participant leaving *)

@@ -79,10 +79,12 @@ let realistic_detectors cfg =
 
 let totality_runs cfg detectors =
   (* The (detector × trial) grid is a campaign: job index [d * trials + t]
-     runs detector [d] on trial pattern [t].  Patterns are regenerated
-     inside each job from the seeded stream, so a job's inputs depend only
-     on its index and the report is identical at any worker count. *)
+     runs detector [d] on trial pattern [t].  The trial patterns are drawn
+     once from the seeded stream, before any job runs, so a job's inputs
+     depend only on its index and the report is identical at any worker
+     count. *)
   let detectors = Array.of_list detectors in
+  let patterns = Array.of_list (sample_patterns cfg ~count:cfg.trials) in
   let report =
     Rlfd_campaign.Engine.run ~workers:cfg.workers ~timeline:cfg.timeline
       ~name:"totality-runs"
@@ -94,7 +96,7 @@ let totality_runs cfg detectors =
       (fun ~rng:_ ~metrics:_ i ->
         let detector = detectors.(i / cfg.trials) in
         let trial = i mod cfg.trials in
-        let pattern = List.nth (sample_patterns cfg ~count:cfg.trials) trial in
+        let pattern = patterns.(trial) in
         let r =
           run_consensus cfg ~trial ~detector ~pattern
             (Ct_strong.automaton ~proposals)

@@ -23,6 +23,9 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 type config = {
   n : int;
+      (** processes, at least 3: the claims' fixed patterns crash p2 and
+          p3 (EXP-4a, EXP-9, EXP-11, EXP-13), and EXP-11 crashes p2 and
+          p[n] as two distinct processes *)
   seed : int;
   trials : int;
   horizon : Time.t;

@@ -154,6 +154,12 @@ module Family = struct
 
   let uniform_time rng ~horizon = Time.of_int (Rng.int rng (Time.to_int horizon + 1))
 
+  (* A family that always crashes someone would crash the only process at
+     n = 1, leaving the environment (at least one correct process): there
+     it yields the failure-free pattern and draws nothing. *)
+  let keep_one generate ~n ~horizon rng =
+    if n = 1 then failure_free ~n else generate ~n ~horizon rng
+
   let failure_free = { name = "failure-free"; generate = (fun ~n ~horizon:_ _ -> failure_free ~n) }
 
   let single_crash =
@@ -161,7 +167,7 @@ module Family = struct
       let victim = Pid.of_int (Rng.int_in rng 1 n) in
       make ~n [ (victim, uniform_time rng ~horizon) ]
     in
-    { name = "single-crash"; generate }
+    { name = "single-crash"; generate = keep_one generate }
 
   let crash_count ~n ~horizon rng count =
     let victims =
@@ -204,18 +210,22 @@ module Family = struct
       in
       make ~n (List.map (fun p -> (p, instant)) victims)
     in
-    { name = "simultaneous"; generate }
+    { name = "simultaneous"; generate = keep_one generate }
 
   let cascade =
     let generate ~n ~horizon rng =
       let count = Rng.int_in rng 1 (n - 1) in
-      let gap = Stdlib.max 1 (Time.to_int horizon / Stdlib.max 1 count) in
+      let h = Time.to_int horizon in
+      let gap = Stdlib.max 1 (h / count) in
+      (* a horizon shorter than [count] ticks has no room for distinct
+         instants: the late crashes land on the horizon itself *)
       let crashes =
-        List.init count (fun i -> (Pid.of_int (i + 1), Time.of_int (gap * (i + 1))))
+        List.init count (fun i ->
+            (Pid.of_int (i + 1), Time.of_int (Stdlib.min h (gap * (i + 1)))))
       in
       make ~n crashes
     in
-    { name = "cascade"; generate }
+    { name = "cascade"; generate = keep_one generate }
 
   let uniform =
     let generate ~n ~horizon rng =

@@ -94,7 +94,10 @@ val crash_all_except : t -> keep:Pid.t -> at:Time.t -> t
 (** {1 Pattern families}
 
     Named generators spanning the unbounded-failure environment.  All
-    randomness is taken from the supplied {!Rlfd_kernel.Rng}. *)
+    randomness is taken from the supplied {!Rlfd_kernel.Rng}.  At any
+    [n >= 1] every family leaves at least one process correct and crashes
+    no process after [horizon]; at [n = 1] that makes every pattern
+    failure-free. *)
 
 module Family : sig
   type pattern = t
@@ -107,7 +110,8 @@ module Family : sig
   val failure_free : t
 
   val single_crash : t
-  (** One uniformly chosen process crashes at a uniform time. *)
+  (** One uniformly chosen process crashes at a uniform time (none at
+      [n = 1]). *)
 
   val minority_crashes : t
   (** Fewer than [n/2] crashes — the classical [◊S]-friendly environment. *)
@@ -120,10 +124,13 @@ module Family : sig
       the paper's lower-bound proofs hinge on. *)
 
   val simultaneous : t
-  (** A random subset (possibly all-but-one) crashes at one common instant. *)
+  (** A random non-empty subset (possibly all-but-one) crashes at one common
+      instant (none at [n = 1]). *)
 
   val cascade : t
-  (** Crashes at regular intervals, lowest index first. *)
+  (** Between 1 and [n - 1] crashes at regular intervals, lowest index
+      first (none at [n = 1]).  When [horizon] has fewer ticks than there
+      are crashes, the late ones share the horizon's tick. *)
 
   val uniform : t
   (** Each process independently crashes with probability 1/2 at a uniform

@@ -102,15 +102,6 @@ let is_empty registry = Hashtbl.length registry = 0
 let sorted registry =
   List.map (fun name -> (name, Hashtbl.find registry name)) (names registry)
 
-let merge ~into src =
-  List.iter
-    (fun (name, metric) ->
-      match metric with
-      | Counter r -> incr ~by:!r into name
-      | Gauge r -> set_gauge into name !r
-      | Histogram s -> observe_sketch into name s)
-    (sorted src)
-
 let to_json registry =
   let open Json in
   let counters = ref [] and gauges = ref [] and histograms = ref [] in

@@ -95,18 +95,6 @@ val observe_sketch : t -> string -> Sketch.t -> unit
     QoS estimator lands its per-run sketches in a registry without ever
     materialising samples. *)
 
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds [src] into [into]: counters add, gauges take
-    the source's value (last-write-wins, treating [src] as the later
-    writer), histograms merge bucket-wise ({!Sketch.merge}).  The source
-    is not modified.  Re-using a name with a different kind raises
-    [Invalid_argument], exactly as the recording operations do.  Counter
-    addition and bucket-wise sketch merge are commutative and
-    associative, so a campaign reducer merging per-shard registries gets
-    the same aggregate whatever the completion order; only gauge values
-    depend on merge order, which is why the campaign engine's reducer
-    merges per-shard registries in shard-index order. *)
-
 (** {1 Reading} *)
 
 val counter_value : t -> string -> int

@@ -9,11 +9,9 @@
 
     [merge] is a bucket-wise add: commutative, associative, and {e exact}
     — merging the sketches of two sample streams yields the very sketch
-    of their concatenation.  That is what lets
-    {!Rlfd_campaign.Engine}'s reducer fold per-shard registries in
-    shard-index order and still produce the same aggregate at any worker
-    count, and what lets the streaming QoS observatory run an n=1,000
-    campaign without retaining a single raw sample. *)
+    of their concatenation.  That is what lets the streaming QoS
+    observatory run an n=1,000 campaign without retaining a single raw
+    sample. *)
 
 type t
 

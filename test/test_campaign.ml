@@ -6,7 +6,6 @@ module Spec = Rlfd_campaign.Spec
 module Checkpoint = Rlfd_campaign.Checkpoint
 module Engine = Rlfd_campaign.Engine
 module Json = Rlfd_obs.Json
-module Metrics = Rlfd_obs.Metrics
 module Trace = Rlfd_obs.Trace
 
 let int_codec =
@@ -19,6 +18,9 @@ let int_codec =
         | None -> Error "not an int");
   }
 
+(* The completion log of an int campaign at [path]. *)
+let ck ?(resume = false) path = { Engine.path; codec = int_codec; resume }
+
 let spec2 () =
   Spec.make ~name:"unit"
     ~axes:[ ("fd", [ "P"; "S" ]); ("sched", [ "fair"; "random"; "chaos" ]) ]
@@ -26,14 +28,12 @@ let spec2 () =
 
 (* A deterministic workload whose value encodes everything a job was given,
    so any cross-worker or resume confusion shows up in the result itself. *)
-let fingerprint ~rng ~metrics i =
-  Metrics.incr metrics "jobs_seen";
-  Metrics.observe metrics "draws" (float_of_int (Rlfd_kernel.Rng.int rng 1000));
+let fingerprint ~rng ~metrics:_ i =
   (i * 1_000_003) + Rlfd_kernel.Rng.int rng 1_000_000
 
-let run_fingerprint ?workers ?checkpoint ?resume ?codec ?sink ~total () =
-  Engine.run ?workers ?checkpoint ?resume ?codec ?sink ~name:"fingerprint"
-    ~seed:2002 ~total ~label:string_of_int fingerprint
+let run_fingerprint ?workers ?checkpoint ?sink ~total () =
+  Engine.run ?workers ?checkpoint ?sink ~name:"fingerprint" ~seed:2002 ~total
+    ~label:string_of_int fingerprint
 
 let tmp_file name =
   let path = Filename.concat (Filename.get_temp_dir_name ()) name in
@@ -201,14 +201,6 @@ let engine_tests =
         let r = run_fingerprint ~workers:4 ~total:11 () in
         Alcotest.(check (list int)) "job order" (List.init 11 Fun.id)
           (List.map (fun o -> o.Engine.job) r.Engine.outcomes));
-    test "merged metrics count every job once at any worker count" (fun () ->
-        let count workers =
-          let r = run_fingerprint ~workers ~total:19 () in
-          ( Metrics.counter_value r.Engine.metrics "jobs_seen",
-            Metrics.histogram_count r.Engine.metrics "draws" )
-        in
-        Alcotest.(check (pair int int)) "serial" (19, 19) (count 1);
-        Alcotest.(check (pair int int)) "parallel" (19, 19) (count 4));
     test "progress events climb from the recovered count to total"
       (fun () ->
         let check_events what ~first sink =
@@ -241,23 +233,23 @@ let engine_tests =
           [ 1; 3 ];
         let path = tmp_file "rlfd-ck-progress.jsonl" in
         let (_ : int Engine.report) =
-          run_fingerprint ~checkpoint:path ~codec:int_codec ~total:15 ()
+          run_fingerprint ~checkpoint:(ck path) ~total:15 ()
         in
         truncate_checkpoint path ~lines:7 ~torn:"";
         let sink = Trace.memory () in
         let resumed =
-          run_fingerprint ~workers:2 ~checkpoint:path ~resume:true
-            ~codec:int_codec ~sink ~total:15 ()
+          run_fingerprint ~workers:2 ~checkpoint:(ck ~resume:true path)
+            ~sink ~total:15 ()
         in
         Sys.remove path;
         Alcotest.(check int) "recovered jobs" 6 resumed.Engine.resumed;
         check_events "resumed" ~first:resumed.Engine.resumed sink);
-    test "total = 0 yields an empty report" (fun () ->
-        let r = run_fingerprint ~workers:2 ~total:0 () in
-        Alcotest.(check int) "outcomes" 0 (List.length r.Engine.outcomes));
     test "more workers than jobs still covers every job" (fun () ->
         let r = run_fingerprint ~workers:8 ~total:3 () in
         Alcotest.(check int) "outcomes" 3 (List.length r.Engine.outcomes));
+    test "total = 0 yields an empty report" (fun () ->
+        let r = run_fingerprint ~workers:2 ~total:0 () in
+        Alcotest.(check int) "outcomes" 0 (List.length r.Engine.outcomes));
     test "a job exception surfaces after the pool joins" (fun () ->
         match
           Engine.run ~workers:2 ~name:"boom" ~seed:1 ~total:8
@@ -268,14 +260,6 @@ let engine_tests =
         | exception Failure msg ->
           Alcotest.(check string) "message" "job 5 exploded" msg
         | _ -> Alcotest.fail "expected Failure");
-    test "checkpoint or resume without a codec is rejected" (fun () ->
-        match
-          Engine.run ~checkpoint:"/tmp/never-written.jsonl" ~name:"x" ~seed:1
-            ~total:1 ~label:string_of_int
-            (fun ~rng:_ ~metrics:_ i -> i)
-        with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
   ]
 
 (* ---------- Checkpoint / resume through the engine ---------- *)
@@ -287,14 +271,13 @@ let resume_tests =
         let full = run_fingerprint ~workers:2 ~total:14 () in
         let path = tmp_file "rlfd-ck-resume.jsonl" in
         let _ =
-          run_fingerprint ~workers:1 ~checkpoint:path ~codec:int_codec
-            ~total:14 ()
+          run_fingerprint ~workers:1 ~checkpoint:(ck path) ~total:14 ()
         in
         (* keep the header + 5 entries, then a torn line *)
         truncate_checkpoint path ~lines:6 ~torn:"{\"job\":11,\"label\":\"torn";
         let resumed =
-          run_fingerprint ~workers:3 ~checkpoint:path ~resume:true
-            ~codec:int_codec ~total:14 ()
+          run_fingerprint ~workers:3 ~checkpoint:(ck ~resume:true path)
+            ~total:14 ()
         in
         Alcotest.(check (list string))
           "identical reports" (report_fingerprint full)
@@ -314,12 +297,11 @@ let resume_tests =
     test "resuming a finished campaign re-runs nothing" (fun () ->
         let path = tmp_file "rlfd-ck-finished.jsonl" in
         let first =
-          run_fingerprint ~workers:2 ~checkpoint:path ~codec:int_codec
-            ~total:9 ()
+          run_fingerprint ~workers:2 ~checkpoint:(ck path) ~total:9 ()
         in
         let again =
-          run_fingerprint ~workers:2 ~checkpoint:path ~resume:true
-            ~codec:int_codec ~total:9 ()
+          run_fingerprint ~workers:2 ~checkpoint:(ck ~resume:true path)
+            ~total:9 ()
         in
         Alcotest.(check int) "all resumed" 9 again.Engine.resumed;
         Alcotest.(check (list string))
@@ -329,12 +311,11 @@ let resume_tests =
     test "a mismatched header refuses to resume" (fun () ->
         let path = tmp_file "rlfd-ck-mismatch.jsonl" in
         let _ =
-          run_fingerprint ~workers:1 ~checkpoint:path ~codec:int_codec
-            ~total:4 ()
+          run_fingerprint ~workers:1 ~checkpoint:(ck path) ~total:4 ()
         in
         (match
-           run_fingerprint ~workers:1 ~checkpoint:path ~resume:true
-             ~codec:int_codec ~total:5 ()
+           run_fingerprint ~workers:1 ~checkpoint:(ck ~resume:true path)
+             ~total:5 ()
          with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "expected Failure on total mismatch");
@@ -344,13 +325,13 @@ let resume_tests =
         let path = tmp_file "rlfd-ck-foreign.jsonl" in
         let spec fd = Spec.make ~name:"same" ~axes:[ ("fd", [ fd ]) ] ~seeds:[ 1; 2 ] () in
         let _ =
-          Engine.run_spec ~checkpoint:path ~codec:int_codec ~seed:2002 (spec "P")
+          Engine.run_spec ~checkpoint:(ck path) ~seed:2002 (spec "P")
             (fun ~rng:_ ~metrics:_ job -> job.Spec.index)
         in
         let before = read_file path in
         let ran = ref false in
         (match
-           Engine.run_spec ~checkpoint:path ~resume:true ~codec:int_codec
+           Engine.run_spec ~checkpoint:(ck ~resume:true path)
              ~seed:2002 (spec "S")
              (fun ~rng:_ ~metrics:_ _ ->
                ran := true;
@@ -461,7 +442,7 @@ let timeline_tests =
         let tl = Timeline.create ~label:"cov" () in
         let path = tmp_file "rlfd-timeline-ckpt.jsonl" in
         let (_ : int Engine.report) =
-          Engine.run ~workers:2 ~timeline:tl ~codec:int_codec ~checkpoint:path
+          Engine.run ~workers:2 ~timeline:tl ~checkpoint:(ck path)
             ~name:"fingerprint" ~seed:2002 ~total:12 ~label:string_of_int
             fingerprint
         in
@@ -514,8 +495,7 @@ let with_cap n f =
 
 (* A job whose cost varies per job but depends only on the job's own rng
    stream — the adversarial input for adaptive batching + stealing. *)
-let lumpy ~rng ~metrics i =
-  Metrics.incr metrics "jobs_seen";
+let lumpy ~rng ~metrics:_ i =
   let spin = Rlfd_kernel.Rng.int rng 2000 in
   let acc = ref (i + 1) in
   for _ = 1 to spin do
@@ -538,7 +518,7 @@ let pool_tests =
                 tmp_file (Printf.sprintf "rlfd-pool-det-%d.jsonl" workers)
               in
               let r =
-                Engine.run ~workers ~checkpoint:path ~codec:int_codec
+                Engine.run ~workers ~checkpoint:(ck path)
                   ~name:"pool-det" ~seed ~total ~label:string_of_int lumpy
               in
               (* the checkpoint log is completion-ordered and carries wall
@@ -592,7 +572,7 @@ let pool_tests =
             in
             let path = tmp_file "rlfd-pool-resume.jsonl" in
             let _ =
-              Engine.run ~workers:4 ~checkpoint:path ~codec:int_codec
+              Engine.run ~workers:4 ~checkpoint:(ck path)
                 ~name:"pool-resume" ~seed:11 ~total:13 ~label:string_of_int
                 lumpy
             in
@@ -600,8 +580,8 @@ let pool_tests =
             truncate_checkpoint path ~lines:5
               ~torn:"{\"job\":9,\"label\":\"torn";
             let resumed =
-              Engine.run ~workers:4 ~checkpoint:path ~resume:true
-                ~codec:int_codec ~name:"pool-resume" ~seed:11 ~total:13
+              Engine.run ~workers:4 ~checkpoint:(ck ~resume:true path)
+                ~name:"pool-resume" ~seed:11 ~total:13
                 ~label:string_of_int lumpy
             in
             Sys.remove path;

@@ -440,106 +440,6 @@ let metrics_tests =
         Alcotest.(check (list string)) "sorted" [ "aa"; "zz" ] (Metrics.names m));
   ]
 
-(* ---------- registry merge (the campaign reducer's primitive) ---------- *)
-
-(* A canonical rendering under which merge must be order-insensitive:
-   counters and gauges as-is, histograms by their sketch JSON (bucket
-   counts are ints and the test samples are small integers, so sums are
-   exact whatever the addition order). *)
-let canonical m =
-  List.map
-    (fun name ->
-      ( name,
-        Metrics.counter_value m name,
-        Metrics.gauge_value m name,
-        Option.map
-          (fun s -> Json.to_string (Rlfd_obs.Sketch.to_json s))
-          (Metrics.histogram m name) ))
-    (Metrics.names m)
-
-let merged a b =
-  let m = Metrics.create () in
-  Metrics.merge ~into:m a;
-  Metrics.merge ~into:m b;
-  m
-
-(* Random registries over a small name pool; the [tag] offsets keep gauge
-   names disjoint between the two sides of a commutativity check (gauges
-   are last-write-wins, so a shared gauge name is order-sensitive by
-   design). *)
-let arb_registry ~tag =
-  let open QCheck in
-  let gen =
-    Gen.map
-      (fun ops ->
-        let m = Metrics.create () in
-        List.iter
-          (fun (kind, name_idx, v) ->
-            match kind mod 3 with
-            | 0 -> Metrics.incr ~by:(v mod 10) m (Printf.sprintf "c%d" name_idx)
-            | 1 ->
-              Metrics.set_gauge m
-                (Printf.sprintf "g%d-%s" name_idx tag)
-                (float_of_int v)
-            | _ ->
-              Metrics.observe m (Printf.sprintf "h%d" name_idx) (float_of_int v))
-          ops;
-        m)
-      (Gen.list_size (Gen.int_range 0 20)
-         (Gen.triple (Gen.int_bound 2) (Gen.int_bound 3) (Gen.int_bound 100)))
-  in
-  make ~print:(fun m -> Format.asprintf "%a" Metrics.pp m) gen
-
-let merge_tests =
-  [
-    test "merge adds counters, overwrites gauges, merges histogram sketches"
-      (fun () ->
-        let a = Metrics.create () and b = Metrics.create () in
-        Metrics.incr ~by:2 a "c";
-        Metrics.incr ~by:3 b "c";
-        Metrics.set_gauge a "g" 1.0;
-        Metrics.set_gauge b "g" 9.0;
-        List.iter (Metrics.observe a "h") [ 1.; 2. ];
-        List.iter (Metrics.observe b "h") [ 3.; 4. ];
-        Metrics.merge ~into:a b;
-        Alcotest.(check int) "counter sum" 5 (Metrics.counter_value a "c");
-        Alcotest.(check (option (float 0.))) "gauge last-write" (Some 9.0)
-          (Metrics.gauge_value a "g");
-        let together = Rlfd_obs.Sketch.create () in
-        List.iter (Rlfd_obs.Sketch.add together) [ 1.; 2.; 3.; 4. ];
-        Alcotest.(check bool) "merge = sketch of the concatenation" true
-          (Rlfd_obs.Sketch.equal together
-             (Option.get (Metrics.histogram a "h"))));
-    test "merge into empty copies; source unchanged" (fun () ->
-        let src = Metrics.create () in
-        Metrics.incr src "c";
-        Metrics.observe src "h" 7.;
-        let dst = Metrics.create () in
-        Metrics.merge ~into:dst src;
-        Alcotest.(check int) "copied" 1 (Metrics.counter_value dst "c");
-        Metrics.incr dst "c";
-        Metrics.observe dst "h" 9.;
-        Alcotest.(check int) "src unchanged" 1 (Metrics.counter_value src "c");
-        Alcotest.(check int) "src sketch unchanged" 1
-          (Metrics.histogram_count src "h"));
-    test "merge kind clash raises" (fun () ->
-        let a = Metrics.create () and b = Metrics.create () in
-        Metrics.incr a "x";
-        Metrics.observe b "x" 1.;
-        Alcotest.check_raises "clash"
-          (Invalid_argument "Metrics: \"x\" is a counter, used as a histogram")
-          (fun () -> Metrics.merge ~into:a b));
-    qtest "merge is commutative (disjoint gauges; histograms as multisets)"
-      QCheck.(pair (arb_registry ~tag:"l") (arb_registry ~tag:"r"))
-      (fun (a, b) -> canonical (merged a b) = canonical (merged b a));
-    qtest "merge is associative"
-      QCheck.(
-        triple (arb_registry ~tag:"x") (arb_registry ~tag:"y")
-          (arb_registry ~tag:"z"))
-      (fun (a, b, c) ->
-        canonical (merged (merged a b) c) = canonical (merged a (merged b c)));
-  ]
-
 (* ---------- quantile sketches ---------- *)
 
 let sketch_of xs =
@@ -884,7 +784,6 @@ let () =
       suite "runner-roundtrip" run_tests;
       suite "netsim-invariants" net_tests;
       suite "metrics" metrics_tests;
-      suite "metrics-merge" merge_tests;
       suite "sketch" sketch_tests;
       suite "timeline" timeline_tests;
     ]

@@ -196,6 +196,27 @@ let family_tests =
             let f = Pattern.Family.generate family ~n ~horizon (rng seed) in
             Pid.Set.cardinal (Pattern.correct f) >= 1)
           Pattern.Family.all);
+    (* through the record field, which callers may apply directly; short
+       horizons give cascade fewer ticks than crashes *)
+    qtest ~count:300
+      "every family at n = 1..6 keeps a correct process and crashes by the horizon"
+      QCheck.(
+        triple (int_range 1 6) small_int
+          (make ~print:string_of_int
+             Gen.(oneof [ int_range 0 8; int_range 9 1000 ])))
+      (fun (n, seed, h) ->
+        let horizon = time h in
+        List.for_all
+          (fun family ->
+            let f = family.Pattern.Family.generate ~n ~horizon (rng seed) in
+            Pid.Set.cardinal (Pattern.correct f) >= 1
+            && Pid.Set.for_all
+                 (fun p ->
+                   match Pattern.crash_time f p with
+                   | None -> true
+                   | Some t -> Time.(t <= horizon))
+                 (Pattern.faulty f))
+          Pattern.Family.all);
     qtest "crash times respect the horizon" QCheck.small_int (fun seed ->
         List.for_all
           (fun family ->
